@@ -7,17 +7,21 @@
 //! compile-time knowledge of the config type. [`CellScenario`] is that
 //! object-safe facade and [`Registry`] the name → scenario directory.
 //!
-//! Validation is canonicalizing: [`Registry::validate`] fills declared
+//! Validation is canonicalizing: [`Registry::check`] fills declared
 //! defaults and rejects unknown keys or out-of-range choices, so two
 //! queries that *mean* the same cell normalize to the same parameter
-//! map — the property result caches key on.
+//! pairs — the property result caches key on. Each domain's
+//! [`ParamSpec`]s are read once, when it is registered, and a check
+//! borrows its pairs from the query and from those stored specs, so
+//! validating a repeated query copies nothing; [`Registry::validate`]
+//! is the same check over an owned map.
 
 use crate::cancel::CancelToken;
 use crate::scenario::Scenario;
 use crate::seed::derive_seed;
 use atlarge_stats::descriptive::Summary;
 use atlarge_telemetry::tracer::Tracer;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One declared parameter of a [`CellScenario`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -155,10 +159,21 @@ pub fn parse_param<T: std::str::FromStr>(
         .map_err(|_| format!("parameter '{name}': cannot parse '{raw}'"))
 }
 
+/// One registered domain: its scenario, and the parameter specs the
+/// scenario declared, read once at registration.
+struct Cell {
+    scenario: Box<dyn CellScenario>,
+    /// Declared specs, in documentation order.
+    specs: Vec<ParamSpec>,
+    /// Indices into `specs`, sorted by parameter name: the canonical
+    /// order of a validated query's pairs.
+    by_name: Vec<usize>,
+}
+
 /// The domain-name → scenario directory an exploration service serves.
 #[derive(Default)]
 pub struct Registry {
-    scenarios: BTreeMap<String, Box<dyn CellScenario>>,
+    cells: BTreeMap<String, Cell>,
 }
 
 impl Registry {
@@ -167,27 +182,48 @@ impl Registry {
         Registry::default()
     }
 
-    /// Adds `scenario` under its [`CellScenario::domain`] key.
+    /// Adds `scenario` under its [`CellScenario::domain`] key and
+    /// stores its declared [`ParamSpec`]s.
     ///
     /// # Panics
     ///
-    /// Panics on a duplicate domain name — registries are assembled
-    /// once, at startup, and a silent overwrite would hide the bug.
+    /// Panics on a duplicate domain name, or on a scenario declaring
+    /// one parameter name twice — registries are assembled once, at
+    /// startup, and a silent overwrite would hide the bug.
     pub fn register(&mut self, scenario: Box<dyn CellScenario>) -> &mut Self {
         let domain = scenario.domain().to_string();
-        let clash = self.scenarios.insert(domain.clone(), scenario);
+        let specs = scenario.params();
+        let mut by_name: Vec<usize> = (0..specs.len()).collect();
+        by_name.sort_by(|&a, &b| specs[a].name.cmp(&specs[b].name));
+        assert!(
+            by_name
+                .windows(2)
+                .all(|w| specs[w[0]].name != specs[w[1]].name),
+            "domain '{domain}' declares a parameter twice"
+        );
+        let cell = Cell {
+            scenario,
+            specs,
+            by_name,
+        };
+        let clash = self.cells.insert(domain.clone(), cell);
         assert!(clash.is_none(), "domain '{domain}' registered twice");
         self
     }
 
     /// Looks a domain up by name.
     pub fn get(&self, domain: &str) -> Option<&dyn CellScenario> {
-        self.scenarios.get(domain).map(|b| b.as_ref())
+        self.cells.get(domain).map(|c| c.scenario.as_ref())
+    }
+
+    /// The parameters `domain` declared, in documentation order.
+    pub fn specs(&self, domain: &str) -> Option<&[ParamSpec]> {
+        self.cells.get(domain).map(|c| c.specs.as_slice())
     }
 
     /// Registered domain names, sorted.
     pub fn domains(&self) -> Vec<&str> {
-        self.scenarios.keys().map(|k| k.as_str()).collect()
+        self.cells.keys().map(|k| k.as_str()).collect()
     }
 
     /// Validates and canonicalizes a raw query against `domain`'s
@@ -196,32 +232,100 @@ impl Registry {
     /// omitted required parameters are an error. The returned map is
     /// the *canonical cell identity* — byte-equal maps mean the same
     /// cell, which is what fingerprint caches rely on.
+    ///
+    /// An owned-map form of [`Registry::check`].
     pub fn validate(
         &self,
         domain: &str,
         raw: &BTreeMap<String, String>,
     ) -> Result<BTreeMap<String, String>, String> {
-        let scenario = self.get(domain).ok_or_else(|| {
-            format!(
-                "unknown domain '{domain}' (have: {})",
-                self.domains().join(", ")
-            )
-        })?;
-        let specs = scenario.params();
-        for key in raw.keys() {
-            if !specs.iter().any(|s| &s.name == key) {
-                let known: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
-                return Err(format!(
-                    "unknown parameter '{key}' for domain '{domain}' (have: {})",
-                    known.join(", ")
-                ));
-            }
+        let mut check = self.check(domain);
+        for (key, value) in raw {
+            check.push(key, value)?;
         }
-        let mut canonical = BTreeMap::new();
-        for spec in &specs {
-            let value = match (raw.get(&spec.name), &spec.default) {
-                (Some(v), _) => v.clone(),
-                (None, Some(d)) => d.clone(),
+        Ok(check
+            .finish()?
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value.to_string()))
+            .collect())
+    }
+
+    /// Starts validating a query's parameters for `domain`, with
+    /// nothing copied: feed the pairs to [`ParamCheck::push`], then
+    /// [`ParamCheck::finish`] returns the canonical pairs, borrowed
+    /// from the query or from the stored defaults.
+    pub fn check<'a>(&'a self, domain: &'a str) -> ParamCheck<'a> {
+        let cell = self.cells.get(domain);
+        ParamCheck {
+            registry: self,
+            domain,
+            cell,
+            given: vec![None; cell.map_or(0, |c| c.specs.len())],
+            unknown: BTreeSet::new(),
+        }
+    }
+}
+
+/// The validation of one query's parameters against one domain's
+/// declared specs, fed a pair at a time. The one validation
+/// implementation: [`Registry::validate`] runs it over an owned map.
+pub struct ParamCheck<'a> {
+    registry: &'a Registry,
+    domain: &'a str,
+    /// `None` for a domain nobody registered; reported by `finish`.
+    cell: Option<&'a Cell>,
+    /// The value given for each declared spec, in documentation order.
+    given: Vec<Option<&'a str>>,
+    /// Keys no spec declares, sorted so a refusal names the first.
+    unknown: BTreeSet<&'a str>,
+}
+
+impl<'a> ParamCheck<'a> {
+    /// Records one `key=value` pair, in the order the query gives them.
+    /// A key given twice is refused here, at its second occurrence.
+    pub fn push(&mut self, key: &'a str, value: &'a str) -> Result<(), String> {
+        let declared = self.cell.and_then(|cell| {
+            cell.by_name
+                .binary_search_by(|&i| cell.specs[i].name.as_str().cmp(key))
+                .ok()
+                .map(|at| cell.by_name[at])
+        });
+        let first = match declared {
+            Some(i) => self.given[i].replace(value).is_none(),
+            None => self.unknown.insert(key),
+        };
+        if first {
+            Ok(())
+        } else {
+            Err(format!("parameter '{key}' given twice"))
+        }
+    }
+
+    /// Checks what the pairs add up to, refusing, in this order, an
+    /// unknown domain, an undeclared key (the alphabetically first),
+    /// and then — spec by spec, in documentation order — a missing
+    /// required parameter or a value outside the declared choices.
+    /// Returns every declared parameter once, sorted by name, with
+    /// defaults filled: byte-equal results mean the same cell.
+    pub fn finish(mut self) -> Result<Vec<(&'a str, &'a str)>, String> {
+        let domain = self.domain;
+        let Some(cell) = self.cell else {
+            return Err(format!(
+                "unknown domain '{domain}' (have: {})",
+                self.registry.domains().join(", ")
+            ));
+        };
+        if let Some(key) = self.unknown.first() {
+            let known: Vec<&str> = cell.specs.iter().map(|s| s.name.as_str()).collect();
+            return Err(format!(
+                "unknown parameter '{key}' for domain '{domain}' (have: {})",
+                known.join(", ")
+            ));
+        }
+        for (spec, given) in cell.specs.iter().zip(&mut self.given) {
+            let value = match (*given, &spec.default) {
+                (Some(v), _) => v,
+                (None, Some(d)) => d.as_str(),
                 (None, None) => {
                     return Err(format!(
                         "missing required parameter '{}' for domain '{domain}'",
@@ -229,16 +333,23 @@ impl Registry {
                     ))
                 }
             };
-            if !spec.choices.is_empty() && !spec.choices.contains(&value) {
+            if !spec.choices.is_empty() && !spec.choices.iter().any(|c| c == value) {
                 return Err(format!(
                     "parameter '{}': '{value}' is not one of {}",
                     spec.name,
                     spec.choices.join("|")
                 ));
             }
-            canonical.insert(spec.name.clone(), value);
+            *given = Some(value);
         }
-        Ok(canonical)
+        Ok(cell
+            .by_name
+            .iter()
+            .map(|&i| {
+                let value = self.given[i].expect("every spec was filled above");
+                (cell.specs[i].name.as_str(), value)
+            })
+            .collect())
     }
 }
 
@@ -345,6 +456,85 @@ mod tests {
             .validate("mixer", &raw(&[("x", "1"), ("mode", "thrice")]))
             .unwrap_err()
             .contains("not one of plain|twice"));
+    }
+
+    #[test]
+    fn check_borrows_canonical_pairs_in_name_order() {
+        let r = registry();
+        let mut check = r.check("mixer");
+        check.push("x", "5").unwrap();
+        check.push("mode", "twice").unwrap();
+        let pairs = check.finish().unwrap();
+        assert_eq!(pairs, vec![("bias", "0"), ("mode", "twice"), ("x", "5")]);
+        let owned = r
+            .validate("mixer", &raw(&[("x", "5"), ("mode", "twice")]))
+            .unwrap();
+        let owned: Vec<(&str, &str)> = owned
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .collect();
+        assert_eq!(pairs, owned, "validate is the same check over a map");
+    }
+
+    #[test]
+    fn check_refuses_a_repeated_key_at_its_second_occurrence() {
+        let r = registry();
+        for domain in ["mixer", "nope"] {
+            for key in ["x", "y"] {
+                let mut check = r.check(domain);
+                check.push(key, "1").unwrap();
+                assert_eq!(
+                    check.push(key, "2").unwrap_err(),
+                    format!("parameter '{key}' given twice"),
+                    "{domain}"
+                );
+            }
+        }
+        let mut check = r.check("mixer");
+        for key in ["zz", "x", "aa"] {
+            check.push(key, "1").unwrap();
+        }
+        assert_eq!(
+            check.finish().unwrap_err(),
+            "unknown parameter 'aa' for domain 'mixer' (have: x, mode, bias)",
+            "the alphabetically first undeclared key is named"
+        );
+    }
+
+    #[test]
+    fn specs_are_read_once_at_registration() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static CALLS: AtomicUsize = AtomicUsize::new(0);
+        struct Counted;
+        impl CellScenario for Counted {
+            fn domain(&self) -> &str {
+                "counted"
+            }
+            fn describe(&self) -> &str {
+                "counts params() calls"
+            }
+            fn params(&self) -> Vec<ParamSpec> {
+                CALLS.fetch_add(1, Ordering::Relaxed);
+                vec![ParamSpec::optional("k", "a knob", "1")]
+            }
+            fn run_cell(
+                &self,
+                _params: &BTreeMap<String, String>,
+                _seed: u64,
+                _replications: usize,
+                _cancel: &CancelToken,
+                _tracer: &dyn Tracer,
+            ) -> Result<CellOutput, String> {
+                Err("never run".to_string())
+            }
+        }
+        let mut r = Registry::new();
+        r.register(Box::new(Counted));
+        for _ in 0..3 {
+            r.validate("counted", &raw(&[("k", "2")])).unwrap();
+        }
+        assert_eq!(r.specs("counted").unwrap()[0].name, "k");
+        assert_eq!(CALLS.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -29,6 +29,11 @@ use atlarge_telemetry::RunManifest;
 /// so persisted keys from older encodings can never alias new ones.
 pub const KEY_SCHEMA: &str = "ak1";
 
+/// Longest rendering of every key field but the model: the schema (a
+/// u32, 10 digits), seven u64s and the model's length (at most 20
+/// digits each), and ten separators.
+const KEY_FIXED_MAX: usize = KEY_SCHEMA.len() + 10 + 8 * 20 + 10;
+
 /// The canonical cache key of a manifest.
 ///
 /// Deterministic, printable (no whitespace or control characters for
@@ -61,22 +66,61 @@ pub const KEY_SCHEMA: &str = "ak1";
 /// assert_eq!(canonical_key(&run), canonical_key(&rerun));
 /// ```
 pub fn canonical_key(manifest: &RunManifest) -> String {
-    // The model string is the only free-form field; prefixing its byte
-    // length keeps the encoding injective even if a model name were to
-    // contain the separator.
-    format!(
-        "{KEY_SCHEMA}|{}|{}:{}|{}|{:016x}|{}|{}|{:016x}|{}|{}",
-        manifest.schema,
-        manifest.model.len(),
-        manifest.model,
-        manifest.seed,
-        manifest.config_digest,
-        manifest.events_scheduled,
-        manifest.events_dispatched,
-        manifest.sim_time.to_bits(),
-        manifest.trace_records,
-        manifest.trace_dropped,
-    )
+    // Rendered field by field, in the order and encoding of
+    // `ak1|<schema>|<model len>:<model>|<seed>|<config digest, 16 hex>|
+    // <events scheduled>|<events dispatched>|<sim time bits, 16 hex>|
+    // <trace records>|<trace dropped>`. The model string is the only
+    // free-form field; prefixing its byte length keeps the encoding
+    // injective even if a model name were to contain the separator.
+    let mut key = String::with_capacity(KEY_FIXED_MAX + manifest.model.len());
+    key.push_str(KEY_SCHEMA);
+    key.push('|');
+    push_decimal(&mut key, u64::from(manifest.schema));
+    key.push('|');
+    push_decimal(&mut key, manifest.model.len() as u64);
+    key.push(':');
+    key.push_str(&manifest.model);
+    for (field, hex) in [
+        (manifest.seed, false),
+        (manifest.config_digest, true),
+        (manifest.events_scheduled, false),
+        (manifest.events_dispatched, false),
+        (manifest.sim_time.to_bits(), true),
+        (manifest.trace_records, false),
+        (manifest.trace_dropped, false),
+    ] {
+        key.push('|');
+        if hex {
+            push_hex16(&mut key, field);
+        } else {
+            push_decimal(&mut key, field);
+        }
+    }
+    key
+}
+
+/// Appends `n` in decimal, as `{}` renders it.
+fn push_decimal(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
+/// Appends `n` as 16 lowercase hex digits, as `{:016x}` renders it.
+fn push_hex16(out: &mut String, n: u64) {
+    out.extend(
+        (0..16)
+            .rev()
+            .map(|nibble| char::from(b"0123456789abcdef"[(n >> (4 * nibble)) as usize & 0xf])),
+    );
 }
 
 #[cfg(test)]
@@ -177,6 +221,72 @@ mod tests {
         // model="m", seed=1 followed by 2. Keys must differ.
         b.seed = 1;
         assert_ne!(canonical_key(&a), canonical_key(&b));
+    }
+
+    #[test]
+    fn key_renders_the_documented_format() {
+        let mut m = base();
+        assert_eq!(
+            canonical_key(&m),
+            "ak1|1|12:obsv.fixture|42|00000000deadbeef|100|99|406f500000000000|10|1"
+        );
+        m.events_scheduled = 0;
+        m.sim_time = 0.0;
+        m.trace_dropped = 0;
+        assert_eq!(
+            canonical_key(&m),
+            "ak1|1|12:obsv.fixture|42|00000000deadbeef|0|99|0000000000000000|10|0"
+        );
+        let m = base();
+        for (model, seed, digest, expected) in [
+            (
+                "",
+                0,
+                0x0,
+                "ak1|1|0:|0|0000000000000000|100|99|406f500000000000|10|1",
+            ),
+            (
+                "m",
+                9,
+                0x1,
+                "ak1|1|1:m|9|0000000000000001|100|99|406f500000000000|10|1",
+            ),
+            (
+                "serve.datacenter",
+                10,
+                0xf,
+                "ak1|1|16:serve.datacenter|10|000000000000000f|100|99|406f500000000000|10|1",
+            ),
+            (
+                "m|1",
+                u64::MAX,
+                u64::MAX,
+                "ak1|1|3:m|1|18446744073709551615|ffffffffffffffff|100|99|406f500000000000|10|1",
+            ),
+        ] {
+            let m = RunManifest {
+                model: model.into(),
+                seed,
+                config_digest: digest,
+                ..m.clone()
+            };
+            assert_eq!(canonical_key(&m), expected);
+        }
+    }
+
+    #[test]
+    fn key_never_outgrows_its_presized_buffer() {
+        let mut m = base();
+        m.schema = u32::MAX;
+        m.seed = u64::MAX;
+        m.config_digest = u64::MAX;
+        m.events_scheduled = u64::MAX;
+        m.events_dispatched = u64::MAX;
+        m.sim_time = f64::from_bits(u64::MAX);
+        m.trace_records = u64::MAX;
+        m.trace_dropped = u64::MAX;
+        let key = canonical_key(&m);
+        assert!(key.len() <= KEY_FIXED_MAX + m.model.len(), "{key}");
     }
 
     #[test]

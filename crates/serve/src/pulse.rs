@@ -325,7 +325,7 @@ impl Pulse {
                 samples: VecDeque::new(),
                 last_totals: SloSample::default(),
             }),
-            recent: Mutex::new(VecDeque::new()),
+            recent: Mutex::new(VecDeque::with_capacity(SPAN_RING)),
         }
     }
 
@@ -372,17 +372,26 @@ impl Pulse {
         }
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let mut recent = self.recent.lock().expect("span ring lock");
+        // A full ring hands its oldest span's domain buffer to the
+        // newest, so a steady stream of requests allocates nothing here.
+        let mut buffer = if recent.len() == SPAN_RING {
+            recent
+                .pop_front()
+                .expect("a full ring has an oldest span")
+                .domain
+        } else {
+            String::new()
+        };
+        buffer.clear();
+        buffer.push_str(domain);
         recent.push_back(SpanRecord {
             id,
-            domain: domain.to_string(),
+            domain: buffer,
             outcome,
             stage_ns,
             total_ns,
             seq,
         });
-        while recent.len() > SPAN_RING {
-            recent.pop_front();
-        }
     }
 
     /// Records a request shed with `503` — it burned availability
@@ -495,16 +504,6 @@ impl Pulse {
             .filter(|s| s.seq > since_seq && s.seq <= until_seq)
             .max_by_key(|s| s.total_ns)
             .cloned()
-    }
-
-    /// Most recent completed spans, newest last (capped ring).
-    pub fn recent_spans(&self) -> Vec<SpanRecord> {
-        self.recent
-            .lock()
-            .expect("span ring lock")
-            .iter()
-            .cloned()
-            .collect()
     }
 }
 
@@ -818,6 +817,24 @@ mod tests {
         assert!((11.0..14.0).contains(&p99), "p99 {p99}");
         // The miss fed the EWMA with its run stage.
         assert_eq!(p.ewma_service_ns(), 10_000_000);
+    }
+
+    #[test]
+    fn full_span_ring_recycles_its_oldest_spans() {
+        let p = Pulse::new(&["graph", "p2p"], 1, SloSpec::default());
+        let n = SPAN_RING as u64 + 10;
+        for i in 1..=n {
+            let domain = if i % 2 == 0 { "graph" } else { "p2p" };
+            // Older spans are slower, so the slowest retained span is
+            // the oldest one the ring still holds.
+            p.observe(i, domain, Outcome::Hit, [0, 0, 0, 10_000 * (n + 1 - i)]);
+        }
+        let slowest = p.slowest_between(0, n).expect("spans retained");
+        assert_eq!((slowest.id, slowest.seq), (11, 11), "ten spans evicted");
+        assert_eq!(slowest.domain, "p2p");
+        assert_eq!(slowest.total_ns, 10_000 * (n - 10));
+        let newest = p.slowest_between(n - 1, n).expect("newest span");
+        assert_eq!((newest.id, newest.domain.as_str()), (n, "graph"));
     }
 
     #[test]

@@ -7,9 +7,16 @@
 //! `serve.<domain>`, the query seed, and a config digest over the
 //! canonical parameters — rendered to a cache key by
 //! [`atlarge_obsv::fingerprint::canonical_key`]. Two spellings of the
-//! same cell (`n=400` explicit vs defaulted, reordered pairs) collapse
-//! to one key; any semantic difference (seed, replications, any
-//! parameter) separates keys.
+//! same cell (`n=400` explicit vs defaulted, reordered pairs,
+//! percent-encoded bytes) collapse to one key; any semantic difference
+//! (seed, replications, any parameter) separates keys.
+//!
+//! Validation borrows: [`validate_query`] returns a [`QueryRef`] whose
+//! strings point into the request and into the registry's stored
+//! defaults, and the key is digested straight from those pairs. A cache
+//! hit is answered from that borrowed form; the owned [`RunQuery`] is
+//! built only for a run. [`parse_run_query`] and [`cache_key`] are the
+//! same code over owned values.
 //!
 //! Rendering is deterministic by construction: every map is a
 //! `BTreeMap` or an order-stable `Vec`, floats go through the
@@ -21,8 +28,10 @@ use atlarge_exp::registry::CellOutput;
 use atlarge_exp::Registry;
 use atlarge_obsv::fingerprint::canonical_key;
 use atlarge_telemetry::export::{json_f64, json_object, json_str};
-use atlarge_telemetry::manifest::{fnv1a, RunManifest, MANIFEST_SCHEMA};
+use atlarge_telemetry::manifest::{Fnv1a, RunManifest, MANIFEST_SCHEMA};
 use std::collections::BTreeMap;
+use std::fmt::Write;
+use std::hash::Hasher;
 
 /// Hard ceiling on per-query replications, so one query cannot
 /// monopolize a worker indefinitely.
@@ -45,52 +54,112 @@ pub struct RunQuery {
     pub params: BTreeMap<String, String>,
 }
 
-/// Parses and validates raw query pairs against `registry`.
+/// A validated, canonical what-if query that borrows its strings from
+/// the request and from the registry's stored defaults: everything a
+/// cache hit needs — the domain and the key — with nothing copied.
+/// [`QueryRef::to_run_query`] builds the owned [`RunQuery`] a run needs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct QueryRef<'a> {
+    /// Registered domain name.
+    pub domain: &'a str,
+    /// Root seed of the replication stream.
+    pub seed: u64,
+    /// Replications to run (`1..=MAX_REPLICATIONS`).
+    pub replications: usize,
+    /// Canonical cell parameters, sorted by name, defaults filled.
+    pub params: Vec<(&'a str, &'a str)>,
+}
+
+impl QueryRef<'_> {
+    /// The cache key; equal to [`cache_key`] of
+    /// [`QueryRef::to_run_query`].
+    pub fn cache_key(&self) -> String {
+        canonical_key(&manifest_of(
+            self.domain,
+            self.seed,
+            self.replications,
+            self.params.iter().copied(),
+        ))
+    }
+
+    /// The owned query.
+    pub fn to_run_query(&self) -> RunQuery {
+        RunQuery {
+            domain: self.domain.to_string(),
+            seed: self.seed,
+            replications: self.replications,
+            params: self
+                .params
+                .iter()
+                .map(|&(key, value)| (key.to_string(), value.to_string()))
+                .collect(),
+        }
+    }
+}
+
+/// Validates raw query pairs against `registry`, borrowing the result
+/// from `pairs` and from the registry.
 ///
 /// Reserved keys: `domain` (required), `seed`, `replications`. Every
 /// other key is a cell parameter checked by the domain's declared
-/// [`ParamSpec`](atlarge_exp::ParamSpec)s.
-pub fn parse_run_query(
-    registry: &Registry,
-    pairs: &[(String, String)],
-) -> Result<RunQuery, String> {
-    let mut domain = None;
-    let mut seed = DEFAULT_SEED;
-    let mut replications = 1usize;
-    let mut raw = BTreeMap::new();
+/// [`ParamSpec`](atlarge_exp::ParamSpec)s through
+/// [`Registry::check`]. Any key given twice is refused.
+pub fn validate_query<'a, K: AsRef<str>, V: AsRef<str>>(
+    registry: &'a Registry,
+    pairs: &'a [(K, V)],
+) -> Result<QueryRef<'a>, String> {
+    let domain = pairs
+        .iter()
+        .find(|(key, _)| key.as_ref() == "domain")
+        .map(|(_, value)| value.as_ref());
+    let mut check = registry.check(domain.unwrap_or_default());
+    let (mut domain_given, mut seed, mut replications) = (false, None, None);
     for (key, value) in pairs {
-        match key.as_str() {
-            "domain" => domain = Some(value.clone()),
-            "seed" => {
-                seed = value
-                    .parse()
-                    .map_err(|_| format!("parameter 'seed': cannot parse '{value}'"))?;
-            }
-            "replications" => {
-                replications = value
-                    .parse()
-                    .map_err(|_| format!("parameter 'replications': cannot parse '{value}'"))?;
-            }
-            _ => {
-                if raw.insert(key.clone(), value.clone()).is_some() {
-                    return Err(format!("parameter '{key}' given twice"));
-                }
-            }
+        let (key, value) = (key.as_ref(), value.as_ref());
+        let repeated = match key {
+            "domain" => domain_given,
+            "seed" => seed.is_some(),
+            "replications" => replications.is_some(),
+            _ => false,
+        };
+        if repeated {
+            return Err(format!("parameter '{key}' given twice"));
+        }
+        match key {
+            "domain" => domain_given = true,
+            "seed" => seed = Some(parse_reserved(key, value)?),
+            "replications" => replications = Some(parse_reserved(key, value)?),
+            _ => check.push(key, value)?,
         }
     }
     let domain = domain.ok_or("missing required parameter 'domain'")?;
+    let replications = replications.unwrap_or(1);
     if !(1..=MAX_REPLICATIONS).contains(&replications) {
         return Err(format!(
             "parameter 'replications': {replications} outside 1..={MAX_REPLICATIONS}"
         ));
     }
-    let params = registry.validate(&domain, &raw)?;
-    Ok(RunQuery {
+    Ok(QueryRef {
         domain,
-        seed,
+        seed: seed.unwrap_or(DEFAULT_SEED),
         replications,
-        params,
+        params: check.finish()?,
     })
+}
+
+fn parse_reserved<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("parameter '{key}': cannot parse '{value}'"))
+}
+
+/// Parses and validates raw query pairs against `registry` into an
+/// owned query: [`validate_query`], then [`QueryRef::to_run_query`].
+pub fn parse_run_query(
+    registry: &Registry,
+    pairs: &[(String, String)],
+) -> Result<RunQuery, String> {
+    validate_query(registry, pairs).map(|query| query.to_run_query())
 }
 
 /// The query's identity as a run manifest, computed *before* the run.
@@ -100,18 +169,37 @@ pub fn parse_run_query(
 /// it happened to cost. `wall_ms` is zero and excluded from the key
 /// anyway.
 pub fn query_manifest(query: &RunQuery) -> RunManifest {
-    let mut canon = format!("replications={}", query.replications);
-    for (key, value) in &query.params {
-        canon.push('\u{1f}'); // field separator no declared ParamSpec name contains
-        canon.push_str(key);
-        canon.push('=');
-        canon.push_str(value);
+    manifest_of(
+        &query.domain,
+        query.seed,
+        query.replications,
+        query.params.iter().map(|(k, v)| (k.as_str(), v.as_str())),
+    )
+}
+
+/// The one definition of a query's manifest. The config digest is
+/// FNV-1a over `replications=<n>`, then `\u{1f}<key>=<value>` per
+/// canonical pair (a field separator no declared
+/// [`ParamSpec`](atlarge_exp::ParamSpec) name contains), streamed.
+fn manifest_of<'p>(
+    domain: &str,
+    seed: u64,
+    replications: usize,
+    params: impl Iterator<Item = (&'p str, &'p str)>,
+) -> RunManifest {
+    let mut digest = Fnv1a::default();
+    write!(digest, "replications={replications}").expect("digesting cannot fail");
+    for (key, value) in params {
+        digest.write(b"\x1f");
+        digest.write(key.as_bytes());
+        digest.write(b"=");
+        digest.write(value.as_bytes());
     }
     RunManifest {
         schema: MANIFEST_SCHEMA,
-        model: format!("serve.{}", query.domain),
-        seed: query.seed,
-        config_digest: fnv1a(canon.as_bytes()),
+        model: ["serve.", domain].concat(),
+        seed,
+        config_digest: digest.finish(),
         events_scheduled: 0,
         events_dispatched: 0,
         sim_time: 0.0,
@@ -181,8 +269,9 @@ pub fn render_domains(registry: &Registry) -> String {
         .iter()
         .map(|name| {
             let scenario = registry.get(name).expect("listed domains resolve");
-            let params: Vec<String> = scenario
-                .params()
+            let params: Vec<String> = registry
+                .specs(name)
+                .expect("listed domains resolve")
                 .iter()
                 .map(|spec| {
                     let choices: Vec<String> = spec.choices.iter().map(|c| json_str(c)).collect();
@@ -324,6 +413,164 @@ mod tests {
         let dup = parse_run_query(&reg, &pairs(&[("domain", "echo"), ("x", "1"), ("x", "2")]))
             .unwrap_err();
         assert!(dup.contains("twice"), "{dup}");
+        // Reserved keys are refused when repeated, like any other key,
+        // rather than the last one winning.
+        for (spec, key) in [
+            (&[("domain", "echo"), ("domain", "echo")][..], "domain"),
+            (&[("domain", "echo"), ("seed", "1"), ("seed", "2")], "seed"),
+            (
+                &[
+                    ("domain", "echo"),
+                    ("replications", "1"),
+                    ("replications", "2"),
+                ],
+                "replications",
+            ),
+        ] {
+            let dup = parse_run_query(&reg, &pairs(spec)).unwrap_err();
+            assert_eq!(dup, format!("parameter '{key}' given twice"));
+        }
+    }
+
+    /// A fixture with a required parameter, which no served domain has.
+    struct Needy;
+
+    impl CellScenario for Needy {
+        fn domain(&self) -> &str {
+            "needy"
+        }
+        fn describe(&self) -> &str {
+            "test fixture with a required parameter"
+        }
+        fn params(&self) -> Vec<ParamSpec> {
+            vec![
+                ParamSpec::required("k", "a must"),
+                ParamSpec::choice("mode", "a mode", &["a", "b"]),
+            ]
+        }
+        fn run_cell(
+            &self,
+            _params: &BTreeMap<String, String>,
+            _seed: u64,
+            _replications: usize,
+            _cancel: &CancelToken,
+            _tracer: &dyn Tracer,
+        ) -> Result<CellOutput, String> {
+            Err("never run".to_string())
+        }
+    }
+
+    #[test]
+    fn every_rejection_has_its_exact_text() {
+        let mut reg = registry();
+        reg.register(Box::new(Needy));
+        let echo = ("domain", "echo");
+        let table: &[(&[(&str, &str)], &str)] = &[
+            (&[("x", "1")], "missing required parameter 'domain'"),
+            (
+                &[("domain", "nope")],
+                "unknown domain 'nope' (have: echo, needy)",
+            ),
+            (&[("domain", "")], "unknown domain '' (have: echo, needy)"),
+            (
+                &[echo, ("bogus", "1")],
+                "unknown parameter 'bogus' for domain 'echo' (have: x, mode)",
+            ),
+            (
+                &[
+                    echo,
+                    ("zeta", "1"),
+                    ("x", "2"),
+                    ("beta", "3"),
+                    ("alpha", "4"),
+                ],
+                "unknown parameter 'alpha' for domain 'echo' (have: x, mode)",
+            ),
+            (
+                &[("domain", "needy")],
+                "missing required parameter 'k' for domain 'needy'",
+            ),
+            (
+                &[echo, ("mode", "medium")],
+                "parameter 'mode': 'medium' is not one of fast|slow",
+            ),
+            (
+                &[echo, ("seed", "abc")],
+                "parameter 'seed': cannot parse 'abc'",
+            ),
+            (
+                &[echo, ("seed", "-1")],
+                "parameter 'seed': cannot parse '-1'",
+            ),
+            (
+                &[echo, ("replications", "two")],
+                "parameter 'replications': cannot parse 'two'",
+            ),
+            (
+                &[echo, ("replications", "0")],
+                "parameter 'replications': 0 outside 1..=64",
+            ),
+            (
+                &[echo, ("replications", "65")],
+                "parameter 'replications': 65 outside 1..=64",
+            ),
+            (&[echo, ("x", "1"), ("x", "1")], "parameter 'x' given twice"),
+            (
+                &[echo, ("bogus", "1"), ("bogus", "2")],
+                "parameter 'bogus' given twice",
+            ),
+            // Which of several faults is named: the first one met in
+            // wire order while reading, then missing domain, replication
+            // range, unknown domain, undeclared key, and spec by spec.
+            (
+                &[echo, ("x", "1"), ("x", "2"), ("seed", "abc")],
+                "parameter 'x' given twice",
+            ),
+            (
+                &[echo, ("seed", "abc"), ("x", "1"), ("x", "2")],
+                "parameter 'seed': cannot parse 'abc'",
+            ),
+            (
+                &[("replications", "0"), ("bogus", "1")],
+                "missing required parameter 'domain'",
+            ),
+            (
+                &[("domain", "nope"), ("replications", "0")],
+                "parameter 'replications': 0 outside 1..=64",
+            ),
+            (
+                &[("domain", "needy"), ("mode", "c"), ("bogus", "1")],
+                "unknown parameter 'bogus' for domain 'needy' (have: k, mode)",
+            ),
+            (
+                &[("domain", "needy"), ("mode", "c")],
+                "missing required parameter 'k' for domain 'needy'",
+            ),
+        ];
+        for (spec, text) in table {
+            let raw = pairs(spec);
+            assert_eq!(
+                parse_run_query(&reg, &raw).unwrap_err(),
+                *text,
+                "query {spec:?}"
+            );
+            assert_eq!(
+                validate_query(&reg, &raw).unwrap_err(),
+                *text,
+                "query {spec:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn borrowed_query_keys_and_owns_like_the_owned_path() {
+        let reg = registry();
+        let raw = pairs(&[("mode", "slow"), ("domain", "echo"), ("seed", "9")]);
+        let query = validate_query(&reg, &raw).expect("valid");
+        assert_eq!(query.params, vec![("mode", "slow"), ("x", "1")]);
+        let owned = parse_run_query(&reg, &raw).expect("valid");
+        assert_eq!(query.to_run_query(), owned);
+        assert_eq!(query.cache_key(), cache_key(&owned));
     }
 
     #[test]

@@ -1,15 +1,24 @@
 //! The exploration server: a TCP accept loop, per-connection reader
 //! threads, and the shared query pool behind them.
 //!
-//! Request flow for `/run`: parse → validate → cache probe → on a
-//! miss, reserve a pool slot (or `503`), execute the cell on a worker,
-//! render once, cache the rendered bytes, answer. A later hit returns
-//! the *same* `Arc` of bytes the cold run produced — byte-identity is
-//! structural, not re-derived. `/trace` reserves a slot the same way,
-//! then moves the client's stream into the job, where a
-//! [`JsonlSink`](atlarge_telemetry::JsonlSink) narrates the run live
-//! over chunked transfer encoding; a client hangup latches the sink's
-//! error hook, which cancels the run at the next replication boundary.
+//! Request flow for `/run`: read the head into the connection's one
+//! reused buffer (at most 16 KiB, enforced while reading) → decode the
+//! query pairs in place, copying only a half that has escapes →
+//! validate them into a borrowed [`QueryRef`](crate::query::QueryRef),
+//! whose strings point into the request and the registry's stored
+//! defaults → key it → cache probe. A hit is answered from that
+//! borrowed form with six heap allocations: the decoded pair list, the
+//! validation's two small vectors, the manifest's model name, the key,
+//! and the request-id header. On a miss, the owned
+//! [`RunQuery`](crate::query::RunQuery) is built, a pool slot is
+//! reserved (or `503`), the cell executes on a worker, is rendered
+//! once, and the rendered bytes are cached and answered. A later hit
+//! returns the *same* `Arc` of bytes the cold run produced —
+//! byte-identity is structural, not re-derived. `/trace` reserves a
+//! slot the same way, then moves the client's stream into the job,
+//! where a [`JsonlSink`] narrates the run live over chunked transfer
+//! encoding; a client hangup latches the sink's error hook, which
+//! cancels the run at the next replication boundary.
 //!
 //! Every request gets a server-scoped id ([`Pulse::begin_request`]),
 //! echoed in the `X-Atlarge-Request` header and attached to the span
@@ -27,15 +36,14 @@ use crate::pool::WorkPool;
 use crate::pulse::{
     render_prometheus, render_window, ExpositionGauges, Outcome, Pulse, SloSpec, SpanRecord,
 };
-use crate::query::{
-    cache_key, error_body, parse_run_query, query_manifest, render_body, render_domains,
-};
+use crate::query::{error_body, query_manifest, render_body, render_domains, validate_query};
 use crate::stats::ServerStats;
 use atlarge_exp::{CancelToken, Registry};
 use atlarge_telemetry::export::{json_f64, json_object, json_str};
 use atlarge_telemetry::wall::Stopwatch;
 use atlarge_telemetry::JsonlSink;
 use atlarge_telemetry::NullTracer;
+use std::borrow::Cow;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -237,9 +245,11 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let _best_effort = read_half.set_read_timeout(Some(IDLE_POLL));
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
+    // Every request head on this connection is read into this buffer.
+    let mut head = Vec::new();
     let mut idle = std::time::Duration::ZERO;
     loop {
-        let request = match read_request(&mut reader) {
+        let request = match read_request(&mut reader, &mut head) {
             Ok(request) => request,
             Err(ReadError::Io(e))
                 if matches!(
@@ -293,12 +303,12 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
 }
 
 /// First value of query parameter `key`, if present.
-fn query_param<'a>(request: &'a Request, key: &str) -> Option<&'a str> {
+fn query_param<'h>(request: &Request<'h>, key: &str) -> Option<Cow<'h, str>> {
     request
-        .query
-        .iter()
+        .query_pairs()
+        .into_iter()
         .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
+        .map(|(_, v)| v)
 }
 
 fn route<W: Write>(w: &mut W, request: &Request, shared: &Arc<Shared>) -> std::io::Result<()> {
@@ -312,7 +322,7 @@ fn route<W: Write>(w: &mut W, request: &Request, shared: &Arc<Shared>) -> std::i
             error_body("only GET is supported").as_bytes(),
         );
     }
-    match request.path.as_str() {
+    match request.path {
         "/healthz" => {
             let slo = shared.pulse.slo_status();
             let domains: Vec<String> = shared
@@ -413,7 +423,8 @@ fn handle_run<W: Write>(w: &mut W, request: &Request, shared: &Arc<Shared>) -> s
     let req_id = shared.pulse.begin_request();
     let req_header = req_id.to_string();
     shared.stats.queries.fetch_add(1, Ordering::Relaxed);
-    let query = match parse_run_query(&shared.registry, &request.query) {
+    let pairs = request.query_pairs();
+    let query = match validate_query(&shared.registry, &pairs) {
         Ok(query) => query,
         Err(reason) => {
             shared.stats.client_errors.fetch_add(1, Ordering::Relaxed);
@@ -426,7 +437,7 @@ fn handle_run<W: Write>(w: &mut W, request: &Request, shared: &Arc<Shared>) -> s
             );
         }
     };
-    let key = cache_key(&query);
+    let key = query.cache_key();
 
     if let Some(body) = shared.cache.get(&key) {
         shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -444,7 +455,7 @@ fn handle_run<W: Write>(w: &mut W, request: &Request, shared: &Arc<Shared>) -> s
         );
         shared.pulse.observe(
             req_id,
-            &query.domain,
+            query.domain,
             Outcome::Hit,
             [0, 0, 0, write_watch.elapsed_nanos()],
         );
@@ -454,6 +465,7 @@ fn handle_run<W: Write>(w: &mut W, request: &Request, shared: &Arc<Shared>) -> s
     let Some(ticket) = shared.pool.reserve() else {
         return shed(w, shared, &req_header);
     };
+    let query = query.to_run_query();
 
     let (tx, rx) = mpsc::channel();
     let job_shared = Arc::clone(shared);
@@ -562,7 +574,8 @@ fn shed<W: Write>(w: &mut W, shared: &Arc<Shared>, req_header: &str) -> std::io:
 fn handle_trace(mut stream: TcpStream, request: &Request, shared: &Arc<Shared>) {
     let req_id = shared.pulse.begin_request();
     let req_header = req_id.to_string();
-    let query = match parse_run_query(&shared.registry, &request.query) {
+    let pairs = request.query_pairs();
+    let query = match validate_query(&shared.registry, &pairs) {
         Ok(query) => query,
         Err(reason) => {
             shared.stats.client_errors.fetch_add(1, Ordering::Relaxed);
@@ -582,7 +595,8 @@ fn handle_trace(mut stream: TcpStream, request: &Request, shared: &Arc<Shared>) 
     };
     shared.stats.trace_streams.fetch_add(1, Ordering::Relaxed);
 
-    let key = cache_key(&query);
+    let key = query.cache_key();
+    let query = query.to_run_query();
     if write_chunked_head(
         &mut stream,
         200,
@@ -640,7 +654,7 @@ fn handle_trace(mut stream: TcpStream, request: &Request, shared: &Arc<Shared>) 
             let write_watch = Stopwatch::start();
             if let Ok(mut chunked) = sink.finish_into(&manifest) {
                 let tail = match &outcome {
-                    Ok(output) => render_body(&query, &cache_key(&query), output),
+                    Ok(output) => render_body(&query, &key, output),
                     Err(reason) => error_body(reason),
                 };
                 if chunked.write_all(tail.as_bytes()).is_ok() {
@@ -678,7 +692,10 @@ const WATCH_WINDOW_MAX_MS: u64 = 60_000;
 fn handle_watch(mut stream: TcpStream, request: &Request, shared: &Arc<Shared>) {
     let req_id = shared.pulse.begin_request();
     let req_header = req_id.to_string();
-    let windows: u64 = match query_param(request, "windows").map(str::parse).transpose() {
+    let windows: u64 = match query_param(request, "windows")
+        .map(|n| n.parse())
+        .transpose()
+    {
         Ok(n) => n.unwrap_or(0),
         Err(_) => {
             shared.stats.client_errors.fetch_add(1, Ordering::Relaxed);
@@ -693,7 +710,7 @@ fn handle_watch(mut stream: TcpStream, request: &Request, shared: &Arc<Shared>) 
         }
     };
     let window_ms: u64 = match query_param(request, "window_ms")
-        .map(str::parse)
+        .map(|n| n.parse())
         .transpose()
     {
         Ok(n) => n

@@ -8,18 +8,49 @@
 //! from reproducibility comparisons.
 
 use crate::export::{json_escape, json_f64};
+use std::hash::Hasher;
 
 /// Current manifest schema version, bumped on incompatible field changes.
 pub const MANIFEST_SCHEMA: u32 = 1;
 
 /// FNV-1a hash of a byte string; the workspace's standard cheap digest.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
+    let mut h = Fnv1a::default();
+    h.write(bytes);
+    h.finish()
+}
+
+/// [`fnv1a`] as a running state: digesting a value piece by piece
+/// gives the hash of the pieces' concatenation, with no buffer for it.
+/// `write!` into it (through [`std::fmt::Write`]) digests a formatted
+/// value's text.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
+
+impl Default for Fnv1a {
+    fn default() -> Self {
+        Fnv1a(0xcbf29ce484222325)
     }
-    h
+}
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.write(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Digest of a configuration value through its `Debug` rendering.
@@ -143,6 +174,17 @@ mod tests {
         b.seed = 43;
         assert!(!a.same_run_as(&b));
         assert_ne!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn streamed_digest_equals_one_shot_digest() {
+        use std::fmt::Write;
+        let mut h = Fnv1a::default();
+        h.write(b"replications=");
+        write!(h, "{}", 12).expect("digesting cannot fail");
+        h.write(b"\x1fn=400");
+        assert_eq!(h.finish(), fnv1a(b"replications=12\x1fn=400"));
+        assert_eq!(Fnv1a::default().finish(), fnv1a(b""));
     }
 
     #[test]

@@ -5,11 +5,15 @@
 //! execution of the same cell.
 
 use atlarge::exp::{CancelToken, Registry};
-use atlarge::serve::query::{parse_run_query, render_body};
+use atlarge::obsv::fingerprint::canonical_key;
+use atlarge::serve::http::{parse_query, read_request};
+use atlarge::serve::query::{parse_run_query, query_manifest, render_body, validate_query};
 use atlarge::serve::{cache_key, get, standard_registry, ServeConfig, Server};
 use atlarge::telemetry::NullTracer;
 use atlarge_check::{check, vec_of};
+use rand::rngs::StdRng;
 use rand::Rng;
+use std::io::BufReader;
 
 /// One generated what-if query over the cheap corners of two domains,
 /// decoded from plain integer draws.
@@ -104,9 +108,9 @@ fn prop_responses_match_fresh_single_threaded_runs() {
     );
 }
 
-/// Equivalent spellings (reordered pairs, defaults made explicit) alias
-/// to the same cache entry; the first spelling's cold body answers every
-/// later spelling.
+/// Equivalent spellings (reordered pairs, defaults made explicit,
+/// percent-encoded bytes) alias to the same cache entry; the first
+/// spelling's cold body answers every later spelling.
 #[test]
 fn prop_equivalent_spellings_share_one_cache_entry() {
     check(
@@ -129,6 +133,9 @@ fn prop_equivalent_spellings_share_one_cache_entry() {
             format!(
                 "/run?domain=datacenter&hosts={hosts}&cores_per_host=16&jobs={jobs}&seed={seed}&replications=1"
             ),
+            // Percent-encoded bytes in a reserved key's value and in a
+            // parameter's name.
+            format!("/run?domain=%64atacenter&hosts={hosts}&%6Aobs={jobs}&seed={seed}"),
         ];
             let first = get(&addr, &spellings[0]).expect("cold response");
             assert_eq!(first.status, 200, "{}", first.body_str());
@@ -145,4 +152,94 @@ fn prop_equivalent_spellings_share_one_cache_entry() {
             server.shutdown();
         },
     );
+}
+
+/// `text` with each byte, at random, written as a `%XX` escape.
+fn percent_encode(rng: &mut StdRng, text: &str) -> String {
+    text.bytes()
+        .map(|b| {
+            if rng.gen_bool(0.3) {
+                format!("%{b:02X}")
+            } else {
+                char::from(b).to_string()
+            }
+        })
+        .collect()
+}
+
+/// The key the server computes for a `/run` head — decode the query in
+/// place, validate it borrowed, key the borrowed query — equals the
+/// owned path's key, `canonical_key(&query_manifest(&parse_run_query(..)))`,
+/// of the canonical spelling, over every domain of the standard
+/// registry and any spelling: reordered pairs, defaults written out or
+/// left out, and percent-encoded keys and values (`domain=%67raph`).
+#[test]
+fn prop_borrowed_server_key_equals_owned_key() {
+    let registry = standard_registry();
+    check("prop_borrowed_server_key_equals_owned_key", 64, |rng| {
+        for &domain in &registry.domains() {
+            let seed = if rng.gen_bool(0.3) {
+                42
+            } else {
+                rng.gen_range(0u64..1_000_000)
+            };
+            let replications = if rng.gen_bool(0.5) {
+                1
+            } else {
+                rng.gen_range(1u64..=64)
+            };
+            let mut canonical = vec![
+                ("domain".to_string(), domain.to_string()),
+                ("seed".to_string(), seed.to_string()),
+                ("replications".to_string(), replications.to_string()),
+            ];
+            // The spelling leaves out what is at its default half the time.
+            let mut spelled = vec![canonical[0].clone()];
+            if seed != 42 || rng.gen_bool(0.5) {
+                spelled.push(canonical[1].clone());
+            }
+            if replications != 1 || rng.gen_bool(0.5) {
+                spelled.push(canonical[2].clone());
+            }
+            for spec in registry.specs(domain).expect("listed") {
+                let value = match (&spec.default, spec.choices.is_empty()) {
+                    (Some(d), _) if rng.gen_bool(0.4) => d.clone(),
+                    (_, false) => spec.choices[rng.gen_range(0..spec.choices.len())].clone(),
+                    _ => rng.gen_range(1u32..100_000).to_string(),
+                };
+                let pair = (spec.name.clone(), value);
+                if spec.default.as_ref() != Some(&pair.1) || rng.gen_bool(0.5) {
+                    spelled.push(pair.clone());
+                }
+                canonical.push(pair);
+            }
+            for i in (1..spelled.len()).rev() {
+                spelled.swap(i, rng.gen_range(0..=i));
+            }
+            let query_string: Vec<String> = spelled
+                .iter()
+                .map(|(k, v)| format!("{}={}", percent_encode(rng, k), percent_encode(rng, v)))
+                .collect();
+            let head = format!(
+                "GET /run?{} HTTP/1.1\r\nHost: h\r\n\r\n",
+                query_string.join("&")
+            );
+
+            let mut buffer = Vec::new();
+            let request = read_request(&mut BufReader::new(head.as_bytes()), &mut buffer)
+                .expect("head parses");
+            let pairs = request.query_pairs();
+            let server_key = validate_query(&registry, &pairs)
+                .unwrap_or_else(|e| panic!("{head}: {e}"))
+                .cache_key();
+
+            let owned_key = |raw: &[(String, String)]| {
+                canonical_key(&query_manifest(
+                    &parse_run_query(&registry, raw).unwrap_or_else(|e| panic!("{head}: {e}")),
+                ))
+            };
+            assert_eq!(server_key, owned_key(&canonical), "{head}");
+            assert_eq!(server_key, owned_key(&parse_query(request.query)), "{head}");
+        }
+    });
 }
