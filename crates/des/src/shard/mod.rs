@@ -8,7 +8,7 @@
 //! in windowed rounds bounded by conservative horizons derived from the
 //! [`Partition`]'s declared per-edge lookahead (the minimum cross-shard
 //! latency of the domain model: a link delay, a router overhead, a tick
-//! period). Cross-shard events travel through bounded channels and are
+//! period). Cross-shard events are posted to per-shard mailboxes and
 //! merged between rounds; see [`sync`] for the protocol.
 //!
 //! # Determinism
@@ -67,9 +67,8 @@ use rand::SeedableRng;
 use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 
-use sync::SyncPlane;
+use sync::{SyncPlane, Verdict};
 use trace::{TraceBuf, TraceOp};
 
 /// Bit position of the lane in an event id: the low 32 bits count
@@ -340,15 +339,14 @@ struct Shard<L: LogicalProcess, F> {
     rngs: Vec<Option<StdRng>>,
     spare_rng: Option<StdRng>,
     /// Outgoing cross-shard events, buffered per target shard during a
-    /// round and flushed through the edge channels between rounds.
+    /// round and posted to the target shards' mailboxes after it.
     outbox: Vec<Vec<Entry<Routed<<L as LogicalProcess>::Event>>>>,
     /// Local events scheduled during a round at or beyond the round
-    /// horizon: bulk-inserted (sorted) between rounds, which turns
-    /// random-access FEL maintenance into a batched, ascending pass.
+    /// horizon, and the cross-shard arrivals collected from this
+    /// shard's mailbox after it: bulk-inserted (sorted) between rounds,
+    /// which turns random-access FEL maintenance into a batched,
+    /// ascending pass.
     staging: Vec<Entry<Routed<<L as LogicalProcess>::Event>>>,
-    /// Cross-shard arrivals picked up early by the backpressure drain.
-    inbox_hold: Vec<Entry<Routed<<L as LogicalProcess>::Event>>>,
-    scratch: Vec<Entry<Routed<<L as LogicalProcess>::Event>>>,
     now: f64,
     dispatched: u64,
     trace: Option<TraceBuf>,
@@ -365,8 +363,6 @@ impl<L: LogicalProcess, F: FutureEventList<Routed<L::Event>>> Shard<L, F> {
             spare_rng: None,
             outbox: (0..nshards).map(|_| Vec::new()).collect(),
             staging: Vec::new(),
-            inbox_hold: Vec::new(),
-            scratch: Vec::new(),
             now: 0.0,
             dispatched: 0,
             trace: None,
@@ -374,21 +370,14 @@ impl<L: LogicalProcess, F: FutureEventList<Routed<L::Event>>> Shard<L, F> {
         }
     }
 
-    /// Merges everything that arrived or was staged since the last
-    /// round into the FEL, in ascending `(time, seq)` order — the
-    /// batched maintenance pass that makes per-shard queues cheap.
+    /// Merges everything staged since the last round into the FEL, in
+    /// ascending `(time, seq)` order — the batched maintenance pass that
+    /// makes per-shard queues cheap.
     fn absorb_staged(&mut self) {
-        if self.inbox_hold.is_empty() && self.staging.is_empty() {
-            return;
-        }
-        let mut batch = std::mem::take(&mut self.scratch);
-        batch.append(&mut self.inbox_hold);
-        batch.append(&mut self.staging);
-        batch.sort_unstable();
-        for entry in batch.drain(..) {
+        self.staging.sort_unstable();
+        for entry in self.staging.drain(..) {
             self.fel.insert(entry);
         }
-        self.scratch = batch;
     }
 
     fn lower_bound(&self) -> f64 {
@@ -599,11 +588,14 @@ impl<E> ShardCtx<'_, E> {
 /// [`Simulation`](crate::sim::Simulation).
 ///
 /// Construction partitions the entities; [`run_until`] advances every
-/// shard in conservative windows. `F` is the sealed FEL backend of
-/// *each shard* (default: the calendar queue), so the same equivalence
-/// suite that seals the single-queue path seals this one.
+/// shard in conservative windows, split over up to
+/// [`with_threads`] workers of which the calling thread is one. `F` is
+/// the sealed FEL backend of *each shard* (default: the calendar
+/// queue), so the same equivalence suite that seals the single-queue
+/// path seals this one.
 ///
 /// [`run_until`]: ShardedSimulation::run_until
+/// [`with_threads`]: ShardedSimulation::with_threads
 pub struct ShardedSimulation<P, L, F = CalendarQueue<Routed<<L as LogicalProcess>::Event>>>
 where
     L: LogicalProcess,
@@ -615,7 +607,6 @@ where
     nshards: usize,
     seed: u64,
     threads: usize,
-    channel_capacity: usize,
     root_seq: u64,
     now: f64,
     processed: u64,
@@ -691,8 +682,7 @@ where
             lookahead,
             nshards,
             seed,
-            threads: default_threads(),
-            channel_capacity: 1024,
+            threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             root_seq: 0,
             now: 0.0,
             processed: 0,
@@ -726,17 +716,13 @@ where
         self
     }
 
-    /// Caps the worker thread count (default: `ATLARGE_DES_THREADS` or
-    /// the machine's available parallelism). Results are identical at
-    /// every thread count; this only tunes wall-clock behavior.
+    /// Caps the worker count (default: the machine's available
+    /// parallelism; never more than one worker per shard). The calling
+    /// thread is one of the workers, so `with_threads(1)` spawns no
+    /// thread. Results are identical at every worker count; this only
+    /// tunes wall-clock behavior.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Sets the bounded capacity of each cross-shard edge channel.
-    pub fn with_channel_capacity(mut self, capacity: usize) -> Self {
-        self.channel_capacity = capacity.max(1);
         self
     }
 
@@ -849,8 +835,13 @@ where
     /// Runs until `horizon` (events at exactly `horizon` still
     /// execute) or queue exhaustion. Returns the number of events
     /// processed in this call. Deterministic for any shard count,
-    /// thread count, and FEL backend. A horizon before the current time
+    /// worker count, and FEL backend. A horizon before the current time
     /// dispatches nothing and leaves the clock where it is.
+    ///
+    /// Every run takes the same round loop (see [`sync`]): one worker
+    /// per chunk of shards, the calling thread working the last chunk.
+    /// A handler panic on any worker ends the run for all of them and
+    /// is resumed here; so is the abort of a run whose horizons freeze.
     pub fn run_until(&mut self, horizon: f64) -> u64
     where
         L: Send,
@@ -866,13 +857,7 @@ where
                 }
             }
         }
-        let mut lbs: Vec<f64> = self.shards.iter().map(Shard::lower_bound).collect();
-        let workers = self.threads.min(self.nshards).max(1);
-        if workers == 1 {
-            self.run_inline(horizon, &mut lbs);
-        } else {
-            self.run_threaded(horizon, workers);
-        }
+        self.run_rounds(horizon);
         self.processed = self.shards.iter().map(|s| s.dispatched).sum();
         let max_now = self.shards.iter().map(|s| s.now).fold(self.now, f64::max);
         self.now = if self.pending() > 0 && horizon.is_finite() {
@@ -902,102 +887,18 @@ where
         self.processed - start
     }
 
-    /// Single-threaded driver: same windowed rounds, no channels or
-    /// barriers — outboxes are handed to their target shards directly.
-    /// This is also the 1-shard path, where the horizon is infinite and
-    /// the whole run is one round over one FEL.
-    fn run_inline(&mut self, run_horizon: f64, lbs: &mut Vec<f64>) {
-        let mut horizons = Vec::new();
-        loop {
-            if sync::quiescent(lbs, run_horizon) {
-                break;
-            }
-            sync::conservative_horizons(lbs, &self.lookahead, &mut horizons);
-            assert_not_stalled(
-                sync::stalled(lbs, &horizons, run_horizon),
-                lbs.iter().copied().fold(f64::INFINITY, f64::min),
-            );
-            let env = RoundEnv {
-                index: &self.index,
-                lookahead: &self.lookahead,
-                nshards: self.nshards,
-                seed: self.seed,
-                labeler: self.labeler,
-                log_events: self.log_events,
-            };
-            for (s, shard) in self.shards.iter_mut().enumerate() {
-                let h = horizons.get(s).copied().unwrap_or(f64::INFINITY);
-                run_round(shard, s, h, run_horizon, env);
-            }
-            self.deliver_inline();
-            lbs.clear();
-            for shard in &mut self.shards {
-                shard.absorb_staged();
-                lbs.push(shard.lower_bound());
-            }
-        }
-    }
-
-    /// Moves every shard's outbox contents into the target shards'
-    /// inbox holds, keeping the buffer allocations alive.
-    fn deliver_inline(&mut self) {
-        for s in 0..self.nshards {
-            let taken = match self.shards.get_mut(s) {
-                Some(shard) => std::mem::take(&mut shard.outbox),
-                None => continue,
-            };
-            let mut returned = Vec::with_capacity(taken.len());
-            for (t, mut bucket) in taken.into_iter().enumerate() {
-                if !bucket.is_empty() {
-                    if let Some(dst) = self.shards.get_mut(t) {
-                        dst.inbox_hold.append(&mut bucket);
-                    }
-                }
-                returned.push(bucket);
-            }
-            if let Some(shard) = self.shards.get_mut(s) {
-                shard.outbox = returned;
-            }
-        }
-    }
-
-    /// Threaded driver: workers own disjoint shard chunks and advance
-    /// in barrier-separated phases (run+flush / drain+announce /
-    /// horizon recompute). See [`sync`] for the protocol and its
-    /// safety argument.
-    fn run_threaded(&mut self, run_horizon: f64, workers: usize)
+    /// Splits the shards into one contiguous chunk per worker and runs
+    /// every worker's round loop, the last on the calling thread, until
+    /// their common verdict ends the run.
+    fn run_rounds(&mut self, run_horizon: f64)
     where
         L: Send,
         L::Event: Send,
         F: Send,
     {
-        let n = self.nshards;
-        let per = n.div_ceil(workers);
-        let nchunks = n.div_ceil(per);
-        let plane = SyncPlane::new(n, nchunks);
-        {
-            let mut lbs: Vec<f64> = self.shards.iter().map(Shard::lower_bound).collect();
-            if sync::quiescent(&lbs, run_horizon) {
-                return;
-            }
-            for (s, lb) in lbs.iter().enumerate() {
-                plane.set_lb(s, *lb);
-            }
-            let mut horizons = Vec::new();
-            sync::conservative_horizons(&lbs, &self.lookahead, &mut horizons);
-            // No worker threads exist yet, so panicking here is safe.
-            assert_not_stalled(
-                sync::stalled(&lbs, &horizons, run_horizon),
-                lbs.iter().copied().fold(f64::INFINITY, f64::min),
-            );
-            plane.publish_horizons(&horizons);
-            lbs.clear();
-        }
-        let chans = sync::edge_channels::<Entry<Routed<L::Event>>>(
-            n,
-            &self.lookahead,
-            self.channel_capacity,
-        );
+        let per = self.nshards.div_ceil(self.threads.min(self.nshards).max(1));
+        let workers = self.nshards.div_ceil(per);
+        let plane = SyncPlane::new(self.shards.iter().map(Shard::lower_bound), workers);
         let env = RoundEnv {
             index: &self.index,
             lookahead: &self.lookahead,
@@ -1006,94 +907,44 @@ where
             labeler: self.labeler,
             log_events: self.log_events,
         };
-        let lookahead = &self.lookahead;
-        let shards = &mut self.shards;
-        // A mid-run numeric stall is detected by the coordinator, which
-        // cannot panic while workers are parked at the barrier; it marks
-        // the run done, lets everyone exit, and panics after the join.
-        let mut frozen_at: Option<f64> = None;
-        let payload: Option<Box<dyn Any + Send>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(nchunks);
-            let mut tx_rows = chans.senders.into_iter();
-            let mut rx_rows = chans.receivers.into_iter();
-            let plane_ref = &plane;
-            let mut base = 0;
-            for chunk in shards.chunks_mut(per) {
-                let len = chunk.len();
-                let tx: Vec<Vec<Option<SyncSender<_>>>> = tx_rows.by_ref().take(len).collect();
-                let rx: Vec<Vec<(usize, Receiver<_>)>> = rx_rows.by_ref().take(len).collect();
-                let chunk_base = base;
-                base += len;
-                handles.push(scope.spawn(move || {
-                    worker_loop(chunk, chunk_base, tx, rx, plane_ref, env, run_horizon)
-                }));
-            }
-            let mut lbs = Vec::new();
-            let mut horizons = Vec::new();
-            loop {
-                plane.barrier.wait(); // round start: horizons/done visible
-                if plane.is_done() {
-                    break;
-                }
-                plane.barrier.wait(); // all sends flushed
-                plane.barrier.wait(); // all LBs announced
-                plane.snapshot_lbs(&mut lbs);
-                if plane.has_panicked() || sync::quiescent(&lbs, run_horizon) {
-                    plane.mark_done();
-                } else {
-                    sync::conservative_horizons(&lbs, lookahead, &mut horizons);
-                    if sync::stalled(&lbs, &horizons, run_horizon) {
-                        frozen_at = Some(lbs.iter().copied().fold(f64::INFINITY, f64::min));
-                        plane.mark_done();
-                    } else {
-                        plane.publish_horizons(&horizons);
-                    }
-                }
-            }
-            let mut caught = None;
-            for handle in handles {
-                if let Ok(Some(p)) = handle.join() {
-                    caught = Some(p);
-                }
-            }
-            caught
+        let plane = &plane;
+        let mut chunks = self.shards.chunks_mut(per).enumerate();
+        let last = chunks.next_back();
+        let ends: Vec<Result<Verdict, Payload>> = std::thread::scope(|scope| {
+            let spawned: Vec<_> = chunks
+                .map(|(c, chunk)| {
+                    scope.spawn(move || worker_loop(chunk, c * per, plane, env, run_horizon))
+                })
+                .collect();
+            let mine = last.map(|(c, chunk)| worker_loop(chunk, c * per, plane, env, run_horizon));
+            spawned
+                .into_iter()
+                .map(|worker| worker.join().unwrap_or_else(Err))
+                .chain(mine)
+                .collect()
         });
-        if let Some(p) = payload {
-            std::panic::resume_unwind(p);
-        }
-        assert_not_stalled(frozen_at.is_some(), frozen_at.unwrap_or(f64::NAN));
-    }
-}
-
-/// API-boundary contract shared by both drivers: a numerically frozen
-/// round must abort loudly. `stalled` comes from [`sync::stalled`] —
-/// some lookahead is below half an ulp of the simulation clock at time
-/// scale `t`, so `lb + la` rounds back to `lb` and the conservative
-/// horizons can never advance past the earliest pending event; retrying
-/// the round would livelock.
-fn assert_not_stalled(stalled: bool, t: f64) {
-    assert!(
-        !stalled,
-        "sharded run cannot advance past t={t}: a declared lookahead is below \
-         the clock's floating-point resolution at this time scale (lb + lookahead \
-         rounds back to lb); rescale time units or enlarge the partition's lookaheads"
-    );
-}
-
-/// Picks the default worker-thread cap: `ATLARGE_DES_THREADS` when set,
-/// otherwise the machine's available parallelism. Thread count never
-/// affects results.
-fn default_threads() -> usize {
-    if let Ok(v) = std::env::var("ATLARGE_DES_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            if n >= 1 {
-                return n;
+        // Every worker reached the same verdict, so any worker's
+        // stall speaks for the run.
+        let mut stalled_at = None;
+        for end in ends {
+            match end {
+                Err(payload) => std::panic::resume_unwind(payload),
+                Ok(Verdict::Stalled(t)) => stalled_at = Some(t),
+                Ok(_) => {}
             }
         }
+        // API-boundary contract: a frozen round aborts loudly. Some
+        // lookahead is below half an ulp of the clock at this time
+        // scale, so `lb + la` rounds back to `lb` and the horizons can
+        // never pass the earliest pending event; retrying would livelock.
+        assert!(
+            stalled_at.is_none(),
+            "sharded run cannot advance past t={}: a declared lookahead is below \
+             the clock's floating-point resolution at this time scale (lb + lookahead \
+             rounds back to lb); rescale time units or enlarge the partition's lookaheads",
+            stalled_at.unwrap_or_default()
+        );
     }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 /// Dispatches every event of `shard` strictly below horizon `h` (and at
@@ -1205,164 +1056,56 @@ fn run_round<L, F>(
 
 type Payload = Box<dyn Any + Send>;
 
-/// One shard's senders toward each peer shard (`None` on self/absent
-/// edges), and its receivers tagged with the source shard.
-type EdgeTx<E> = Vec<Option<SyncSender<Entry<Routed<E>>>>>;
-type EdgeRx<E> = Vec<(usize, Receiver<Entry<Routed<E>>>)>;
-
-/// One worker thread: runs its chunk of shards through the three-phase
-/// round protocol until the coordinator marks the run done. Panics in
-/// handlers are caught so the barriers stay populated; the first
-/// payload is returned to the coordinator and resumed there.
+/// One worker: runs its chunk of shards (the first is shard `base`)
+/// through the round protocol of [`sync`] until its verdict ends the
+/// run, and returns that verdict. A handler panic is caught so the
+/// barriers stay populated, announced between the round's barriers,
+/// and returned instead.
 fn worker_loop<L, F>(
     chunk: &mut [Shard<L, F>],
     base: usize,
-    mut tx: Vec<EdgeTx<L::Event>>,
-    mut rx: Vec<EdgeRx<L::Event>>,
-    plane: &SyncPlane,
+    plane: &SyncPlane<Entry<Routed<L::Event>>>,
     env: RoundEnv<'_, L::Event>,
     run_horizon: f64,
-) -> Option<Payload>
+) -> Result<Verdict, Payload>
 where
     L: LogicalProcess,
     F: FutureEventList<Routed<L::Event>>,
 {
-    let mut payload: Option<Payload> = None;
-    let mut round: u64 = 0;
-    loop {
-        plane.barrier.wait(); // round start
-        if plane.is_done() {
-            break;
+    let mut lbs = Vec::new();
+    let mut horizons = Vec::new();
+    let mut payload = None;
+    let verdict = loop {
+        match plane.verdict(env.lookahead, run_horizon, &mut lbs, &mut horizons) {
+            Verdict::Run => {}
+            end => break end,
         }
-        round += 1;
-        if payload.is_none() {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                for (i, shard) in chunk.iter_mut().enumerate() {
-                    let s = base + i;
-                    run_round(shard, s, plane.horizon(s), run_horizon, env);
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            for (shard, s) in chunk.iter_mut().zip(base..) {
+                let h = horizons.get(s).copied().unwrap_or(f64::INFINITY);
+                run_round(shard, s, h, run_horizon, env);
+                for (t, bucket) in shard.outbox.iter_mut().enumerate() {
+                    plane.post(t, bucket);
                 }
-                flush_outboxes(chunk, &mut tx, &mut rx);
-            }));
-            if let Err(p) = result {
-                payload = Some(p);
-                plane.mark_panicked();
             }
-        }
-        // Sends-complete handshake: announce this worker's flush is done
-        // (or permanently abandoned, after a caught panic), then keep
-        // draining inboxes until every worker has announced. A peer
-        // blocked in try_send on a full edge channel is guaranteed a
-        // live drainer this way — in particular on edges into a
-        // panicked worker's shards, which a bare barrier wait would
-        // leave full forever.
-        plane.note_flushed();
-        while plane.sends_outstanding(round) {
-            drain_own_inboxes(chunk, &mut rx);
-            std::thread::yield_now();
-        }
-        plane.barrier.wait(); // sends complete
-        if payload.is_none() {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                for (i, shard) in chunk.iter_mut().enumerate() {
-                    if let Some(inboxes) = rx.get_mut(i) {
-                        for (_src, receiver) in inboxes.iter_mut() {
-                            while let Ok(entry) = receiver.try_recv() {
-                                shard.inbox_hold.push(entry);
-                            }
-                        }
-                    }
+        }));
+        plane.wait(); // every post of the round is in
+        let collected = ran.and_then(|()| {
+            catch_unwind(AssertUnwindSafe(|| {
+                for (shard, s) in chunk.iter_mut().zip(base..) {
+                    plane.collect(s, &mut shard.staging);
                     shard.absorb_staged();
-                    plane.set_lb(base + i, shard.lower_bound());
+                    plane.set_lb(s, shard.lower_bound());
                 }
-            }));
-            if let Err(p) = result {
-                payload = Some(p);
-                plane.mark_panicked();
-            }
+            }))
+        });
+        if let Err(p) = collected {
+            plane.mark_panicked();
+            payload = Some(p);
         }
-        if payload.is_some() {
-            drain_own_inboxes(chunk, &mut rx);
-            for i in 0..chunk.len() {
-                plane.set_lb(base + i, f64::INFINITY);
-            }
-        }
-        plane.barrier.wait(); // LBs announced
-    }
-    payload
-}
-
-/// Drains every receiver of this worker's shards into their inbox
-/// holds — both the backpressure-relief path during flushes and the
-/// keep-alive path after a caught panic.
-fn drain_own_inboxes<L, F>(chunk: &mut [Shard<L, F>], rx: &mut [EdgeRx<L::Event>])
-where
-    L: LogicalProcess,
-{
-    for (i, shard) in chunk.iter_mut().enumerate() {
-        if let Some(inboxes) = rx.get_mut(i) {
-            for (_src, receiver) in inboxes.iter_mut() {
-                while let Ok(entry) = receiver.try_recv() {
-                    shard.inbox_hold.push(entry);
-                }
-            }
-        }
-    }
-}
-
-/// Pushes every outbox entry of this worker's shards into the edge
-/// channels. On a full channel the worker drains its own inboxes and
-/// retries. Liveness comes from the flush-completion handshake in
-/// [`worker_loop`]: until every worker has announced its flush done,
-/// each one is either in this retry loop (draining) or spin-draining
-/// after its announcement — so a full channel always has a live
-/// drainer, even when its owner panicked or finished flushing early.
-fn flush_outboxes<L, F>(
-    chunk: &mut [Shard<L, F>],
-    tx: &mut [EdgeTx<L::Event>],
-    rx: &mut [EdgeRx<L::Event>],
-) where
-    L: LogicalProcess,
-{
-    for i in 0..chunk.len() {
-        let mut outbox = match chunk.get_mut(i) {
-            Some(shard) => std::mem::take(&mut shard.outbox),
-            None => continue,
-        };
-        for (t, bucket) in outbox.iter_mut().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            let Some(sender) = tx
-                .get(i)
-                .and_then(|row| row.get(t))
-                .and_then(Option::as_ref)
-            else {
-                debug_assert!(false, "cross-shard send on undeclared edge to {t}");
-                bucket.clear();
-                continue;
-            };
-            let sender = sender.clone();
-            for mut entry in bucket.drain(..) {
-                loop {
-                    match sender.try_send(entry) {
-                        Ok(()) => break,
-                        Err(TrySendError::Full(back)) => {
-                            entry = back;
-                            drain_own_inboxes(chunk, rx);
-                            std::thread::yield_now();
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            debug_assert!(false, "edge channel closed mid-run");
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(shard) = chunk.get_mut(i) {
-            shard.outbox = outbox;
-        }
-    }
+        plane.wait(); // every announcement of the round is in
+    };
+    payload.map_or(Ok(verdict), Err)
 }
 
 #[cfg(test)]
@@ -1371,6 +1114,25 @@ mod tests {
     use atlarge_telemetry::recorder::Recorder;
     use atlarge_telemetry::tracer::NullTracer;
     use rand::Rng;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// Runs `f` on its own thread and returns how it ended, panic
+    /// included. A run still going after 30 s fails the test with
+    /// "deadlock" instead of hanging the test binary; its thread is left
+    /// behind.
+    fn watchdog<T: Send + 'static>(
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> std::thread::Result<T> {
+        let (done, ended) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = done.send(catch_unwind(AssertUnwindSafe(f)));
+        });
+        match ended.recv_timeout(Duration::from_secs(30)) {
+            Ok(end) => end,
+            Err(_) => panic!("deadlock: the sharded run did not end within 30 s"),
+        }
+    }
 
     /// A ring of entities: each handles Tick by forwarding a Tick to the
     /// next entity after a delay >= the partition lookahead, mixing its
@@ -1516,7 +1278,7 @@ mod tests {
         }
     }
 
-    fn run_flood(shards: usize, threads: usize, capacity: usize) -> (Vec<EventRecord>, Vec<u64>) {
+    fn run_flood(shards: usize, threads: usize) -> (Vec<EventRecord>, Vec<u64>) {
         let part = StaticPartition::round_robin(2, shards, 1.0);
         let lps = vec![
             Pump {
@@ -1534,10 +1296,7 @@ mod tests {
             Ok(sim) => sim,
             Err(e) => unreachable!("valid partition rejected: {e}"),
         };
-        sim = sim
-            .with_event_log()
-            .with_threads(threads)
-            .with_channel_capacity(capacity);
+        sim = sim.with_event_log().with_threads(threads);
         sim.schedule(0.0, 0, Tick);
         sim.run();
         let log = sim.take_event_log();
@@ -1546,18 +1305,17 @@ mod tests {
     }
 
     #[test]
-    fn one_directional_floods_survive_tiny_edge_channels() {
+    fn one_directional_floods_survive() {
         // 192 events cross one edge while the receiving worker has
-        // nothing to send back: with capacity 1 its worker must keep
-        // draining after its own (empty) flush completes, or the
-        // sender spins forever at the sends-complete handshake.
-        let base = run_flood(1, 1, 1024);
+        // nothing to send back.
+        let base = run_flood(1, 1);
         assert_eq!(base.1, vec![3, 192]);
-        for (shards, threads, capacity) in [(2, 2, 1), (2, 1, 1), (2, 2, 4)] {
-            let got = run_flood(shards, threads, capacity);
+        for (shards, threads) in [(2, 2), (2, 1)] {
+            let got = watchdog(move || run_flood(shards, threads));
             assert_eq!(
-                got, base,
-                "divergence at {shards} shards / {threads} threads / capacity {capacity}"
+                got.ok().as_ref(),
+                Some(&base),
+                "divergence at {shards} shards / {threads} threads"
             );
         }
     }
@@ -1581,18 +1339,16 @@ mod tests {
             };
         sim = sim.with_threads(4);
         sim.schedule(0.0, 2, Go);
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let caught = watchdog(move || {
             sim.run();
-        }));
+        });
         assert!(caught.is_err());
     }
 
-    /// Entity 0 floods shard 1 through a capacity-1 channel in the same
-    /// round that shard 1's only entity panics: the panicked worker
-    /// must keep draining that edge until the flooder's flush is
-    /// announced complete, or `run()` hangs instead of re-panicking.
+    /// Entity 0 floods shard 1 in the same round that shard 1's only
+    /// entity panics: `run()` must re-panic, not hang.
     #[test]
-    fn panics_with_flooded_edge_channels_do_not_deadlock() {
+    fn panics_with_flooded_shards_do_not_deadlock() {
         struct FloodOrBomb {
             flood_to: Option<u32>,
         }
@@ -1620,13 +1376,72 @@ mod tests {
             Ok(sim) => sim,
             Err(e) => unreachable!("valid partition rejected: {e}"),
         };
-        sim = sim.with_threads(2).with_channel_capacity(1);
+        sim = sim.with_threads(2);
         sim.schedule(0.0, 0, Poke);
         sim.schedule(0.0, 1, Poke);
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        let caught = watchdog(move || {
             sim.run();
-        }));
+        });
         assert!(caught.is_err());
+    }
+
+    /// A ring node that forwards every tick to the next node, one time
+    /// unit on, and panics on its `fuse`-th tick when it has a fuse.
+    struct Fused {
+        next: u32,
+        fuse: Option<u32>,
+    }
+
+    impl LogicalProcess for Fused {
+        type Event = Tick;
+        fn handle(&mut self, _ev: Tick, ctx: &mut ShardCtx<'_, Tick>) {
+            if let Some(left) = self.fuse.as_mut() {
+                *left -= 1;
+                assert!(*left > 0, "late boom at t={}", ctx.now());
+            }
+            ctx.send_in(1.0, self.next, Tick);
+        }
+    }
+
+    /// A handler panics in a later round, after several rounds of
+    /// cross-shard traffic, on one shard per worker. The panicking
+    /// entity sits once on the first shard (a spawned worker's) and
+    /// once on the last (the calling thread's). Whichever worker
+    /// panics, every worker must leave the round loop together and the
+    /// payload must reach the caller.
+    #[test]
+    fn later_round_panics_end_every_worker() {
+        for workers in [2u32, 3, 4] {
+            for fused in [0, workers - 1] {
+                let end = watchdog(move || {
+                    let n = 12;
+                    let lps = (0..n)
+                        .map(|e| Fused {
+                            next: (e + 1) % n,
+                            fuse: (e == fused).then_some(6),
+                        })
+                        .collect();
+                    let part = StaticPartition::round_robin(n as usize, workers as usize, 1.0);
+                    let mut sim: ShardedSimulation<_, _> =
+                        match ShardedSimulation::new(part, lps, 3) {
+                            Ok(sim) => sim.with_threads(workers as usize),
+                            Err(e) => unreachable!("valid partition rejected: {e}"),
+                        };
+                    for e in 0..n {
+                        sim.schedule(0.0, e, Tick);
+                    }
+                    sim.run();
+                });
+                let msg = match end {
+                    Err(p) => p.downcast_ref::<String>().cloned().unwrap_or_default(),
+                    Ok(()) => unreachable!("run with a fuse returned at {workers} workers"),
+                };
+                assert_eq!(
+                    msg, "late boom at t=5",
+                    "entity {fused} at {workers} workers"
+                );
+            }
+        }
     }
 
     /// At t = 1e16 the clock's ulp is 2.0, so `lb + 1.0` rounds back to
@@ -1644,9 +1459,9 @@ mod tests {
             sim = sim.with_threads(threads);
             sim.schedule(1e16, 0, Tick);
             sim.schedule(1e16, 1, Tick);
-            let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let caught = watchdog(move || {
                 sim.run();
-            }));
+            });
             let payload = match caught {
                 Err(p) => p,
                 Ok(()) => unreachable!("frozen run returned at {threads} threads"),

@@ -4,28 +4,29 @@
 //! contract (lint.toml `[layer.shard-boundary]`, enforced by AL008):
 //! domain crates program against [`Partition`](super::Partition) /
 //! [`ShardedSimulation`](super::ShardedSimulation) and must never name
-//! the channels, lower-bound announcements, or horizon math in here —
+//! the mailboxes, lower-bound announcements, or horizon math in here —
 //! those are free to change as the protocol evolves.
 //!
-//! # Protocol
+//! # Horizons
 //!
 //! The kernel runs Chandy–Misra–Bryant conservative synchronization in
 //! *windowed* form: instead of per-channel null messages, every shard
-//! publishes one lower bound (LB) per round — the timestamp of its
+//! announces one lower bound (LB) per round — the timestamp of its
 //! earliest pending event — which acts as a batched null message on all
 //! of its outgoing edges at once. The raw LB vector is not yet safe to
 //! window on: a shard whose own queue is empty (LB = ∞) can still
 //! *receive* an event this round and relay a consequence of it early
-//! the next — a multi-hop path the single-hop bound misses. So the
-//! coordinator first relaxes the LBs through the lookahead graph to
-//! earliest-execution bounds (the fixpoint of)
+//! the next — a multi-hop path the single-hop bound misses. So the LBs
+//! are first relaxed through the lookahead graph to earliest-execution
+//! bounds (the fixpoint of)
 //!
 //! ```text
 //! exec(s) = min( LB(s), min over r != s of exec(r) + lookahead(r, s) )
 //! ```
 //!
 //! — each shard's earliest time it could possibly execute *any* event,
-//! pending or yet to arrive over any path — and then derives horizons:
+//! pending or yet to arrive over any path — and then turned into
+//! horizons:
 //!
 //! ```text
 //! horizon(s) = min over r != s of  exec(r) + lookahead(r, s)
@@ -38,12 +39,51 @@
 //! horizon strictly above it, so every round makes progress — in exact
 //! arithmetic. When a lookahead is below half an ulp of the clock,
 //! `lb + la` rounds back to `lb` and the horizons freeze; [`stalled`]
-//! detects that corner so the drivers can abort with a diagnostic
-//! instead of livelocking.
+//! detects that corner so the run can abort with a diagnostic instead
+//! of livelocking.
+//!
+//! # Rounds
+//!
+//! Every run, with one worker or many, is one loop of rounds. Each
+//! worker owns a contiguous chunk of shards, and the calling thread is
+//! the last worker. A round has two barriers:
+//!
+//! 1. **Verdict.** The worker reads the announced LBs and the panic
+//!    flag and decides for itself ([`SyncPlane::verdict`]): stop on a
+//!    panic or at quiescence, abort on a stall, or run below the
+//!    horizons it just computed. The inputs are the same on every
+//!    worker, so every worker reaches the same verdict in the same round
+//!    and no coordinator is needed.
+//! 2. **Run and post.** It dispatches each of its shards below that
+//!    shard's horizon, then appends each non-empty outbox bucket to the
+//!    target shard's mailbox, one `Mutex<Vec<_>>` per shard.
+//! 3. *First barrier:* every post of the round is in.
+//! 4. **Collect and announce.** It moves each of its shards' mailboxes
+//!    into that shard's staging buffer, merges the buffer into the FEL
+//!    (sorted by `(time, seq)`, so the order in which posts landed never
+//!    matters), and announces the shard's new LB. A handler panic caught
+//!    in step 2 or here is announced now.
+//! 5. *Second barrier:* every announcement of the round is in.
+//!
+//! A round's cross-shard events sit in the outboxes until the round
+//! ends, so a bound on the mailboxes would bound nothing, and no worker
+//! ever waits on a peer except at the two barriers.
+//!
+//! **The invariant:** a verdict reads only values written between a
+//! round's two barriers (or before the workers started). Nothing a
+//! worker writes before the first barrier may change a verdict, since a
+//! peer can still be deciding the same round: a panic flag set the
+//! moment a panic is caught would let that peer stop while the
+//! panicking worker waits at the first barrier for it forever. Writes
+//! after the first barrier cannot race a verdict: every worker has
+//! passed its verdict to reach that barrier, and the next verdict comes
+//! after the second.
+//!
+//! With one worker the barriers are skipped: `Barrier::wait` pays a
+//! futex wake even when alone, and there is no peer to order against.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Barrier;
+use std::sync::{Barrier, Mutex, PoisonError};
 
 /// Computes the conservative horizon of every shard from the current
 /// lower-bound vector and the row-major `lookahead` matrix
@@ -125,53 +165,98 @@ pub(crate) fn stalled(lbs: &[f64], horizons: &[f64], run_horizon: f64) -> bool {
         .all(|(&lb, &h)| lb >= h || lb > run_horizon)
 }
 
-/// The shared coordination state of one threaded run: per-shard lower
-/// bounds and horizons (f64 bit patterns in atomics), the termination
-/// and panic flags, and the round barrier. All reads and writes are
-/// separated by [`Barrier::wait`], which provides the happens-before
-/// edges; the atomics only need to be tear-free.
-pub(crate) struct SyncPlane {
-    lbs: Vec<AtomicU64>,
-    horizons: Vec<AtomicU64>,
-    /// Total flush announcements across all rounds (monotone, so no
-    /// racy per-round reset): worker `w` bumps it once per round, after
-    /// its cross-shard sends are pushed or permanently abandoned.
-    flushed: AtomicU64,
-    parties: u64,
-    done: AtomicBool,
-    panicked: AtomicBool,
-    pub(crate) barrier: Barrier,
+/// What a worker decides at the top of a round.
+pub(crate) enum Verdict {
+    /// Dispatch below the horizons just computed.
+    Run,
+    /// The run is over: quiescent, or a handler panicked.
+    Stop,
+    /// The horizons froze with the earliest pending event at this time
+    /// (see [`stalled`]).
+    Stalled(f64),
 }
 
-impl SyncPlane {
-    /// `parties` is the number of worker threads; the coordinator is
-    /// the extra barrier participant.
-    pub(crate) fn new(shards: usize, parties: usize) -> Self {
-        let inf = f64::INFINITY.to_bits();
+/// The shared state of one run: one lower bound (an f64 bit pattern)
+/// and one mailbox per shard, the panic flag, and the round barrier.
+/// The barrier orders every access (see the module docs), so the
+/// atomics only need to be tear-free. A mailbox is only ever changed
+/// by one `append`, which leaves the vector valid at every step, so a
+/// poisoned mailbox lock still guards valid events.
+pub(crate) struct SyncPlane<T> {
+    lbs: Vec<AtomicU64>,
+    mailboxes: Vec<Mutex<Vec<T>>>,
+    panicked: AtomicBool,
+    /// `None` with one worker.
+    barrier: Option<Barrier>,
+}
+
+impl<T> SyncPlane<T> {
+    /// A plane for `workers` workers whose shards start with `lbs`.
+    pub(crate) fn new(lbs: impl Iterator<Item = f64>, workers: usize) -> Self {
+        let lbs: Vec<AtomicU64> = lbs.map(|lb| AtomicU64::new(lb.to_bits())).collect();
         SyncPlane {
-            lbs: (0..shards).map(|_| AtomicU64::new(inf)).collect(),
-            horizons: (0..shards).map(|_| AtomicU64::new(inf)).collect(),
-            flushed: AtomicU64::new(0),
-            parties: parties as u64,
-            done: AtomicBool::new(false),
+            mailboxes: lbs.iter().map(|_| Mutex::new(Vec::new())).collect(),
+            lbs,
             panicked: AtomicBool::new(false),
-            barrier: Barrier::new(parties + 1),
+            barrier: (workers > 1).then(|| Barrier::new(workers)),
         }
     }
 
-    /// Announces that this worker has pushed every cross-shard send of
-    /// the current round — or, having caught a panic, will never push
-    /// them. Exactly one call per worker per round.
-    pub(crate) fn note_flushed(&self) {
-        self.flushed.fetch_add(1, Ordering::AcqRel);
+    /// Waits until every worker reaches the same barrier.
+    pub(crate) fn wait(&self) {
+        if let Some(barrier) = &self.barrier {
+            barrier.wait();
+        }
     }
 
-    /// Whether some worker is still flushing sends for 1-based `round`.
-    /// While this holds, every worker must keep draining its own
-    /// inboxes so no peer's flush can block forever on a full edge
-    /// channel — including edges into a panicked worker's shards.
-    pub(crate) fn sends_outstanding(&self, round: u64) -> bool {
-        self.flushed.load(Ordering::Acquire) < round.saturating_mul(self.parties)
+    /// Decides the next round from the announced lower bounds, leaving
+    /// them in `lbs` and, for [`Verdict::Run`], the horizons in
+    /// `horizons`.
+    pub(crate) fn verdict(
+        &self,
+        lookahead: &[f64],
+        run_horizon: f64,
+        lbs: &mut Vec<f64>,
+        horizons: &mut Vec<f64>,
+    ) -> Verdict {
+        if self.panicked.load(Ordering::Relaxed) {
+            return Verdict::Stop;
+        }
+        lbs.clear();
+        lbs.extend(
+            self.lbs
+                .iter()
+                .map(|slot| f64::from_bits(slot.load(Ordering::Relaxed))),
+        );
+        if quiescent(lbs, run_horizon) {
+            return Verdict::Stop;
+        }
+        conservative_horizons(lbs, lookahead, horizons);
+        if stalled(lbs, horizons, run_horizon) {
+            return Verdict::Stalled(lbs.iter().copied().fold(f64::INFINITY, f64::min));
+        }
+        Verdict::Run
+    }
+
+    /// Appends `bucket` to `shard`'s mailbox, unless it is empty; the
+    /// bucket keeps its allocation.
+    pub(crate) fn post(&self, shard: usize, bucket: &mut Vec<T>) {
+        if bucket.is_empty() {
+            return;
+        }
+        if let Some(mailbox) = self.mailboxes.get(shard) {
+            mailbox
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .append(bucket);
+        }
+    }
+
+    /// Moves everything posted to `shard` onto `into`.
+    pub(crate) fn collect(&self, shard: usize, into: &mut Vec<T>) {
+        if let Some(mailbox) = self.mailboxes.get(shard) {
+            into.append(&mut mailbox.lock().unwrap_or_else(PoisonError::into_inner));
+        }
     }
 
     pub(crate) fn set_lb(&self, shard: usize, lb: f64) {
@@ -180,82 +265,11 @@ impl SyncPlane {
         }
     }
 
-    pub(crate) fn snapshot_lbs(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(
-            self.lbs
-                .iter()
-                .map(|slot| f64::from_bits(slot.load(Ordering::Relaxed))),
-        );
-    }
-
-    pub(crate) fn publish_horizons(&self, horizons: &[f64]) {
-        for (slot, h) in self.horizons.iter().zip(horizons) {
-            slot.store(h.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    pub(crate) fn horizon(&self, shard: usize) -> f64 {
-        self.horizons
-            .get(shard)
-            .map(|slot| f64::from_bits(slot.load(Ordering::Relaxed)))
-            .unwrap_or(f64::INFINITY)
-    }
-
-    pub(crate) fn mark_done(&self) {
-        self.done.store(true, Ordering::Relaxed);
-    }
-
-    pub(crate) fn is_done(&self) -> bool {
-        self.done.load(Ordering::Relaxed)
-    }
-
+    /// Ends the run at the next verdict. Call only between a round's
+    /// barriers.
     pub(crate) fn mark_panicked(&self) {
         self.panicked.store(true, Ordering::Relaxed);
     }
-
-    pub(crate) fn has_panicked(&self) -> bool {
-        self.panicked.load(Ordering::Relaxed)
-    }
-}
-
-/// The bounded cross-shard event channels of one threaded run, one per
-/// directed edge with a finite lookahead. `senders[src][dst]` is `None`
-/// on the diagonal and on undeclared edges; `receivers[dst]` lists
-/// `(src, rx)` pairs in ascending source order (a fixed order, though
-/// delivery order never matters: arrivals are sorted by `(time, seq)`
-/// before insertion).
-pub(crate) struct EdgeChannels<T> {
-    pub(crate) senders: Vec<Vec<Option<SyncSender<T>>>>,
-    pub(crate) receivers: Vec<Vec<(usize, Receiver<T>)>>,
-}
-
-pub(crate) fn edge_channels<T>(n: usize, lookahead: &[f64], capacity: usize) -> EdgeChannels<T> {
-    let mut senders: Vec<Vec<Option<SyncSender<T>>>> =
-        (0..n).map(|_| (0..n).map(|_| None).collect()).collect();
-    let mut receivers: Vec<Vec<(usize, Receiver<T>)>> = (0..n).map(|_| Vec::new()).collect();
-    for src in 0..n {
-        for dst in 0..n {
-            if src == dst {
-                continue;
-            }
-            let la = lookahead
-                .get(src * n + dst)
-                .copied()
-                .unwrap_or(f64::INFINITY);
-            if !la.is_finite() {
-                continue;
-            }
-            let (tx, rx) = sync_channel(capacity);
-            if let Some(slot) = senders.get_mut(src).and_then(|row| row.get_mut(dst)) {
-                *slot = Some(tx);
-            }
-            if let Some(inbox) = receivers.get_mut(dst) {
-                inbox.push((src, rx));
-            }
-        }
-    }
-    EdgeChannels { senders, receivers }
 }
 
 #[cfg(test)]
@@ -306,19 +320,5 @@ mod tests {
         assert!(quiescent(&[10.5, f64::INFINITY], 10.0));
         assert!(quiescent(&[f64::INFINITY], f64::INFINITY));
         assert!(!quiescent(&[3.0], f64::INFINITY));
-    }
-
-    #[test]
-    fn edge_channels_skip_diagonal_and_infinite_edges() {
-        let la = vec![f64::INFINITY, 1.0, f64::INFINITY, f64::INFINITY];
-        let chans = edge_channels::<u32>(2, &la, 4);
-        let have: Vec<Vec<bool>> = chans
-            .senders
-            .iter()
-            .map(|row| row.iter().map(Option::is_some).collect())
-            .collect();
-        assert_eq!(have, vec![vec![false, true], vec![false, false]]);
-        assert_eq!(chans.receivers.first().map(Vec::len), Some(0));
-        assert_eq!(chans.receivers.get(1).map(Vec::len), Some(1));
     }
 }

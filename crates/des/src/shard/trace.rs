@@ -5,7 +5,7 @@
 //! run (and shard count to shard count) even though the simulation
 //! itself is deterministic. Instead each shard buffers its tracer
 //! activity as one [`TraceGroup`] per dispatched event; after the run
-//! the coordinator sorts all groups by the global `(time, seq)` order
+//! the calling thread sorts all groups by the global `(time, seq)` order
 //! and replays them into the single attached tracer. A 1-shard run
 //! buffers and replays identically, so traces are byte-for-byte
 //! invariant in the shard count.

@@ -25,21 +25,6 @@ pub enum Value {
     NamedF64s(Vec<(String, f64)>),
 }
 
-impl Value {
-    /// The wire-type name of this value, as used in error messages.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::U32(_) => "u32",
-            Value::U64(_) => "u64",
-            Value::F64(_) => "f64",
-            Value::Str(_) => "str",
-            Value::F64s(_) => "f64s",
-            Value::F64Table(_) => "f64-table",
-            Value::NamedF64s(_) => "named-f64s",
-        }
-    }
-}
-
 /// Why a capsule could not be decoded or resumed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CapsuleError {
