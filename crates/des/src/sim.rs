@@ -261,10 +261,9 @@ impl<M: Model> Simulation<M> {
         self.ctx.processed - start
     }
 
-    /// The single dispatch body both [`Simulation::run_until`] and
-    /// [`Simulation::step`] execute: clock/bookkeeping updates, the
-    /// monotonicity check, the (compile-time-gated) tracer hook, and the
-    /// model callback.
+    /// The dispatch body of [`Simulation::run_until`]: clock/bookkeeping
+    /// updates, the monotonicity check, the (compile-time-gated) tracer
+    /// hook, and the model callback.
     #[inline(always)]
     fn dispatch<const TRACED: bool>(&mut self, t: f64, id: u64, parent: Option<u64>, ev: M::Event) {
         debug_assert!(t >= self.ctx.now, "time must not go backwards");
@@ -277,34 +276,6 @@ impl<M: Model> Simulation<M> {
             }
         }
         self.model.handle(ev, &mut self.ctx);
-    }
-
-    /// Runs at most `max_events` further events (subject to stop/drain).
-    /// Returns the number of events processed in this call.
-    ///
-    /// Shares the dispatch body (and thus the monotonicity check and the
-    /// end-of-run tracer hook) with [`Simulation::run_until`], so a
-    /// stepped run observes exactly what a free run does.
-    pub fn step(&mut self, max_events: u64) -> u64 {
-        let traced = self.ctx.tracer.is_some();
-        let mut n = 0;
-        while n < max_events && !self.ctx.stopped {
-            match self.ctx.queue.pop_entry() {
-                Some((t, id, parent, ev)) => {
-                    if traced {
-                        self.dispatch::<true>(t, id, parent, ev);
-                    } else {
-                        self.dispatch::<false>(t, id, parent, ev);
-                    }
-                    n += 1;
-                }
-                None => break,
-            }
-        }
-        if let Some(tracer) = &self.ctx.tracer {
-            tracer.on_run_end(self.ctx.now, self.ctx.processed);
-        }
-        n
     }
 
     /// Current simulated time.
@@ -438,14 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn step_limits_event_count() {
-        let mut sim = Simulation::new(Counter { fired: vec![] }, 1);
-        sim.schedule(0.0, Ev::Tick(1));
-        assert_eq!(sim.step(2), 2);
-        assert_eq!(sim.model().fired.len(), 2);
-    }
-
-    #[test]
     fn same_seed_same_trace() {
         struct R {
             draws: Vec<f64>,
@@ -564,37 +527,6 @@ mod tests {
         sim.schedule(1.0, E::Work);
         sim.run();
         assert_eq!(rec.span_stats()["work.body"].entries, 1);
-    }
-
-    #[test]
-    fn step_fires_on_run_end_like_run_until() {
-        // Regression guard for the old `step` body, which skipped the
-        // end-of-run tracer hook (and the monotonicity debug_assert) that
-        // `run_until` fired. Both paths now share `dispatch` and both must
-        // close with `on_run_end`.
-        use std::sync::atomic::{AtomicU64, Ordering};
-        use std::sync::Arc;
-
-        #[derive(Clone)]
-        struct RunEndCounter(Arc<AtomicU64>);
-        impl Tracer for RunEndCounter {
-            fn on_run_end(&self, _now: f64, _processed: u64) {
-                self.0.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-
-        let ends = Arc::new(AtomicU64::new(0));
-        let mut sim =
-            Simulation::new(Counter { fired: vec![] }, 1).with_tracer(RunEndCounter(ends.clone()));
-        sim.schedule(0.0, Ev::Tick(1));
-        assert_eq!(sim.step(2), 2);
-        assert_eq!(
-            ends.load(Ordering::SeqCst),
-            1,
-            "step() must fire on_run_end exactly once per call"
-        );
-        sim.run();
-        assert_eq!(ends.load(Ordering::SeqCst), 2);
     }
 
     #[test]

@@ -18,6 +18,9 @@
 //!   through `atlarge-stats` (mean/CI/quantiles per cell) and stamped
 //!   with an `atlarge-telemetry` [`RunManifest`](atlarge_telemetry::RunManifest)
 //!   so `atlarge-obsv` can gate campaign-level regressions.
+//! - [`StudyTable`] — a declared table of reproduced studies (the
+//!   paper's Tables 5–7): one value that is both a [`Scenario`] and a
+//!   servable [`CellScenario`].
 //!
 //! # Example
 //!
@@ -53,6 +56,7 @@ pub mod interop;
 pub mod registry;
 pub mod scenario;
 pub mod seed;
+pub mod study;
 
 pub use campaign::{
     Campaign, CampaignResult, CellResult, CellRun, CellSummary, NamedMetric, SeedMode,
@@ -62,3 +66,4 @@ pub use grid::{CellSpec, Factor, FactorGrid};
 pub use registry::{CellOutput, CellScenario, ParamSpec, Registry};
 pub use scenario::Scenario;
 pub use seed::{derive_seed, split_labeled};
+pub use study::{StudyRow, StudyTable};

@@ -15,9 +15,10 @@
 //!   WCC, CDLP, LCC, SSSP, expressed as synchronous vertex programs plus
 //!   direct implementations used as cross-checks.
 //! - [`platforms`] — executors with genuinely different execution
-//!   strategies: sequential pull, parallel pull (scoped threads), edge-centric
-//!   scan, and a heterogeneous accelerator model — each reporting a
-//!   deterministic work/critical-path cost and wall time.
+//!   strategies: sequential pull, parallel pull over modelled workers,
+//!   edge-centric scan, and a heterogeneous accelerator model — each
+//!   reporting a deterministic work/critical-path cost and simulated
+//!   wall time.
 //! - [`granula`] — Granula-style per-phase performance breakdown.
 //! - [`experiments`] — the PAD factorial sweep with variance
 //!   decomposition (the law test), and the HPAD extension.

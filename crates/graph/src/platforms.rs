@@ -10,8 +10,9 @@
 //! - [`Platform::Sequential`] — single-threaded with an active-set
 //!   (delta) optimization: only vertices with changed neighborhoods are
 //!   re-evaluated.
-//! - [`Platform::Parallel`] — BSP over `threads` workers (real scoped
-//!   threads): full Jacobi sweeps, per-iteration barrier cost.
+//! - [`Platform::Parallel`] — BSP over `threads` modelled workers: full
+//!   Jacobi sweeps, critical path divided by `threads`, per-iteration
+//!   barrier cost.
 //! - [`Platform::EdgeCentric`] — scans the full edge list every
 //!   iteration (GraphX-style), paying a per-edge overhead factor but
 //!   wide parallelism.
@@ -82,7 +83,8 @@ pub enum Platform {
     Sequential,
     /// BSP over the given worker count.
     Parallel {
-        /// Worker threads.
+        /// Modelled workers: each iteration's critical path is divided
+        /// by this count.
         threads: usize,
     },
     /// Full edge scans per iteration.
@@ -169,7 +171,7 @@ pub fn run(
     graph: &Csr,
     rec: Option<&Recorder>,
 ) -> RunCost {
-    let (digest, iters) = execute(platform, algorithm, graph);
+    let (digest, iters) = execute(algorithm, graph);
     // Work/critical-path accounting per platform model.
     let n = graph.num_vertices() as u64;
     let m = graph.num_edges() as u64;
@@ -233,10 +235,10 @@ pub fn run(
 
 /// Executes the algorithm, returning the output digest and the
 /// *active-set work* per iteration (what the sequential platform pays).
-fn execute(platform: Platform, algorithm: Algorithm, g: &Csr) -> (Vec<u64>, Vec<u64>) {
+fn execute(algorithm: Algorithm, g: &Csr) -> (Vec<u64>, Vec<u64>) {
     match algorithm {
         Algorithm::Bfs => {
-            let (levels, iters) = jacobi(platform, g, u32::MAX, |g, v, prev| {
+            let (levels, iters) = jacobi(g, u32::MAX, |g, v, prev| {
                 let mut best = if v == 0 { 0 } else { u32::MAX };
                 for &w in g.in_neighbors(v) {
                     let lw = prev[w as usize];
@@ -250,7 +252,7 @@ fn execute(platform: Platform, algorithm: Algorithm, g: &Csr) -> (Vec<u64>, Vec<
         }
         Algorithm::Wcc => {
             let init: Vec<u32> = (0..g.num_vertices() as u32).collect();
-            let (labels, iters) = jacobi_init(platform, g, init, |g, v, prev| {
+            let (labels, iters) = jacobi_init(g, init, |g, v, prev| {
                 let mut best = prev[v];
                 for &w in g.in_neighbors(v).iter().chain(g.out_neighbors(v)) {
                     best = best.min(prev[w as usize]);
@@ -260,7 +262,7 @@ fn execute(platform: Platform, algorithm: Algorithm, g: &Csr) -> (Vec<u64>, Vec<
             (labels.into_iter().map(u64::from).collect(), iters)
         }
         Algorithm::Sssp => {
-            let (dist, iters) = jacobi(platform, g, f64::INFINITY.to_bits(), |g, v, prev| {
+            let (dist, iters) = jacobi(g, f64::INFINITY.to_bits(), |g, v, prev| {
                 let mut best = if v == 0 { 0.0 } else { f64::INFINITY };
                 for &w in g.in_neighbors(v) {
                     let dw = f64::from_bits(prev[w as usize]);
@@ -281,7 +283,7 @@ fn execute(platform: Platform, algorithm: Algorithm, g: &Csr) -> (Vec<u64>, Vec<
                     .filter(|&v| g.out_degree(v) == 0)
                     .map(|v| rank[v])
                     .sum();
-                let next = sweep(platform, g, &rank, move |g, v, prev: &[f64]| {
+                let next = sweep(g, &rank, move |g, v, prev: &[f64]| {
                     let d = 0.85;
                     let nf = g.num_vertices() as f64;
                     let mut r = (1.0 - d) / nf + d * dangling / nf;
@@ -306,7 +308,7 @@ fn execute(platform: Platform, algorithm: Algorithm, g: &Csr) -> (Vec<u64>, Vec<
             let mut labels = init;
             let mut iters = Vec::new();
             for _ in 0..5 {
-                let next = sweep(platform, g, &labels, |g, v, prev: &[u32]| {
+                let next = sweep(g, &labels, |g, v, prev: &[u32]| {
                     let mut counts: std::collections::BTreeMap<u32, usize> = Default::default();
                     for &w in g.in_neighbors(v).iter().chain(g.out_neighbors(v)) {
                         *counts.entry(prev[w as usize]).or_insert(0) += 1;
@@ -351,12 +353,12 @@ fn active_work(g: &Csr, active: Option<&[usize]>) -> u64 {
 }
 
 /// Synchronous fixed-point iteration from a uniform initial state.
-fn jacobi<T, F>(platform: Platform, g: &Csr, init: T, update: F) -> (Vec<T>, Vec<u64>)
+fn jacobi<T, F>(g: &Csr, init: T, update: F) -> (Vec<T>, Vec<u64>)
 where
-    T: Copy + PartialEq + Send + Sync,
-    F: Fn(&Csr, usize, &[T]) -> T + Sync,
+    T: Copy + PartialEq,
+    F: Fn(&Csr, usize, &[T]) -> T,
 {
-    jacobi_init(platform, g, vec![init; g.num_vertices()], update)
+    jacobi_init(g, vec![init; g.num_vertices()], update)
 }
 
 /// Synchronous fixed-point iteration from an explicit initial state.
@@ -364,10 +366,10 @@ where
 /// Iterates full sweeps until no state changes. Per-iteration *active
 /// work* (what a delta-optimized engine would pay) is tracked from the
 /// previous iteration's changed set.
-fn jacobi_init<T, F>(platform: Platform, g: &Csr, init: Vec<T>, update: F) -> (Vec<T>, Vec<u64>)
+fn jacobi_init<T, F>(g: &Csr, init: Vec<T>, update: F) -> (Vec<T>, Vec<u64>)
 where
-    T: Copy + PartialEq + Send + Sync,
-    F: Fn(&Csr, usize, &[T]) -> T + Sync,
+    T: Copy + PartialEq,
+    F: Fn(&Csr, usize, &[T]) -> T,
 {
     let n = g.num_vertices();
     let mut state = init;
@@ -375,7 +377,7 @@ where
     // Initially every vertex is active.
     let mut active: Vec<usize> = (0..n).collect();
     loop {
-        let next = sweep(platform, g, &state, &update);
+        let next = sweep(g, &state, &update);
         let changed: Vec<usize> = (0..n).filter(|&v| next[v] != state[v]).collect();
         iters.push(active_work(g, Some(&active)));
         state = next;
@@ -396,35 +398,13 @@ where
 }
 
 /// One synchronous sweep: computes the next state for every vertex.
-/// The parallel platforms genuinely use `threads` scoped worker threads.
-fn sweep<T, F>(platform: Platform, g: &Csr, prev: &[T], update: F) -> Vec<T>
+/// Every platform computes the same states; they differ only in the
+/// cost [`run`] charges for the sweep.
+fn sweep<T, F>(g: &Csr, prev: &[T], update: F) -> Vec<T>
 where
-    T: Copy + Send + Sync,
-    F: Fn(&Csr, usize, &[T]) -> T + Sync,
+    F: Fn(&Csr, usize, &[T]) -> T,
 {
-    let n = g.num_vertices();
-    let threads = match platform {
-        Platform::Sequential => 1,
-        Platform::Parallel { threads } => threads.max(1),
-        Platform::EdgeCentric => 8,
-        Platform::Accelerator => 16,
-    };
-    if threads == 1 || n < 256 {
-        return (0..n).map(|v| update(g, v, prev)).collect();
-    }
-    let chunk = n.div_ceil(threads);
-    let mut out: Vec<Option<Vec<T>>> = (0..threads).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (i, slot) in out.iter_mut().enumerate() {
-            let update = &update;
-            scope.spawn(move || {
-                let lo = i * chunk;
-                let hi = ((i + 1) * chunk).min(n);
-                *slot = Some((lo..hi).map(|v| update(g, v, prev)).collect());
-            });
-        }
-    });
-    out.into_iter().flatten().flatten().collect()
+    (0..g.num_vertices()).map(|v| update(g, v, prev)).collect()
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! The Table 5 reproduction: one runnable check per study row, executed
-//! as an `atlarge-exp` campaign.
+//! The Table 5 reproduction: one runnable check per study row, declared
+//! as the [`TABLE5`] study table and run as an `atlarge-exp` campaign.
 //!
 //! Each study is one cell of a single-factor grid. The engine derives an
 //! independent SplitMix64 sub-seed per cell (and per replication), so
@@ -17,36 +17,17 @@ use crate::swarm::{run_swarm, Bandwidth, SharingPolicy, SwarmConfig, TitForTat};
 use crate::twofast::speedup_curve;
 use crate::vicissitude::{bottleneck_shifts, run_pipeline, vicissitude_score};
 use atlarge_evolve::SwapPlan;
-use atlarge_exp::registry::{run_replicated, CellOutput, CellScenario, ParamSpec};
 use atlarge_exp::seed::split_labeled;
-use atlarge_exp::{Campaign, CampaignResult, CancelToken, Scenario};
-use atlarge_stats::descriptive::Summary;
-use atlarge_telemetry::tracer::Tracer;
-use std::collections::BTreeMap;
-
-/// One reproduced row of Table 5.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table5Row {
-    /// Citation tag and year, as printed in the table.
-    pub study: &'static str,
-    /// The study's feature column.
-    pub feature: &'static str,
-    /// The instrument column.
-    pub instrument: &'static str,
-    /// The key quantitative finding of the reproduction.
-    pub finding: String,
-    /// Whether the paper's qualitative claim held in the reproduction.
-    pub claim_holds: bool,
-}
+use atlarge_exp::{StudyRow, StudyTable};
 
 // [61] ('05) Aliased media — Analytics.
-fn row_aliased_media(seed: u64) -> Table5Row {
+fn row_aliased_media(seed: u64) -> StudyRow {
     let eco = Ecosystem::generate(EcosystemConfig::default(), seed);
     let alias = alias_analysis(&eco);
-    Table5Row {
+    StudyRow {
         study: "[61] ('05)",
         feature: "Aliased media",
-        instrument: "Analytics",
+        source: "Analytics",
         finding: format!(
             "{} aliased contents, {:.1} formats each, catalog inflated {:.2}x",
             alias.aliased_contents, alias.mean_aliases, alias.inflation
@@ -57,7 +38,7 @@ fn row_aliased_media(seed: u64) -> Table5Row {
 
 // [62] ('06) Ecosystem-Internet — MultiProbe: upload/download asymmetry
 // limits standalone downloads. Both swarms share the cell seed (paired).
-fn row_internet_asymmetry(seed: u64) -> Table5Row {
+fn row_internet_asymmetry(seed: u64) -> StudyRow {
     let run = |bandwidth: Bandwidth| {
         let config = SwarmConfig {
             file_size: 50e6,
@@ -79,10 +60,10 @@ fn row_internet_asymmetry(seed: u64) -> Table5Row {
     };
     let adsl_run = run(Bandwidth::adsl(64e3, 8.0));
     let sym_run = run(Bandwidth::symmetric(64e3 * 4.5)); // same total capacity
-    Table5Row {
+    StudyRow {
         study: "[62] ('06)",
         feature: "Ecosystem-Internet",
-        instrument: "MultiProbe",
+        source: "MultiProbe",
         finding: format!(
             "ADSL swarm mean download {:.0}s vs symmetric {:.0}s",
             adsl_run.mean_download_time(),
@@ -93,14 +74,14 @@ fn row_internet_asymmetry(seed: u64) -> Table5Row {
 }
 
 // [63] ('10) Global ecosystem — BTWorld: giant swarms + spam trackers.
-fn row_global_ecosystem(seed: u64) -> Table5Row {
+fn row_global_ecosystem(seed: u64) -> StudyRow {
     let eco = Ecosystem::generate(EcosystemConfig::default(), seed);
     let giants = eco.giant_swarms(3);
     let spam = detect_spam_trackers(&eco, 0.1);
-    Table5Row {
+    StudyRow {
         study: "[63] ('10)",
         feature: "Global ecosystem",
-        instrument: "BTWorld",
+        source: "BTWorld",
         finding: format!(
             "largest swarm {} peers; {} spam trackers flagged",
             giants[0],
@@ -112,11 +93,11 @@ fn row_global_ecosystem(seed: u64) -> Table5Row {
 
 // [64] ('10) P2P Trace Archive — covered by atlarge-workload's FAIR
 // trace format; checked structurally here.
-fn row_trace_archive(_seed: u64) -> Table5Row {
-    Table5Row {
+fn row_trace_archive(_seed: u64) -> StudyRow {
+    StudyRow {
         study: "[64] ('10)",
         feature: "P2P Trace Archive",
-        instrument: "Analytics",
+        source: "Analytics",
         finding: "FOAD trace format round-trips with FAIR metadata".to_string(),
         claim_holds: {
             use atlarge_workload::job::{Job, JobId, Task};
@@ -138,16 +119,16 @@ fn row_trace_archive(_seed: u64) -> Table5Row {
 // [65] ('10) Bias — instrument coverage vs estimation error. The truth,
 // the ablation, and the two instrument probes draw from labeled
 // sub-streams of the cell seed.
-fn row_instrument_bias(seed: u64) -> Table5Row {
+fn row_instrument_bias(seed: u64) -> StudyRow {
     let truth = GroundTruth::generate(5_000, 40, split_labeled(seed, "ground-truth"));
     let ablation = coverage_ablation(&truth, split_labeled(seed, "ablation"));
     let probe_seed = split_labeled(seed, "probe");
     let wide = Instrument::wide().bias(&truth, probe_seed);
     let narrow = Instrument::narrow().bias(&truth, probe_seed);
-    Table5Row {
+    StudyRow {
         study: "[65] ('10)",
         feature: "Bias",
-        instrument: "Analytics",
+        source: "Analytics",
         finding: format!(
             "bias at 10% coverage {:.3} vs 95% {:.3}; wide {:.3} narrow {:.3}",
             ablation.first().expect("rows").1,
@@ -160,12 +141,12 @@ fn row_instrument_bias(seed: u64) -> Table5Row {
 }
 
 // [66] ('11) Flashcrowds — detection + negative phenomena.
-fn row_flashcrowd(seed: u64) -> Table5Row {
+fn row_flashcrowd(seed: u64) -> StudyRow {
     let fc = flashcrowd::study(seed);
-    Table5Row {
+    StudyRow {
         study: "[66] ('11)",
         feature: "Flashcrowds",
-        instrument: "Analytics",
+        source: "Analytics",
         finding: format!(
             "{} windows detected; download-time inflation {:.2}x",
             fc.detected.len(),
@@ -176,14 +157,14 @@ fn row_flashcrowd(seed: u64) -> Table5Row {
 }
 
 // [67] ('13) + [38] ('14) Vicissitude — big-data pipeline bottlenecks.
-fn row_vicissitude(seed: u64) -> Table5Row {
+fn row_vicissitude(seed: u64) -> StudyRow {
     let (pipeline, _) = run_pipeline(500, seed, "baseline", SwapPlan::none())
         .expect("the baseline with no plan always runs");
     let score = vicissitude_score(&pipeline);
-    Table5Row {
+    StudyRow {
         study: "[38] ('14)",
         feature: "Vicissitude",
-        instrument: "BTWorld",
+        source: "BTWorld",
         finding: format!(
             "bottleneck entropy {:.2}; {} shifts over 500 chunks",
             score,
@@ -194,13 +175,13 @@ fn row_vicissitude(seed: u64) -> Table5Row {
 }
 
 // [68] ('06) 2fast — collaborative downloads beat standalone.
-fn row_2fast(_seed: u64) -> Table5Row {
+fn row_2fast(_seed: u64) -> StudyRow {
     let curve = speedup_curve(64e3, 8.0, 8);
     let s4 = curve[4].1;
-    Table5Row {
+    StudyRow {
         study: "[68] ('06)",
         feature: "Collaborative",
-        instrument: "2fast",
+        source: "2fast",
         finding: format!("speedup with 4 helpers: {s4:.2}x"),
         claim_holds: s4 > 2.0,
     }
@@ -208,192 +189,48 @@ fn row_2fast(_seed: u64) -> Table5Row {
 
 // [69] ('07) Tribler/social — the group mechanism generalizes: bigger
 // social groups help until the download link saturates.
-fn row_social(_seed: u64) -> Table5Row {
+fn row_social(_seed: u64) -> StudyRow {
     let curve = speedup_curve(64e3, 8.0, 8);
     let s4 = curve[4].1;
     let big = curve.last().expect("curve").1;
-    Table5Row {
+    StudyRow {
         study: "[69] ('07)",
         feature: "Social",
-        instrument: "Tribler",
+        source: "Tribler",
         finding: format!("speedup saturates at {big:.2}x (download-link cap)"),
         claim_holds: big >= s4 && big <= 8.5,
     }
 }
 
-/// A per-row study function: derives one [`Table5Row`] from a cell seed.
-type StudyFn = fn(u64) -> Table5Row;
-
-/// The declared studies of Table 5: `(grid level, row function)`.
-const STUDIES: &[(&str, StudyFn)] = &[
-    ("aliased-media", row_aliased_media),
-    ("internet-asymmetry", row_internet_asymmetry),
-    ("global-ecosystem", row_global_ecosystem),
-    ("trace-archive", row_trace_archive),
-    ("instrument-bias", row_instrument_bias),
-    ("flashcrowd", row_flashcrowd),
-    ("vicissitude", row_vicissitude),
-    ("2fast", row_2fast),
-    ("social", row_social),
-];
-
-/// One study cell's config: which row function to run.
-#[derive(Debug, Clone, Copy)]
-pub struct Table5Study {
-    /// Grid-level name of the study.
-    pub name: &'static str,
-    run: StudyFn,
-}
-
-/// The Table 5 scenario: each run reproduces one study.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Table5Scenario;
-
-impl Scenario for Table5Scenario {
-    type Config = Table5Study;
-    type Outcome = Table5Row;
-
-    fn run(&self, config: &Table5Study, seed: u64, _tracer: &dyn Tracer) -> Table5Row {
-        (config.run)(seed)
-    }
-}
-
-/// Runs Table 5 as a declared campaign: a `study` factor with one level
-/// per row, `replications` runs per cell, all seeds derived from `seed`.
-pub fn table5_campaign(seed: u64, replications: usize) -> CampaignResult<Table5Study, Table5Row> {
-    Campaign::new("p2p.table5", Table5Scenario)
-        .factor("study", STUDIES.iter().map(|(name, _)| *name))
-        .replications(replications)
-        .root_seed(seed)
-        .run(|cell| {
-            let (name, run) = STUDIES
-                .iter()
-                .find(|(name, _)| *name == cell.level("study"))
-                .expect("grid levels come from STUDIES");
-            Table5Study { name, run: *run }
-        })
-}
-
-/// Runs every row of Table 5 once (the single-replication view of
-/// [`table5_campaign`]).
-pub fn table5(seed: u64) -> Vec<Table5Row> {
-    table5_campaign(seed, 1)
-        .first_outcomes()
-        .into_iter()
-        .cloned()
-        .collect()
-}
-
-/// Renders Table 5 as text.
-pub fn render_table5(rows: &[Table5Row]) -> String {
-    let mut out = format!(
-        "{:<12}{:<22}{:<12}{:<6} {}\n",
-        "Study", "Feature", "Instrument", "OK", "Finding"
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<12}{:<22}{:<12}{:<6} {}\n",
-            r.study,
-            r.feature,
-            r.instrument,
-            if r.claim_holds { "yes" } else { "NO" },
-            r.finding
-        ));
-    }
-    out
-}
-
-/// Renders a replicated campaign: the first replication's findings plus
-/// the claim-holds rate across replications per row.
-pub fn render_table5_campaign(result: &CampaignResult<Table5Study, Table5Row>) -> String {
-    let mut out = format!(
-        "{:<12}{:<22}{:<12}{:<8} {}\n",
-        "Study", "Feature", "Instrument", "OK", "Finding (first replication)"
-    );
-    for cell in &result.cells {
-        let r = cell.first();
-        let rate = cell
-            .summarize(|row| f64::from(u8::from(row.claim_holds)))
-            .mean();
-        out.push_str(&format!(
-            "{:<12}{:<22}{:<12}{:<8} {}\n",
-            r.study,
-            r.feature,
-            r.instrument,
-            format!("{:.0}/{}", rate * cell.runs.len() as f64, cell.runs.len()),
-            r.finding
-        ));
-    }
-    out
-}
-
-/// Table 5 as a servable exploration cell: a query names one study and
-/// gets the replicated claim-holds rate plus the row's printed columns.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Table5Cell;
-
-impl CellScenario for Table5Cell {
-    fn domain(&self) -> &str {
-        "p2p"
-    }
-
-    fn describe(&self) -> &str {
-        "Table 5 peer-to-peer study reproductions, one study row per cell"
-    }
-
-    fn params(&self) -> Vec<ParamSpec> {
-        let names: Vec<&str> = STUDIES.iter().map(|(name, _)| *name).collect();
-        vec![ParamSpec::choice(
-            "study",
-            "which Table 5 study row to reproduce",
-            &names,
-        )]
-    }
-
-    fn run_cell(
-        &self,
-        params: &BTreeMap<String, String>,
-        seed: u64,
-        replications: usize,
-        cancel: &CancelToken,
-        tracer: &dyn Tracer,
-    ) -> Result<CellOutput, String> {
-        let chosen = params.get("study").expect("validated params").as_str();
-        let (name, run) = STUDIES
-            .iter()
-            .find(|(name, _)| *name == chosen)
-            .expect("choice validation admits only STUDIES levels");
-        let rows = run_replicated(
-            &Table5Scenario,
-            &Table5Study { name, run: *run },
-            seed,
-            replications,
-            cancel,
-            tracer,
-        )?;
-        let first = &rows[0];
-        Ok(CellOutput {
-            metrics: vec![(
-                "claim_holds".to_string(),
-                Summary::from_iter(rows.iter().map(|r| f64::from(u8::from(r.claim_holds)))),
-            )],
-            notes: vec![
-                ("study".to_string(), first.study.to_string()),
-                ("feature".to_string(), first.feature.to_string()),
-                ("instrument".to_string(), first.instrument.to_string()),
-                ("finding".to_string(), first.finding.clone()),
-            ],
-        })
-    }
-}
+/// Table 5: the P2P studies, printed and served as one study table.
+pub const TABLE5: StudyTable = StudyTable {
+    name: "p2p.table5",
+    domain: "p2p",
+    describe: "Table 5 peer-to-peer study reproductions, one study row per cell",
+    study_help: "which Table 5 study row to reproduce",
+    source_header: "Instrument",
+    widths: [12, 22, 12],
+    studies: &[
+        ("aliased-media", row_aliased_media),
+        ("internet-asymmetry", row_internet_asymmetry),
+        ("global-ecosystem", row_global_ecosystem),
+        ("trace-archive", row_trace_archive),
+        ("instrument-bias", row_instrument_bias),
+        ("flashcrowd", row_flashcrowd),
+        ("vicissitude", row_vicissitude),
+        ("2fast", row_2fast),
+        ("social", row_social),
+    ],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atlarge_exp::CellScenario;
 
     #[test]
     fn every_table5_claim_holds() {
-        for row in table5(11) {
+        for row in TABLE5.rows(11) {
             assert!(
                 row.claim_holds,
                 "{} {}: claim failed — {}",
@@ -404,9 +241,9 @@ mod tests {
 
     #[test]
     fn table_has_all_study_rows() {
-        let rows = table5(11);
+        let rows = TABLE5.rows(11);
         assert_eq!(rows.len(), 9);
-        let s = render_table5(&rows);
+        let s = TABLE5.render(&rows);
         for tag in [
             "[61]", "[62]", "[63]", "[64]", "[65]", "[66]", "[38]", "[68]", "[69]",
         ] {
@@ -415,19 +252,8 @@ mod tests {
     }
 
     #[test]
-    fn sub_studies_use_distinct_seeds() {
-        let r = table5_campaign(11, 1);
-        let seeds: std::collections::BTreeSet<u64> = r
-            .cells
-            .iter()
-            .flat_map(|c| c.runs.iter().map(|run| run.seed))
-            .collect();
-        assert_eq!(seeds.len(), 9, "each sub-study must get its own stream");
-    }
-
-    #[test]
     fn replicated_campaign_claims_hold_across_seeds() {
-        let r = table5_campaign(11, 3);
+        let r = TABLE5.campaign(11, 3);
         for cell in &r.cells {
             for run in &cell.runs {
                 assert!(
@@ -437,69 +263,47 @@ mod tests {
                 );
             }
         }
-        let rendered = render_table5_campaign(&r);
+        let rendered = TABLE5.render_campaign(&r);
         assert!(rendered.contains("3/3"), "{rendered}");
     }
 
     #[test]
-    fn serve_cell_validates_and_runs_deterministically() {
-        let mut reg = atlarge_exp::Registry::new();
-        reg.register(Box::new(Table5Cell));
-        let raw = BTreeMap::from([("study".to_string(), "flashcrowd".to_string())]);
-        let params = reg.validate("p2p", &raw).expect("valid query");
-
-        let tracer = atlarge_telemetry::NullTracer;
-        let cell = Table5Cell;
-        let run = || {
-            cell.run_cell(&params, 11, 2, &CancelToken::new(), &tracer)
-                .expect("runs clean")
-        };
-        let (a, b) = (run(), run());
-        assert_eq!(a.notes, b.notes, "repeat queries must agree");
+    fn table5_prints_and_serves_its_declared_shape() {
         assert_eq!(
-            a.metrics[0].1.mean(),
-            b.metrics[0].1.mean(),
-            "claim rate must be deterministic"
+            TABLE5.render(&[]),
+            "Study       Feature               Instrument  OK     Finding\n"
         );
-        assert_eq!(a.metrics[0].1.len(), 2);
-        assert!(a.notes.iter().any(|(k, _)| k == "finding"));
-    }
-
-    #[test]
-    fn serve_cell_default_is_first_study_and_bad_choice_rejected() {
-        let mut reg = atlarge_exp::Registry::new();
-        reg.register(Box::new(Table5Cell));
-        let defaults = reg
-            .validate("p2p", &BTreeMap::new())
-            .expect("defaults fill");
-        assert_eq!(defaults["study"], "aliased-media");
-        let raw = BTreeMap::from([("study".to_string(), "nonesuch".to_string())]);
-        let err = reg.validate("p2p", &raw).unwrap_err();
-        assert!(err.contains("not one of"), "{err}");
-    }
-
-    #[test]
-    fn serve_cell_matches_single_study_campaign_seeds() {
-        // The servable cell must reproduce the exact outcome stream a
-        // declared single-cell campaign yields for the same root seed.
-        let (name, run) = STUDIES[5];
-        assert_eq!(name, "flashcrowd");
-        let direct = Campaign::new("p2p.one", Table5Scenario)
-            .replications(3)
-            .root_seed(77)
-            .run(|_| Table5Study { name, run });
-        let tracer = atlarge_telemetry::NullTracer;
-        let params = BTreeMap::from([("study".to_string(), "flashcrowd".to_string())]);
-        let out = Table5Cell
-            .run_cell(&params, 77, 3, &CancelToken::new(), &tracer)
-            .expect("runs clean");
-        let campaign_rate = direct.cells[0]
-            .summarize(|r| f64::from(u8::from(r.claim_holds)))
-            .mean();
-        assert_eq!(out.metrics[0].1.mean(), campaign_rate);
+        // A one-study table with Table 5's declaration prints the
+        // replicated header; trace-archive runs no simulation.
+        let one = StudyTable {
+            studies: &TABLE5.studies[3..4],
+            ..TABLE5
+        };
         assert_eq!(
-            out.notes.iter().find(|(k, _)| k == "finding").unwrap().1,
-            direct.cells[0].first().finding
+            one.render_campaign(&one.campaign(11, 1)).lines().next(),
+            Some(
+                "Study       Feature               Instrument  OK       Finding (first replication)"
+            )
+        );
+        assert_eq!(TABLE5.domain(), "p2p");
+        let spec = TABLE5.params();
+        assert_eq!(spec.len(), 1);
+        assert_eq!(spec[0].name, "study");
+        assert_eq!(spec[0].help, "which Table 5 study row to reproduce");
+        assert_eq!(spec[0].default.as_deref(), Some("aliased-media"));
+        assert_eq!(
+            spec[0].choices,
+            [
+                "aliased-media",
+                "internet-asymmetry",
+                "global-ecosystem",
+                "trace-archive",
+                "instrument-bias",
+                "flashcrowd",
+                "vicissitude",
+                "2fast",
+                "social",
+            ]
         );
     }
 }

@@ -63,9 +63,9 @@ pub use stats::ServerStats;
 /// Table 5–9 and §6 studies, under its published domain name.
 pub fn standard_registry() -> Registry {
     let mut registry = Registry::new();
-    registry.register(Box::new(atlarge_p2p::experiments::Table5Cell));
-    registry.register(Box::new(atlarge_mmog::experiments::Table6Cell));
-    registry.register(Box::new(atlarge_serverless::experiments::Table7Cell));
+    registry.register(Box::new(atlarge_p2p::experiments::TABLE5));
+    registry.register(Box::new(atlarge_mmog::experiments::TABLE6));
+    registry.register(Box::new(atlarge_serverless::experiments::TABLE7));
     registry.register(Box::new(atlarge_graph::experiments::PadExplorerCell));
     registry.register(Box::new(atlarge_scheduling::experiments::Table9Cell));
     registry.register(Box::new(atlarge_datacenter::experiments::CapacityCell));

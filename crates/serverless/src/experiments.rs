@@ -1,5 +1,5 @@
-//! The Table 7 reproduction: one runnable check per study row, executed
-//! as an `atlarge-exp` campaign.
+//! The Table 7 reproduction: one runnable check per study row, declared
+//! as the [`TABLE7`] study table and run as an `atlarge-exp` campaign.
 //!
 //! Each study is one cell of a single-factor grid with an independently
 //! derived seed. Paired contrasts within a row (cold vs warm keep-alive,
@@ -10,26 +10,7 @@ use crate::platform::{faas_vs_reserved, run_platform, FaasConfig, FunctionSpec};
 use crate::refarch::{surveyed_platforms, ServerlessPrinciple};
 use crate::storage::{right_size, single_tier, tiers, JobRequirements};
 use crate::workflow::{map_reduce_workflow, WorkflowEngine};
-use atlarge_exp::registry::{run_replicated, CellOutput, CellScenario, ParamSpec};
-use atlarge_exp::{Campaign, CampaignResult, CancelToken, Scenario};
-use atlarge_stats::descriptive::Summary;
-use atlarge_telemetry::tracer::Tracer;
-use std::collections::BTreeMap;
-
-/// One reproduced row of Table 7.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table7Row {
-    /// Citation tag and year.
-    pub study: &'static str,
-    /// Feature column.
-    pub feature: &'static str,
-    /// Team column.
-    pub team: &'static str,
-    /// Quantitative finding.
-    pub finding: String,
-    /// Whether the study's claim held.
-    pub claim_holds: bool,
-}
+use atlarge_exp::{StudyRow, StudyTable};
 
 fn demo_function() -> FunctionSpec {
     FunctionSpec {
@@ -40,11 +21,11 @@ fn demo_function() -> FunctionSpec {
 }
 
 // [101] ('17) General — terminology and principles.
-fn row_principles(seed: u64) -> Table7Row {
-    Table7Row {
+fn row_principles(seed: u64) -> StudyRow {
+    StudyRow {
         study: "[101] ('17)",
         feature: "General",
-        team: "SPEC RG Cloud",
+        source: "SPEC RG Cloud",
         finding: format!(
             "{} serverless principles encoded; pay-per-use verified on the platform model",
             ServerlessPrinciple::all().len()
@@ -62,7 +43,7 @@ fn row_principles(seed: u64) -> Table7Row {
 }
 
 // [102] ('18) Performance — the cold-start challenge.
-fn row_cold_start(seed: u64) -> Table7Row {
+fn row_cold_start(seed: u64) -> StudyRow {
     let sparse: Vec<(f64, usize)> = (0..50).map(|i| (i as f64 * 120.0, 0)).collect();
     let cold = run_platform(
         vec![demo_function()],
@@ -84,10 +65,10 @@ fn row_cold_start(seed: u64) -> Table7Row {
         seed,
         None,
     );
-    Table7Row {
+    StudyRow {
         study: "[102] ('18)",
         feature: "Performance",
-        team: "SPEC RG Cloud",
+        source: "SPEC RG Cloud",
         finding: format!(
             "cold fraction {:.0}% (30s keep-alive) vs {:.0}% (600s); p50 {:.2}s vs {:.2}s",
             cold.cold_fraction * 100.0,
@@ -101,19 +82,19 @@ fn row_cold_start(seed: u64) -> Table7Row {
 }
 
 // [60] ('18) Evolution — could not have happened ten years ago.
-fn row_evolution(_seed: u64) -> Table7Row {
+fn row_evolution(_seed: u64) -> StudyRow {
     let year = earliest_feasible(&timeline(), "faas").unwrap_or(0);
-    Table7Row {
+    StudyRow {
         study: "[60] ('18)",
         feature: "Evolution",
-        team: "SPEC RG Cloud",
+        source: "SPEC RG Cloud",
         finding: format!("earliest feasible FaaS emergence: {year}"),
         claim_holds: year >= 2015,
     }
 }
 
 // GitHub ('17-'19) Fission Workflows — the engine keeps overhead low.
-fn row_fission_workflows(seed: u64) -> Table7Row {
+fn row_fission_workflows(seed: u64) -> StudyRow {
     let registry = vec![
         FunctionSpec {
             name: "prepare".into(),
@@ -135,10 +116,10 @@ fn row_fission_workflows(seed: u64) -> Table7Row {
     let wf = map_reduce_workflow(16);
     let run = engine.execute(&wf, seed);
     let cp = engine.critical_path(&wf, seed);
-    Table7Row {
+    StudyRow {
         study: "GitHub ('17-'19)",
         feature: "Fission WF.",
-        team: "Platform9",
+        source: "Platform9",
         finding: format!(
             "map-reduce workflow: makespan {:.2}s vs critical path {:.2}s ({} invocations)",
             run.makespan, cp, run.invocations
@@ -148,16 +129,16 @@ fn row_fission_workflows(seed: u64) -> Table7Row {
 }
 
 // [103] ('19) Reference architecture — coverage of surveyed platforms.
-fn row_ref_arch(_seed: u64) -> Table7Row {
+fn row_ref_arch(_seed: u64) -> StudyRow {
     let covered = surveyed_platforms()
         .iter()
         .filter(|p| p.missing_core().is_empty())
         .count();
     let total = surveyed_platforms().len();
-    Table7Row {
+    StudyRow {
         study: "[103] ('19)",
         feature: "Ref. Arch",
-        team: "SPEC RG Cloud",
+        source: "SPEC RG Cloud",
         finding: format!("{covered}/{total} surveyed platforms fully mapped"),
         claim_holds: covered == total,
     }
@@ -165,7 +146,7 @@ fn row_ref_arch(_seed: u64) -> Table7Row {
 
 // [96]/[104] Pocket — right-sized ephemeral storage (the joining
 // designer's line of work, §6.4's closing).
-fn row_pocket_storage(_seed: u64) -> Table7Row {
+fn row_pocket_storage(_seed: u64) -> StudyRow {
     let job = JobRequirements {
         throughput: 2_000.0,
         capacity: 3_000.0,
@@ -173,10 +154,10 @@ fn row_pocket_storage(_seed: u64) -> Table7Row {
     };
     let sized = right_size(&job);
     let dram = single_tier(tiers()[0], &job);
-    Table7Row {
+    StudyRow {
         study: "[96] ('18)",
         feature: "Storage",
-        team: "Stanford/IBM",
+        source: "Stanford/IBM",
         finding: format!(
             "right-sized cost {:.1} vs DRAM-only {:.1} (both satisfy the job)",
             sized.cost(job.lifetime_hours),
@@ -188,13 +169,13 @@ fn row_pocket_storage(_seed: u64) -> Table7Row {
 }
 
 // The FaaS economics headline: serverless wins bursty sparse loads.
-fn row_economics(seed: u64) -> Table7Row {
+fn row_economics(seed: u64) -> StudyRow {
     let invs: Vec<(f64, usize)> = (0..720).map(|i| (i as f64 * 120.0, 0)).collect();
     let (faas, reserved, p50) = faas_vs_reserved(&invs, demo_function(), 86_400.0, 0.05, seed);
-    Table7Row {
+    StudyRow {
         study: "[101] §perf",
         feature: "Economics",
-        team: "SPEC RG Cloud",
+        source: "SPEC RG Cloud",
         finding: format!(
             "sparse workload: faas cost {faas:.3} vs reserved {reserved:.2} (p50 {p50:.2}s)"
         ),
@@ -202,153 +183,34 @@ fn row_economics(seed: u64) -> Table7Row {
     }
 }
 
-/// The declared studies of Table 7: `(grid level, row function)`.
-/// A per-row study function: derives one [`Table7Row`] from a cell seed.
-type StudyFn = fn(u64) -> Table7Row;
-
-const STUDIES: &[(&str, StudyFn)] = &[
-    ("principles", row_principles),
-    ("cold-start", row_cold_start),
-    ("evolution", row_evolution),
-    ("fission-workflows", row_fission_workflows),
-    ("ref-arch", row_ref_arch),
-    ("pocket-storage", row_pocket_storage),
-    ("economics", row_economics),
-];
-
-/// One study cell's config: which row function to run.
-#[derive(Debug, Clone, Copy)]
-pub struct Table7Study {
-    /// Grid-level name of the study.
-    pub name: &'static str,
-    run: StudyFn,
-}
-
-/// The Table 7 scenario: each run reproduces one study.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Table7Scenario;
-
-impl Scenario for Table7Scenario {
-    type Config = Table7Study;
-    type Outcome = Table7Row;
-
-    fn run(&self, config: &Table7Study, seed: u64, _tracer: &dyn Tracer) -> Table7Row {
-        (config.run)(seed)
-    }
-}
-
-/// Runs Table 7 as a declared campaign: a `study` factor with one level
-/// per row, `replications` runs per cell, all seeds derived from `seed`.
-pub fn table7_campaign(seed: u64, replications: usize) -> CampaignResult<Table7Study, Table7Row> {
-    Campaign::new("serverless.table7", Table7Scenario)
-        .factor("study", STUDIES.iter().map(|(name, _)| *name))
-        .replications(replications)
-        .root_seed(seed)
-        .run(|cell| {
-            let (name, run) = STUDIES
-                .iter()
-                .find(|(name, _)| *name == cell.level("study"))
-                .expect("grid levels come from STUDIES");
-            Table7Study { name, run: *run }
-        })
-}
-
-/// Runs every row of Table 7 once (the single-replication view of
-/// [`table7_campaign`]).
-pub fn table7(seed: u64) -> Vec<Table7Row> {
-    table7_campaign(seed, 1)
-        .first_outcomes()
-        .into_iter()
-        .cloned()
-        .collect()
-}
-
-/// Renders Table 7 as text.
-pub fn render_table7(rows: &[Table7Row]) -> String {
-    let mut out = format!(
-        "{:<18}{:<14}{:<16}{:<6} {}\n",
-        "Study", "Feature", "Team", "OK", "Finding"
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:<18}{:<14}{:<16}{:<6} {}\n",
-            r.study,
-            r.feature,
-            r.team,
-            if r.claim_holds { "yes" } else { "NO" },
-            r.finding
-        ));
-    }
-    out
-}
-
-/// Table 7 as a servable exploration cell: a query names one study and
-/// gets the replicated claim-holds rate plus the row's printed columns.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Table7Cell;
-
-impl CellScenario for Table7Cell {
-    fn domain(&self) -> &str {
-        "serverless"
-    }
-
-    fn describe(&self) -> &str {
-        "Table 7 serverless study reproductions, one study row per cell"
-    }
-
-    fn params(&self) -> Vec<ParamSpec> {
-        let names: Vec<&str> = STUDIES.iter().map(|(name, _)| *name).collect();
-        vec![ParamSpec::choice(
-            "study",
-            "which Table 7 study row to reproduce",
-            &names,
-        )]
-    }
-
-    fn run_cell(
-        &self,
-        params: &BTreeMap<String, String>,
-        seed: u64,
-        replications: usize,
-        cancel: &CancelToken,
-        tracer: &dyn Tracer,
-    ) -> Result<CellOutput, String> {
-        let chosen = params.get("study").expect("validated params").as_str();
-        let (name, run) = STUDIES
-            .iter()
-            .find(|(name, _)| *name == chosen)
-            .expect("choice validation admits only STUDIES levels");
-        let rows = run_replicated(
-            &Table7Scenario,
-            &Table7Study { name, run: *run },
-            seed,
-            replications,
-            cancel,
-            tracer,
-        )?;
-        let first = &rows[0];
-        Ok(CellOutput {
-            metrics: vec![(
-                "claim_holds".to_string(),
-                Summary::from_iter(rows.iter().map(|r| f64::from(u8::from(r.claim_holds)))),
-            )],
-            notes: vec![
-                ("study".to_string(), first.study.to_string()),
-                ("feature".to_string(), first.feature.to_string()),
-                ("team".to_string(), first.team.to_string()),
-                ("finding".to_string(), first.finding.clone()),
-            ],
-        })
-    }
-}
+/// Table 7: the serverless studies, printed and served as one study
+/// table. Its third column names the team, not an instrument.
+pub const TABLE7: StudyTable = StudyTable {
+    name: "serverless.table7",
+    domain: "serverless",
+    describe: "Table 7 serverless study reproductions, one study row per cell",
+    study_help: "which Table 7 study row to reproduce",
+    source_header: "Team",
+    widths: [18, 14, 16],
+    studies: &[
+        ("principles", row_principles),
+        ("cold-start", row_cold_start),
+        ("evolution", row_evolution),
+        ("fission-workflows", row_fission_workflows),
+        ("ref-arch", row_ref_arch),
+        ("pocket-storage", row_pocket_storage),
+        ("economics", row_economics),
+    ],
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atlarge_exp::CellScenario;
 
     #[test]
     fn every_table7_claim_holds() {
-        for row in table7(19) {
+        for row in TABLE7.rows(19) {
             assert!(
                 row.claim_holds,
                 "{} {}: claim failed — {}",
@@ -359,9 +221,9 @@ mod tests {
 
     #[test]
     fn table_has_all_rows() {
-        let rows = table7(19);
+        let rows = TABLE7.rows(19);
         assert_eq!(rows.len(), 7);
-        let s = render_table7(&rows);
+        let s = TABLE7.render(&rows);
         for tag in ["[101]", "[102]", "[60]", "Fission", "[103]", "[96]"] {
             assert!(s.contains(tag), "missing {tag}");
         }
@@ -369,7 +231,7 @@ mod tests {
 
     #[test]
     fn replicated_claims_hold_across_seeds() {
-        for cell in &table7_campaign(19, 3).cells {
+        for cell in &TABLE7.campaign(19, 3).cells {
             for run in &cell.runs {
                 assert!(
                     run.outcome.claim_holds,
@@ -381,25 +243,17 @@ mod tests {
     }
 
     #[test]
-    fn serve_cell_reports_team_and_is_deterministic() {
-        let mut reg = atlarge_exp::Registry::new();
-        reg.register(Box::new(Table7Cell));
-        assert_eq!(Table7Cell.params()[0].choices.len(), 7);
-
-        let tracer = atlarge_telemetry::NullTracer;
-        let raw = BTreeMap::from([("study".to_string(), "cold-start".to_string())]);
-        let params = reg.validate("serverless", &raw).expect("valid query");
-        let run = || {
-            Table7Cell
-                .run_cell(&params, 31, 2, &CancelToken::new(), &tracer)
-                .expect("runs clean")
-        };
-        let (a, b) = (run(), run());
-        assert_eq!(a.notes, b.notes);
-        assert_eq!(a.metrics[0].1.mean(), b.metrics[0].1.mean());
-        assert!(
-            a.notes.iter().any(|(k, _)| k == "team"),
-            "Table 7 keeps its team column"
+    fn table7_prints_and_serves_its_declared_shape() {
+        assert_eq!(
+            TABLE7.render(&[]),
+            "Study             Feature       Team            OK     Finding\n"
         );
+        assert_eq!(TABLE7.domain(), "serverless");
+        let spec = TABLE7.params();
+        assert_eq!(spec.len(), 1);
+        assert_eq!(spec[0].name, "study");
+        assert_eq!(spec[0].help, "which Table 7 study row to reproduce");
+        assert_eq!(spec[0].default.as_deref(), Some("principles"));
+        assert_eq!(spec[0].choices.len(), 7);
     }
 }

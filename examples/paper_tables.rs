@@ -26,12 +26,12 @@ use atlarge::datacenter::refarch::{big_data_refarch, full_datacenter_refarch};
 use atlarge::exp::interop::exploration_campaign;
 use atlarge::exp::CampaignResult;
 use atlarge::graph::experiments as graph_exp;
-use atlarge::mmog::experiments::{render_table6, table6_campaign};
-use atlarge::p2p::experiments::{render_table5, render_table5_campaign, table5_campaign};
+use atlarge::mmog::experiments::TABLE6;
+use atlarge::p2p::experiments::TABLE5;
 use atlarge::p2p::sharded::{run_regional_swarm, RegionalConfig};
 use atlarge::p2p::swarm::{Bandwidth, SwarmConfig};
 use atlarge::scheduling::experiments::{render_table9, table9_campaign, Scale};
-use atlarge::serverless::experiments::{render_table7, table7_campaign};
+use atlarge::serverless::experiments::TABLE7;
 use atlarge::serverless::platform::{FaasConfig, FunctionSpec};
 use atlarge::serverless::sharded::run_sharded_platform;
 
@@ -297,21 +297,21 @@ fn main() {
     }
 
     header("Table 5 — P2P studies");
-    let t5 = table5_campaign(seed, replications);
+    let t5 = TABLE5.campaign(seed, replications);
     if replications > 1 {
-        print!("{}", render_table5_campaign(&t5));
+        print!("{}", TABLE5.render_campaign(&t5));
     } else {
         print!(
             "{}",
-            render_table5(&t5.first_outcomes().into_iter().cloned().collect::<Vec<_>>())
+            TABLE5.render(&t5.first_outcomes().into_iter().cloned().collect::<Vec<_>>())
         );
     }
 
     header("Table 6 — MMOG studies");
-    let t6 = table6_campaign(seed, replications);
+    let t6 = TABLE6.campaign(seed, replications);
     print!(
         "{}",
-        render_table6(&t6.first_outcomes().into_iter().cloned().collect::<Vec<_>>())
+        TABLE6.render(&t6.first_outcomes().into_iter().cloned().collect::<Vec<_>>())
     );
     if replications > 1 {
         let (held, total) = claim_rate(&t6, |r| r.claim_holds);
@@ -319,10 +319,10 @@ fn main() {
     }
 
     header("Table 7 — serverless studies");
-    let t7 = table7_campaign(seed, replications);
+    let t7 = TABLE7.campaign(seed, replications);
     print!(
         "{}",
-        render_table7(&t7.first_outcomes().into_iter().cloned().collect::<Vec<_>>())
+        TABLE7.render(&t7.first_outcomes().into_iter().cloned().collect::<Vec<_>>())
     );
     if replications > 1 {
         let (held, total) = claim_rate(&t7, |r| r.claim_holds);

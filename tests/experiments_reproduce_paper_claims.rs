@@ -4,21 +4,21 @@
 
 #[test]
 fn table5_all_p2p_claims_hold() {
-    for row in atlarge::p2p::experiments::table5(99) {
+    for row in atlarge::p2p::experiments::TABLE5.rows(99) {
         assert!(row.claim_holds, "{} failed: {}", row.study, row.finding);
     }
 }
 
 #[test]
 fn table6_all_mmog_claims_hold() {
-    for row in atlarge::mmog::experiments::table6(99) {
+    for row in atlarge::mmog::experiments::TABLE6.rows(99) {
         assert!(row.claim_holds, "{} failed: {}", row.study, row.finding);
     }
 }
 
 #[test]
 fn table7_all_serverless_claims_hold() {
-    for row in atlarge::serverless::experiments::table7(99) {
+    for row in atlarge::serverless::experiments::TABLE7.rows(99) {
         assert!(row.claim_holds, "{} failed: {}", row.study, row.finding);
     }
 }
