@@ -15,7 +15,7 @@ use crate::metrics::ElasticityReport;
 use crate::sim::{run, AutoscaleConfig};
 use atlarge_evolve::SwapPlan;
 use atlarge_exp::registry::{parse_param, run_replicated, CellOutput, CellScenario, ParamSpec};
-use atlarge_exp::{Campaign, CampaignResult, CancelToken, Scenario, SeedMode};
+use atlarge_exp::{Campaign, CampaignResult, CancelToken, SeedMode};
 use atlarge_stats::descriptive::Summary;
 use atlarge_stats::ranking::{Direction, ScoreTable};
 use atlarge_telemetry::tracer::Tracer;
@@ -119,75 +119,52 @@ pub struct AutoscaleSpec {
     pub swap: SwapPlan,
 }
 
-/// The §6.7 campaign scenario: one autoscaler on one workload. Runs in
-/// common-random-numbers mode so every scaler of a replication faces
-/// the identical workflow set — the rankings compare *when* workflows
-/// finish, never *whether*.
-#[derive(Debug, Clone, Copy)]
-pub struct AutoscaleScenario {
-    /// Simulated horizon in seconds.
-    pub horizon: f64,
-}
-
-impl Scenario for AutoscaleScenario {
-    type Config = AutoscaleSpec;
-    type Outcome = CampaignCell;
-
-    fn run(&self, config: &AutoscaleSpec, seed: u64, _tracer: &dyn Tracer) -> CampaignCell {
-        self.try_run(config, seed).unwrap_or_else(|e| panic!("{e}"))
+/// One §6.7 run: one autoscaler on one workload, or an error naming
+/// `horizon` when the workload draws no workflow to scale for (short
+/// horizons at some seeds). The served cell answers that error as a
+/// query error; the campaigns call it through [`campaign_run`].
+fn try_run(horizon: f64, spec: &AutoscaleSpec, seed: u64) -> Result<CampaignCell, String> {
+    let billing = BillingModel::PerSecond { rate: 0.5 };
+    let sla = DeadlineSla::Hard { slack: 2.0 };
+    let workflows = spec.workload.generate(horizon, seed);
+    if workflows.is_empty() {
+        return Err(format!(
+            "parameter 'horizon': {horizon} s is too short, a replication drew no {} workflow",
+            spec.workload.name()
+        ));
     }
+    let name = ROSTER_NAMES[spec.scaler_idx];
+    // The roster builds a fresh scaler per run, so stateful scalers
+    // start clean.
+    let scaler = evolving_scaler(name, spec.swap.clone())
+        .expect("roster names and swap plans are checked before the campaign");
+    let result = run(workflows, scaler, AutoscaleConfig::default(), seed, None);
+    let to = result.end_time.max(1.0);
+    let cost = billing.cost(&result.supply, 0.0, to);
+    let report = ElasticityReport::compute(
+        &result.demand,
+        &result.supply,
+        0.0,
+        to,
+        result.mean_response(),
+        cost,
+    );
+    Ok(CampaignCell {
+        scaler: name,
+        workload: spec.workload.name(),
+        report,
+        sla_violations: sla.violations(&result.workflows),
+        completed: result.workflows.len(),
+    })
 }
 
-impl AutoscaleScenario {
-    /// One run, or an error naming `horizon` when the workload draws no
-    /// workflow to scale for (short horizons at some seeds).
-    fn try_run(&self, config: &AutoscaleSpec, seed: u64) -> Result<CampaignCell, String> {
-        let billing = BillingModel::PerSecond { rate: 0.5 };
-        let sla = DeadlineSla::Hard { slack: 2.0 };
-        let workflows = config.workload.generate(self.horizon, seed);
-        if workflows.is_empty() {
-            return Err(format!(
-                "parameter 'horizon': {} s is too short, a replication drew no {} workflow",
-                self.horizon,
-                config.workload.name()
-            ));
-        }
-        let name = ROSTER_NAMES[config.scaler_idx];
-        // The roster builds a fresh scaler per run, so stateful scalers
-        // start clean.
-        let scaler = evolving_scaler(name, config.swap.clone())
-            .expect("roster names and swap plans are checked before the campaign");
-        let result = run(workflows, scaler, AutoscaleConfig::default(), seed, None);
-        let to = result.end_time.max(1.0);
-        let cost = billing.cost(&result.supply, 0.0, to);
-        let report = ElasticityReport::compute(
-            &result.demand,
-            &result.supply,
-            0.0,
-            to,
-            result.mean_response(),
-            cost,
-        );
-        Ok(CampaignCell {
-            scaler: name,
-            workload: config.workload.name(),
-            report,
-            sla_violations: sla.violations(&result.workflows),
-            completed: result.workflows.len(),
-        })
-    }
-}
-
-/// [`AutoscaleScenario`] as a served cell runs it: a replication whose
-/// workload draws no workflow is a query error, not a panic.
-struct ServedAutoscale(AutoscaleScenario);
-
-impl Scenario for ServedAutoscale {
-    type Config = AutoscaleSpec;
-    type Outcome = Result<CampaignCell, String>;
-
-    fn run(&self, config: &AutoscaleSpec, seed: u64, _tracer: &dyn Tracer) -> Self::Outcome {
-        self.0.try_run(config, seed)
+/// [`try_run`] as a campaign runs it: a run that draws no workflow
+/// panics. The campaigns run in common-random-numbers mode, so every
+/// scaler of a replication faces the identical workflow set — the
+/// rankings compare *when* workflows finish, never *whether*.
+fn campaign_run(horizon: f64) -> impl Fn(&AutoscaleSpec, u64) -> CampaignCell + Sync {
+    move |spec: &AutoscaleSpec, seed: u64| {
+        try_run(horizon, spec, seed).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -198,7 +175,7 @@ pub fn campaign_result(
     seed: u64,
     replications: usize,
 ) -> CampaignResult<AutoscaleSpec, CampaignCell> {
-    Campaign::new("autoscaling.campaign", AutoscaleScenario { horizon })
+    Campaign::new("autoscaling.campaign", campaign_run(horizon))
         .factor("workload", WorkflowWorkload::all().map(|w| w.name()))
         .factor("scaler", ROSTER_NAMES)
         .replications(replications)
@@ -248,7 +225,7 @@ pub fn ab_campaign_result(
     // Validates every successor name before any cell runs.
     evolving_scaler(initial, plan.clone())?;
     Ok(
-        Campaign::new("autoscaling.evolution", AutoscaleScenario { horizon })
+        Campaign::new("autoscaling.evolution", campaign_run(horizon))
             .factor("workload", WorkflowWorkload::all().map(|w| w.name()))
             .factor("swap", ["none".to_string(), plan.canonical()])
             .replications(replications)
@@ -375,7 +352,7 @@ impl CellScenario for AutoscaleCell {
         seed: u64,
         replications: usize,
         cancel: &CancelToken,
-        tracer: &dyn Tracer,
+        _tracer: &dyn Tracer,
     ) -> Result<CellOutput, String> {
         let workload = WorkflowWorkload::all()
             .into_iter()
@@ -406,14 +383,9 @@ impl CellScenario for AutoscaleCell {
             scaler_idx,
             swap,
         };
-        let runs = run_replicated(
-            &ServedAutoscale(AutoscaleScenario { horizon }),
-            &spec,
-            seed,
-            replications,
-            cancel,
-            tracer,
-        )?
+        let runs = run_replicated(seed, replications, cancel, |seed| {
+            try_run(horizon, &spec, seed)
+        })?
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
         let summarize = |f: &dyn Fn(&CampaignCell) -> f64| Summary::from_iter(runs.iter().map(f));
@@ -589,6 +561,51 @@ mod tests {
         assert!(a
             .notes
             .contains(&("scaler".to_string(), "token".to_string())));
+    }
+
+    #[test]
+    fn serve_cell_equals_the_campaign_cell() {
+        // Campaigns run in common-random-numbers mode, so every cell of
+        // replication `rep` draws `derive_seed(root, 0, rep)`, as the
+        // served cell does, and both call the same run function.
+        let campaign = campaign_result(4_000.0, 41, 2);
+        let cell = campaign
+            .cells
+            .iter()
+            .find(|c| c.spec.level("workload") == "bursty" && c.spec.level("scaler") == "token")
+            .expect("grid covers bursty x token");
+        let mut reg = atlarge_exp::Registry::new();
+        reg.register(Box::new(AutoscaleCell));
+        let raw = BTreeMap::from([
+            ("workload".to_string(), "bursty".to_string()),
+            ("scaler".to_string(), "token".to_string()),
+            ("horizon".to_string(), "4000".to_string()),
+        ]);
+        let params = reg.validate("autoscaling", &raw).expect("valid query");
+        let out = AutoscaleCell
+            .run_cell(
+                &params,
+                41,
+                2,
+                &CancelToken::new(),
+                &atlarge_telemetry::NullTracer,
+            )
+            .expect("runs clean");
+        let metric =
+            |name: &str, f: fn(&CampaignCell) -> f64| (name.to_string(), cell.summarize(f));
+        assert_eq!(
+            out.metrics,
+            vec![
+                metric("under_accuracy", |c| c.report.under_accuracy),
+                metric("over_accuracy", |c| c.report.over_accuracy),
+                metric("avg_utilization", |c| c.report.avg_utilization),
+                metric("instability", |c| c.report.instability),
+                metric("mean_response", |c| c.report.mean_response),
+                metric("cost", |c| c.report.cost),
+                metric("sla_violations", |c| c.sla_violations as f64),
+                metric("completed", |c| c.completed as f64),
+            ]
+        );
     }
 
     #[test]

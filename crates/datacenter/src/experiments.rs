@@ -9,7 +9,7 @@
 
 use crate::loadgen::{run_cluster, ClusterRunStats};
 use atlarge_exp::registry::{parse_param, run_replicated, CellOutput, CellScenario, ParamSpec};
-use atlarge_exp::{Campaign, CampaignResult, CancelToken, CellSummary, Scenario};
+use atlarge_exp::{Campaign, CampaignResult, CancelToken, CellSummary};
 use atlarge_stats::descriptive::Summary;
 use atlarge_telemetry::tracer::Tracer;
 use std::collections::BTreeMap;
@@ -25,17 +25,10 @@ pub struct ClusterSpec {
     pub jobs: usize,
 }
 
-/// The capacity scenario: one seeded cluster run per execution.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClusterScenario;
-
-impl Scenario for ClusterScenario {
-    type Config = ClusterSpec;
-    type Outcome = ClusterRunStats;
-
-    fn run(&self, config: &ClusterSpec, seed: u64, _tracer: &dyn Tracer) -> ClusterRunStats {
-        run_cluster(config.hosts, config.cores_per_host, config.jobs, seed, None)
-    }
+/// One capacity run: a seeded cluster run of the cell's shape and load.
+/// The campaign and the served cell both call it.
+fn run_capacity(spec: &ClusterSpec, seed: u64) -> ClusterRunStats {
+    run_cluster(spec.hosts, spec.cores_per_host, spec.jobs, seed, None)
 }
 
 /// Runs the capacity campaign: `hosts` × `cores-per-host` levels, the
@@ -48,7 +41,7 @@ pub fn capacity_campaign(
     seed: u64,
     replications: usize,
 ) -> CampaignResult<ClusterSpec, ClusterRunStats> {
-    Campaign::new("datacenter.capacity", ClusterScenario)
+    Campaign::new("datacenter.capacity", run_capacity)
         .factor("hosts", hosts.iter().map(|h| h.to_string()))
         .factor("cores", cores.iter().map(|c| c.to_string()))
         .replications(replications)
@@ -130,7 +123,7 @@ impl CellScenario for CapacityCell {
         seed: u64,
         replications: usize,
         cancel: &CancelToken,
-        tracer: &dyn Tracer,
+        _tracer: &dyn Tracer,
     ) -> Result<CellOutput, String> {
         let hosts: usize = parse_param(params, "hosts")?;
         let cores_per_host: u32 = parse_param(params, "cores_per_host")?;
@@ -159,7 +152,7 @@ impl CellScenario for CapacityCell {
             cores_per_host,
             jobs,
         };
-        let runs = run_replicated(&ClusterScenario, &spec, seed, replications, cancel, tracer)?;
+        let runs = run_replicated(seed, replications, cancel, |seed| run_capacity(&spec, seed))?;
         let summarize =
             |f: &dyn Fn(&ClusterRunStats) -> f64| Summary::from_iter(runs.iter().map(f));
         Ok(CellOutput {

@@ -28,10 +28,10 @@
 //!   an 8-byte payload), then hints the bucket's next free slot into
 //!   the cache, so the next append there finds its line.
 //! - **Fine ring.** When the drain cursor reaches a coarse bucket with
-//!   more than [`SPLIT_LEN`] entries, the bucket is scattered once into
+//!   more than `SPLIT_LEN` entries, the bucket is scattered once into
 //!   a ring of `fine` narrow buckets that together cover its width;
 //!   `fine` is derived from the bucket's own population (about
-//!   [`FINE_OCCUPANCY`] entries each, at most [`MAX_RING`]). A smaller
+//!   `FINE_OCCUPANCY` entries each, at most `MAX_RING`). A smaller
 //!   bucket is drained whole, as a single-level calendar would, so a
 //!   small queue never allocates a ring.
 //! - **Run.** The front bucket — the fine bucket under the cursor, or
@@ -44,7 +44,7 @@
 //!
 //! Each event is appended once to a coarse bucket, moved at most once
 //! into the ring, and sorted once in a bucket of about
-//! [`FINE_OCCUPANCY`] entries, so the amortised cost per operation is
+//! `FINE_OCCUPANCY` entries, so the amortised cost per operation is
 //! O(1). Buffers are recycled rather than reallocated: ring slots keep
 //! theirs, the run hands its drained buffer back to the slot it came
 //! from, and emptied coarse buffers go to a bounded spare pool that
@@ -63,8 +63,8 @@
 //! The queue **recalibrates** (rebuilds) whenever its population `n`
 //! doubles or quarters relative to the last rebuild. The coarse width is
 //! a multiple of the mean gap between consecutive distinct times among
-//! the earliest pending events: [`BUCKET_GAPS`] gaps for small queues,
-//! growing as `n / LIVE_BUCKETS` so that about [`LIVE_BUCKETS`] coarse
+//! the earliest pending events: `BUCKET_GAPS` gaps for small queues,
+//! growing as `n / LIVE_BUCKETS` so that about `LIVE_BUCKETS` coarse
 //! buckets are live at any population. Rebuilds are O(n) — only the
 //! head is sorted, to sample the gaps — and geometrically spaced, so
 //! their amortised cost is O(1) per operation.
@@ -80,7 +80,7 @@
 //! 7.2 entries. The single-level calendar this replaced, with the same
 //! sampling, drained 222 entries per bucket where 64 were planned.
 //! Splitting takes its density from the bucket itself, so the sorted
-//! unit stays near [`FINE_OCCUPANCY`] whatever the sample said.
+//! unit stays near `FINE_OCCUPANCY` whatever the sample said.
 //!
 //! # When it degrades
 //!

@@ -9,7 +9,7 @@
 //! [`Partition`]'s declared per-edge lookahead (the minimum cross-shard
 //! latency of the domain model: a link delay, a router overhead, a tick
 //! period). Cross-shard events are posted to per-shard mailboxes and
-//! merged between rounds; see [`sync`] for the protocol.
+//! merged between rounds; see `sync` for the protocol.
 //!
 //! # Determinism
 //!
@@ -34,7 +34,7 @@
 //!   entity, never to the shard or thread that happens to run it.
 //!
 //! Tracer hooks are buffered per shard and replayed in merged order
-//! after the run ([`trace`]), so traces are also shard-count-invariant.
+//! after the run (`trace`), so traces are also shard-count-invariant.
 //!
 //! # Why conservative, not optimistic
 //!
@@ -838,7 +838,7 @@ where
     /// worker count, and FEL backend. A horizon before the current time
     /// dispatches nothing and leaves the clock where it is.
     ///
-    /// Every run takes the same round loop (see [`sync`]): one worker
+    /// Every run takes the same round loop (see `sync`): one worker
     /// per chunk of shards, the calling thread working the last chunk.
     /// A handler panic on any worker ends the run for all of them and
     /// is resumed here; so is the abort of a run whose horizons freeze.

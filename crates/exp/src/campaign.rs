@@ -14,13 +14,11 @@
 use crate::cancel::CancelToken;
 use crate::executor::run_indexed_cancellable;
 use crate::grid::{CellSpec, FactorGrid};
-use crate::scenario::Scenario;
 use crate::seed::derive_seed;
 use atlarge_stats::descriptive::Summary;
 use atlarge_stats::factorial;
 use atlarge_telemetry::export::{json_f64, json_object, json_str};
 use atlarge_telemetry::manifest::{config_digest, RunManifest, MANIFEST_SCHEMA};
-use atlarge_telemetry::tracer::{NullTracer, Tracer};
 use atlarge_telemetry::wall::Stopwatch;
 use std::io::{self, Write};
 
@@ -40,10 +38,30 @@ pub enum SeedMode {
     CommonRandomNumbers,
 }
 
-/// A declared experiment campaign over a [`Scenario`].
-pub struct Campaign<S: Scenario> {
+/// A declared experiment campaign: a factor grid, a replication plan,
+/// and the run function every `(cell, replication)` job calls.
+///
+/// The run function is the experiment: a pure function from a cell's
+/// config and a derived seed to an outcome. Determinism is the
+/// contract — the same config and seed must produce the same outcome on
+/// any thread, which is what lets the engine guarantee byte-identical
+/// results between serial and parallel execution. The engine shares one
+/// run function across worker threads, so it is `Sync`, and all
+/// run-specific state belongs in the config or inside the call.
+///
+/// # Examples
+///
+/// ```
+/// use atlarge_exp::Campaign;
+///
+/// let result = Campaign::new("doubling", |x: &f64, _seed| x * 2.0)
+///     .factor("x", ["1", "2"])
+///     .run(|cell| cell.level("x").parse().unwrap());
+/// assert_eq!(*result.cells[1].first(), 4.0);
+/// ```
+pub struct Campaign<F> {
     name: String,
-    scenario: S,
+    run: F,
     grid: FactorGrid,
     replications: usize,
     root_seed: u64,
@@ -51,26 +69,23 @@ pub struct Campaign<S: Scenario> {
     seed_mode: SeedMode,
 }
 
-impl<S: Scenario> Campaign<S> {
+impl<F> Campaign<F> {
     /// Starts a campaign named `name` (the manifest's model string)
-    /// over `scenario`, with an empty grid, one replication, root seed
-    /// 0, and automatic thread selection.
-    pub fn new(name: impl Into<String>, scenario: S) -> Self {
+    /// over `run`, with an empty grid, one replication, root seed 0,
+    /// and automatic thread selection.
+    pub fn new<C, O>(name: impl Into<String>, run: F) -> Self
+    where
+        F: Fn(&C, u64) -> O + Sync,
+    {
         Campaign {
             name: name.into(),
-            scenario,
+            run,
             grid: FactorGrid::new(),
             replications: 1,
             root_seed: 0,
             threads: None,
             seed_mode: SeedMode::Independent,
         }
-    }
-
-    /// Replaces the factor grid wholesale.
-    pub fn grid(mut self, grid: FactorGrid) -> Self {
-        self.grid = grid;
-        self
     }
 
     /// Adds one factor (see [`FactorGrid::factor`]).
@@ -108,8 +123,7 @@ impl<S: Scenario> Campaign<S> {
 
     /// Pins the worker-thread count. Without this, the
     /// `ATLARGE_EXP_THREADS` environment variable decides, and failing
-    /// that the machine's available parallelism — the ROADMAP's "as
-    /// fast as the hardware allows" default.
+    /// that the machine's available parallelism.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
@@ -140,10 +154,13 @@ impl<S: Scenario> Campaign<S> {
     /// resolved thread count, and aggregates in canonical order.
     ///
     /// The result is identical (modulo wall-clock) for any thread
-    /// count, provided the scenario honors its determinism contract.
-    pub fn run<F>(self, configure: F) -> CampaignResult<S::Config, S::Outcome>
+    /// count, provided the run function honors its determinism contract.
+    pub fn run<C, O, G>(self, configure: G) -> CampaignResult<C, O>
     where
-        F: Fn(&CellSpec) -> S::Config,
+        F: Fn(&C, u64) -> O + Sync,
+        G: Fn(&CellSpec) -> C,
+        C: Sync,
+        O: Send,
     {
         self.run_cancellable(configure, &CancelToken::new())
             .expect("a fresh token is never cancelled")
@@ -154,30 +171,33 @@ impl<S: Scenario> Campaign<S> {
     /// boundary once it fires. Returns `None` when cancelled — never a
     /// partial result, so a completed campaign remains byte-identical
     /// to any other completion of the same declaration.
-    pub fn run_cancellable<F>(
+    pub fn run_cancellable<C, O, G>(
         self,
-        configure: F,
+        configure: G,
         cancel: &CancelToken,
-    ) -> Option<CampaignResult<S::Config, S::Outcome>>
+    ) -> Option<CampaignResult<C, O>>
     where
-        F: Fn(&CellSpec) -> S::Config,
+        F: Fn(&C, u64) -> O + Sync,
+        G: Fn(&CellSpec) -> C,
+        C: Sync,
+        O: Send,
     {
         // Wall time is report-only (excluded from result equality); it is
         // read through the telemetry boundary, never `Instant` directly.
         let started = Stopwatch::start();
         let threads = self.resolve_threads();
         let cells: Vec<CellSpec> = self.grid.cells().collect();
-        let configs: Vec<S::Config> = cells.iter().map(&configure).collect();
+        let configs: Vec<C> = cells.iter().map(&configure).collect();
         let reps = self.replications;
         let jobs = cells.len() * reps;
 
-        let scenario = &self.scenario;
-        let outcomes: Vec<S::Outcome> = run_indexed_cancellable(jobs, threads, cancel, |j| {
+        let run = &self.run;
+        let outcomes: Vec<O> = run_indexed_cancellable(jobs, threads, cancel, |j| {
             let (cell, rep) = (j / reps, j % reps);
-            scenario.run(&configs[cell], self.seed_of(cell, rep), &NullTracer)
+            run(&configs[cell], self.seed_of(cell, rep))
         })?;
 
-        let mut cell_results: Vec<CellResult<S::Config, S::Outcome>> = cells
+        let mut cell_results: Vec<CellResult<C, O>> = cells
             .into_iter()
             .zip(configs)
             .map(|(spec, config)| CellResult {
@@ -203,25 +223,6 @@ impl<S: Scenario> Campaign<S> {
             wall_ms: started.elapsed_ms(),
         })
     }
-
-    /// Re-runs a single `(cell, replication)` with an attached tracer —
-    /// the observability escape hatch. The outcome equals the campaign
-    /// run's (tracers observe, never steer).
-    pub fn run_cell_traced<F>(
-        &self,
-        configure: F,
-        cell: usize,
-        replication: usize,
-        tracer: &dyn Tracer,
-    ) -> S::Outcome
-    where
-        F: Fn(&CellSpec) -> S::Config,
-    {
-        let spec = self.grid.cell(cell);
-        let config = configure(&spec);
-        self.scenario
-            .run(&config, self.seed_of(cell, replication), tracer)
-    }
 }
 
 /// One replication's seed and outcome.
@@ -229,7 +230,7 @@ impl<S: Scenario> Campaign<S> {
 pub struct CellRun<O> {
     /// The derived seed this run used.
     pub seed: u64,
-    /// What the scenario produced.
+    /// What the run function returned.
     pub outcome: O,
 }
 
@@ -432,18 +433,13 @@ impl<C: std::fmt::Debug, O> CampaignResult<C, O> {
 mod tests {
     use super::*;
 
-    /// A deterministic but seed-sensitive toy scenario.
-    struct Mixer;
-    impl Scenario for Mixer {
-        type Config = u64;
-        type Outcome = u64;
-        fn run(&self, config: &u64, seed: u64, _tracer: &dyn Tracer) -> u64 {
-            crate::seed::splitmix64_mix(config ^ seed)
-        }
+    /// A deterministic but seed-sensitive toy run function.
+    fn mixer(config: &u64, seed: u64) -> u64 {
+        crate::seed::splitmix64_mix(config ^ seed)
     }
 
     fn campaign(threads: usize) -> CampaignResult<u64, u64> {
-        Campaign::new("test.mixer", Mixer)
+        Campaign::new("test.mixer", mixer)
             .factor("a", ["0", "1", "2"])
             .factor("b", ["0", "1"])
             .replications(3)
@@ -491,7 +487,7 @@ mod tests {
 
     #[test]
     fn common_random_numbers_share_seeds_across_cells() {
-        let r = Campaign::new("crn", Mixer)
+        let r = Campaign::new("crn", mixer)
             .factor("x", ["a", "b", "c"])
             .replications(2)
             .root_seed(5)
@@ -508,7 +504,7 @@ mod tests {
 
     #[test]
     fn summaries_and_factorial_interop() {
-        let r = Campaign::new("fact", Mixer)
+        let r = Campaign::new("fact", mixer)
             .factor("a", ["p", "q"])
             .factor("b", ["x", "y"])
             .factor("c", ["1", "2"])
@@ -530,7 +526,7 @@ mod tests {
     #[test]
     fn manifest_tracks_declared_inputs() {
         let a = campaign(1).manifest();
-        let mut differently_seeded = Campaign::new("test.mixer", Mixer)
+        let mut differently_seeded = Campaign::new("test.mixer", mixer)
             .factor("a", ["0", "1", "2"])
             .factor("b", ["0", "1"])
             .replications(3)
@@ -563,31 +559,16 @@ mod tests {
     }
 
     #[test]
-    fn traced_cell_matches_campaign_outcome() {
-        let configure = |c: &CellSpec| c.index as u64;
-        let r = Campaign::new("t", Mixer)
-            .factor("x", ["a", "b"])
-            .root_seed(3)
-            .threads(1)
-            .run(configure);
-        let relaunched = Campaign::new("t", Mixer)
-            .factor("x", ["a", "b"])
-            .root_seed(3)
-            .run_cell_traced(configure, 1, 0, &NullTracer);
-        assert_eq!(relaunched, r.cells[1].runs[0].outcome);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one replication")]
     fn zero_replications_panics() {
-        let _ = Campaign::new("z", Mixer).replications(0);
+        let _ = Campaign::new("z", mixer).replications(0);
     }
 
     #[test]
     fn cancelled_campaign_yields_nothing() {
         let token = CancelToken::new();
         token.cancel();
-        let r = Campaign::new("c", Mixer)
+        let r = Campaign::new("c", mixer)
             .factor("x", ["a", "b"])
             .replications(4)
             .threads(1)
@@ -599,7 +580,7 @@ mod tests {
     fn uncancelled_campaign_equals_plain_run() {
         let configure = |c: &CellSpec| c.index as u64;
         let build = || {
-            Campaign::new("c", Mixer)
+            Campaign::new("c", mixer)
                 .factor("x", ["a", "b", "c"])
                 .replications(3)
                 .root_seed(7)

@@ -3,34 +3,12 @@
 //! replicated campaign instead of a hand-rolled trial loop.
 
 use crate::campaign::{Campaign, CampaignResult};
-use crate::scenario::Scenario;
 use atlarge_core::exploration::{ExplorationProcess, ExplorationReport, Explorer};
 use atlarge_core::space::DesignSpace;
-use atlarge_telemetry::tracer::Tracer;
-
-/// A design-space exploration as a campaign scenario: each run is one
-/// seeded [`Explorer`] execution of the configured process.
-#[derive(Debug)]
-pub struct ExplorationScenario<S> {
-    /// The space explored.
-    pub space: S,
-    /// Satisficing threshold in `[0, 1]`.
-    pub threshold: f64,
-    /// Evaluation budget per run.
-    pub budget: usize,
-}
-
-impl<S: DesignSpace + Sync> Scenario for ExplorationScenario<S> {
-    type Config = ExplorationProcess;
-    type Outcome = ExplorationReport;
-
-    fn run(&self, config: &Self::Config, seed: u64, _tracer: &dyn Tracer) -> Self::Outcome {
-        Explorer::new(*config, self.budget).run(&self.space, self.threshold, seed)
-    }
-}
 
 /// Figure 6 through the engine: all four processes × `trials`
-/// replications on one grid. The summary view
+/// replications on one grid, each run one seeded [`Explorer`] execution
+/// of the cell's process. The summary view
 /// (`satisfice rate, novelty, best quality` per process) matches
 /// `atlarge_core::exploration::compare_processes` in meaning, with
 /// replication seeds derived from `root_seed` instead of `0..trials`.
@@ -41,26 +19,22 @@ pub fn exploration_campaign<S: DesignSpace + Sync>(
     trials: usize,
     root_seed: u64,
 ) -> CampaignResult<ExplorationProcess, ExplorationReport> {
-    Campaign::new(
-        "core.exploration",
-        ExplorationScenario {
-            space,
-            threshold,
-            budget,
-        },
-    )
-    .factor(
-        "process",
-        ExplorationProcess::all().map(|p| p.name().to_string()),
-    )
-    .replications(trials)
-    .root_seed(root_seed)
-    .run(|cell| {
-        ExplorationProcess::all()
-            .into_iter()
-            .find(|p| p.name() == cell.level("process"))
-            .expect("grid levels come from the process roster")
-    })
+    let explore = |process: &ExplorationProcess, seed| {
+        Explorer::new(*process, budget).run(&space, threshold, seed)
+    };
+    Campaign::new("core.exploration", explore)
+        .factor(
+            "process",
+            ExplorationProcess::all().map(|p| p.name().to_string()),
+        )
+        .replications(trials)
+        .root_seed(root_seed)
+        .run(|cell| {
+            ExplorationProcess::all()
+                .into_iter()
+                .find(|p| p.name() == cell.level("process"))
+                .expect("grid levels come from the process roster")
+        })
 }
 
 #[cfg(test)]

@@ -5,39 +5,32 @@
 //! campaigns of §6.5 are the template). This crate is that process as
 //! infrastructure, shared by every Section-6 domain:
 //!
-//! - [`Scenario`] — one experiment as a pure `(config, seed) → outcome`
-//!   function, optionally narrated to a `Tracer`.
 //! - [`FactorGrid`] — declared factors × levels, enumerated in one
 //!   canonical order.
 //! - [`seed`] — SplitMix64 derivation of independent per-cell,
 //!   per-replication streams from a single root seed.
-//! - [`Campaign`] — the builder tying them together, with a
+//! - [`Campaign`] — the builder tying them together: it sweeps one
+//!   experiment, a pure `(config, seed) → outcome` run function, with a
 //!   work-stealing `std::thread` executor that guarantees
 //!   **byte-identical aggregation between serial and parallel runs**.
 //! - [`CampaignResult`] — outcomes in canonical cell order, aggregated
 //!   through `atlarge-stats` (mean/CI/quantiles per cell) and stamped
 //!   with an `atlarge-telemetry` [`RunManifest`](atlarge_telemetry::RunManifest)
 //!   so `atlarge-obsv` can gate campaign-level regressions.
+//! - [`CellScenario`] — the served, object-safe view of one domain,
+//!   which a [`Registry`] looks up by name; its replications call the
+//!   domain campaign's run function on a single-cell campaign's seeds.
 //! - [`StudyTable`] — a declared table of reproduced studies (the
-//!   paper's Tables 5–7): one value that is both a [`Scenario`] and a
-//!   servable [`CellScenario`].
+//!   paper's Tables 5–7): one value that runs as a campaign and serves
+//!   as a [`CellScenario`].
 //!
 //! # Example
 //!
 //! ```
-//! use atlarge_exp::{Campaign, Scenario};
-//! use atlarge_telemetry::tracer::Tracer;
+//! use atlarge_exp::Campaign;
 //!
-//! struct NoisySquare;
-//! impl Scenario for NoisySquare {
-//!     type Config = f64;
-//!     type Outcome = f64;
-//!     fn run(&self, x: &f64, seed: u64, _t: &dyn Tracer) -> f64 {
-//!         x * x + (seed % 7) as f64 * 0.01
-//!     }
-//! }
-//!
-//! let result = Campaign::new("squares", NoisySquare)
+//! let noisy_square = |x: &f64, seed: u64| x * x + (seed % 7) as f64 * 0.01;
+//! let result = Campaign::new("squares", noisy_square)
 //!     .factor("x", ["2", "3"])
 //!     .replications(5)
 //!     .root_seed(2026)
@@ -54,7 +47,6 @@ pub mod executor;
 pub mod grid;
 pub mod interop;
 pub mod registry;
-pub mod scenario;
 pub mod seed;
 pub mod study;
 
@@ -64,6 +56,5 @@ pub use campaign::{
 pub use cancel::CancelToken;
 pub use grid::{CellSpec, Factor, FactorGrid};
 pub use registry::{CellOutput, CellScenario, ParamSpec, Registry};
-pub use scenario::Scenario;
 pub use seed::{derive_seed, split_labeled};
 pub use study::{StudyRow, StudyTable};

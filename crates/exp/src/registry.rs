@@ -1,8 +1,8 @@
 //! A registry of named, string-parameterized scenarios.
 //!
-//! The typed [`Scenario`](crate::Scenario) trait is what domain crates
-//! implement; an exploration *service* needs the inverse view: look a
-//! domain up by name, discover its parameters, validate an untyped
+//! A campaign runs a typed `(config, seed) → outcome` function over a
+//! declared grid; an exploration *service* needs the inverse view: look
+//! a domain up by name, discover its parameters, validate an untyped
 //! `key=value` query against them, and execute the cell — all without
 //! compile-time knowledge of the config type. [`CellScenario`] is that
 //! object-safe facade and [`Registry`] the name → scenario directory.
@@ -17,7 +17,6 @@
 //! is the same check over an owned map.
 
 use crate::cancel::CancelToken;
-use crate::scenario::Scenario;
 use crate::seed::derive_seed;
 use atlarge_stats::descriptive::Summary;
 use atlarge_telemetry::tracer::Tracer;
@@ -88,9 +87,10 @@ pub struct CellOutput {
 
 /// An object-safe, string-parameterized view of one experiment domain.
 ///
-/// Implementations wrap a typed [`Scenario`](crate::Scenario): parse
-/// the validated parameter map into the config type, run the declared
-/// replication count (seeds derived exactly as a single-cell
+/// Implementations parse the validated parameter map into the domain's
+/// config, run the declared replication count through
+/// [`run_replicated`] with the same run function the domain's campaign
+/// calls (seeds derived exactly as a single-cell
 /// [`Campaign`](crate::Campaign) would), and summarize outcomes into a
 /// [`CellOutput`].
 pub trait CellScenario: Send + Sync {
@@ -118,29 +118,26 @@ pub trait CellScenario: Send + Sync {
     ) -> Result<CellOutput, String>;
 }
 
-/// Runs `replications` of `scenario` on one config, serially, with the
-/// same seed stream a single-cell independent-mode
-/// [`Campaign`](crate::Campaign) derives (`derive_seed(root, 0, rep)`),
-/// polling `cancel` before each replication.
+/// Runs `replications` of `run`, serially, with the same seed stream a
+/// single-cell independent-mode [`Campaign`](crate::Campaign) derives
+/// (`derive_seed(root, 0, rep)`), polling `cancel` before each
+/// replication.
 ///
 /// Returns `Err` when cancelled — the standard replication loop for
 /// [`CellScenario`] implementations, so every domain inherits identical
 /// cancellation and seeding semantics.
-pub fn run_replicated<S: Scenario>(
-    scenario: &S,
-    config: &S::Config,
+pub fn run_replicated<O>(
     root_seed: u64,
     replications: usize,
     cancel: &CancelToken,
-    tracer: &dyn Tracer,
-) -> Result<Vec<S::Outcome>, String> {
+    run: impl Fn(u64) -> O,
+) -> Result<Vec<O>, String> {
     let mut outcomes = Vec::with_capacity(replications);
     for rep in 0..replications {
         if cancel.is_cancelled() {
             return Err("cancelled".to_string());
         }
-        let seed = derive_seed(root_seed, 0, rep as u64);
-        outcomes.push(scenario.run(config, seed, tracer));
+        outcomes.push(run(derive_seed(root_seed, 0, rep as u64)));
     }
     Ok(outcomes)
 }
@@ -359,13 +356,8 @@ mod tests {
     use crate::Campaign;
     use atlarge_telemetry::tracer::NullTracer;
 
-    struct Mixer;
-    impl Scenario for Mixer {
-        type Config = u64;
-        type Outcome = u64;
-        fn run(&self, config: &u64, seed: u64, _tracer: &dyn Tracer) -> u64 {
-            crate::seed::splitmix64_mix(config ^ seed)
-        }
+    fn mix(config: &u64, seed: u64) -> u64 {
+        crate::seed::splitmix64_mix(config ^ seed)
     }
 
     struct MixerCell;
@@ -389,12 +381,12 @@ mod tests {
             seed: u64,
             replications: usize,
             cancel: &CancelToken,
-            tracer: &dyn Tracer,
+            _tracer: &dyn Tracer,
         ) -> Result<CellOutput, String> {
             let x: u64 = parse_param(params, "x")?;
             let bias: u64 = parse_param(params, "bias")?;
             let config = x.wrapping_add(bias);
-            let outcomes = run_replicated(&Mixer, &config, seed, replications, cancel, tracer)?;
+            let outcomes = run_replicated(seed, replications, cancel, |s| mix(&config, s))?;
             let twice = params["mode"] == "twice";
             let values = outcomes.iter().map(|&o| {
                 if twice {
@@ -571,10 +563,28 @@ mod tests {
     }
 
     #[test]
+    fn cancel_between_replications_returns_error_not_partial_output() {
+        // A hang-up lands mid-run: the token fires during the second of
+        // five replications, the third never starts, and nothing of the
+        // two finished runs escapes.
+        let token = CancelToken::new();
+        let executed = std::cell::Cell::new(0);
+        let out = run_replicated(42, 5, &token, |seed| {
+            executed.set(executed.get() + 1);
+            if executed.get() == 2 {
+                token.cancel();
+            }
+            seed
+        });
+        assert_eq!(out, Err("cancelled".to_string()));
+        assert_eq!(executed.get(), 2);
+    }
+
+    #[test]
     fn run_replicated_matches_single_cell_campaign() {
-        let outcomes = run_replicated(&Mixer, &11, 99, 4, &CancelToken::new(), &NullTracer)
-            .expect("not cancelled");
-        let campaign = Campaign::new("m", Mixer)
+        let outcomes =
+            run_replicated(99, 4, &CancelToken::new(), |s| mix(&11, s)).expect("not cancelled");
+        let campaign = Campaign::new("m", mix)
             .replications(4)
             .root_seed(99)
             .threads(1)

@@ -4,16 +4,16 @@
 //! citation, a feature, an instrument or team, the reproduction's key
 //! finding, and whether the paper's claim held. A domain declares its
 //! table once, as a [`StudyTable`] constant holding its row functions
-//! and the names and widths it prints. The declaration is both a
-//! campaign [`Scenario`] (one `study` factor with one level per row, so
-//! every study and replication gets its own derived seed) and a
-//! servable [`CellScenario`] (one `study` choice, defaulting to the
-//! first row, replicated on the seed stream of a single-cell campaign).
+//! and the names and widths it prints. The declaration runs as a
+//! campaign (one `study` factor with one level per row, so every study
+//! and replication gets its own derived seed) and serves as a
+//! [`CellScenario`] (one `study` choice, defaulting to the first row,
+//! replicated on the seed stream of a single-cell campaign); both call
+//! the study's row function.
 
 use crate::campaign::{Campaign, CampaignResult};
 use crate::cancel::CancelToken;
 use crate::registry::{run_replicated, CellOutput, CellScenario, ParamSpec};
-use crate::scenario::Scenario;
 use atlarge_stats::descriptive::Summary;
 use atlarge_telemetry::tracer::Tracer;
 use std::collections::BTreeMap;
@@ -63,7 +63,8 @@ impl StudyTable {
     /// level per row, `replications` runs per cell, all seeds derived
     /// from `seed`. Each cell's config is its study's index.
     pub fn campaign(&self, seed: u64, replications: usize) -> CampaignResult<usize, StudyRow> {
-        Campaign::new(self.name, *self)
+        let run = |&study: &usize, seed| (self.studies[study].1)(seed);
+        Campaign::new(self.name, run)
             .factor("study", self.studies.iter().map(|(name, _)| *name))
             .replications(replications)
             .root_seed(seed)
@@ -128,16 +129,6 @@ impl StudyTable {
     }
 }
 
-impl Scenario for StudyTable {
-    /// The study's index in [`StudyTable::studies`].
-    type Config = usize;
-    type Outcome = StudyRow;
-
-    fn run(&self, &study: &usize, seed: u64, _tracer: &dyn Tracer) -> StudyRow {
-        (self.studies[study].1)(seed)
-    }
-}
-
 /// A query names one study and gets the replicated claim-holds rate
 /// plus the first replication's printed columns.
 impl CellScenario for StudyTable {
@@ -160,15 +151,15 @@ impl CellScenario for StudyTable {
         seed: u64,
         replications: usize,
         cancel: &CancelToken,
-        tracer: &dyn Tracer,
+        _tracer: &dyn Tracer,
     ) -> Result<CellOutput, String> {
         let chosen = params.get("study").expect("validated params").as_str();
-        let study = self
+        let &(_, study) = self
             .studies
             .iter()
-            .position(|(name, _)| *name == chosen)
+            .find(|(name, _)| *name == chosen)
             .expect("choice validation admits only declared studies");
-        let rows = run_replicated(self, &study, seed, replications, cancel, tracer)?;
+        let rows = run_replicated(seed, replications, cancel, study)?;
         let first = &rows[0];
         Ok(CellOutput {
             metrics: vec![(
@@ -307,7 +298,8 @@ mod tests {
     fn served_cell_equals_a_single_study_campaign() {
         // The served cell reproduces the exact outcome stream a declared
         // single-cell campaign yields for the same root seed.
-        let direct = Campaign::new("fixture.one", FIXTURE)
+        let run = |&study: &usize, seed| (FIXTURE.studies[study].1)(seed);
+        let direct = Campaign::new("fixture.one", run)
             .replications(5)
             .root_seed(77)
             .run(|_| 1);

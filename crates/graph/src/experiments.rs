@@ -12,7 +12,7 @@ use crate::generators::Dataset;
 use crate::platforms::{run, Algorithm, Platform};
 use atlarge_exp::registry::{parse_param, run_replicated, CellOutput, CellScenario, ParamSpec};
 use atlarge_exp::seed::split_labeled;
-use atlarge_exp::{Campaign, CampaignResult, CancelToken, Scenario};
+use atlarge_exp::{Campaign, CampaignResult, CancelToken};
 use atlarge_stats::descriptive::Summary;
 use atlarge_stats::factorial::{decompose, Cell, Decomposition};
 use atlarge_telemetry::tracer::Tracer;
@@ -50,27 +50,20 @@ pub struct PadConfig {
     pub graph_seed: u64,
 }
 
-/// The PAD scenario: generate the cell's dataset graph and run the
+/// One PAD run: generate the cell's dataset graph and run the
 /// platform×algorithm pair on it. The run itself is deterministic; the
 /// stochasticity lives in the dataset generator, seeded from the
-/// config so cells of one dataset agree on the graph.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PadScenario;
-
-impl Scenario for PadScenario {
-    type Config = PadConfig;
-    type Outcome = PadCell;
-
-    fn run(&self, config: &PadConfig, _seed: u64, _tracer: &dyn Tracer) -> PadCell {
-        let g = config.dataset.generate(config.n, config.graph_seed);
-        let c = run(config.platform, config.algorithm, &g, None);
-        PadCell {
-            platform: config.platform.name(),
-            algorithm: config.algorithm.name(),
-            dataset: config.dataset.name(),
-            critical_path: c.critical_path,
-            iterations: c.iterations,
-        }
+/// config so cells of one dataset agree on the graph. The campaigns and
+/// the served cell both call it.
+fn run_pad(config: &PadConfig, _seed: u64) -> PadCell {
+    let g = config.dataset.generate(config.n, config.graph_seed);
+    let c = run(config.platform, config.algorithm, &g, None);
+    PadCell {
+        platform: config.platform.name(),
+        algorithm: config.algorithm.name(),
+        dataset: config.dataset.name(),
+        critical_path: c.critical_path,
+        iterations: c.iterations,
     }
 }
 
@@ -81,7 +74,7 @@ fn pad_campaign_with(
     seed: u64,
 ) -> CampaignResult<PadConfig, PadCell> {
     let platforms = platforms.to_vec();
-    Campaign::new(name, PadScenario)
+    Campaign::new(name, run_pad)
         .factor("dataset", Dataset::all().map(|d| d.name()))
         .factor("algorithm", Algorithm::all().map(|a| a.name()))
         .factor("platform", platforms.iter().map(|p| p.name()))
@@ -243,7 +236,7 @@ impl CellScenario for PadExplorerCell {
         seed: u64,
         replications: usize,
         cancel: &CancelToken,
-        tracer: &dyn Tracer,
+        _tracer: &dyn Tracer,
     ) -> Result<CellOutput, String> {
         let platform = *platform_roster_hpad()
             .iter()
@@ -268,7 +261,7 @@ impl CellScenario for PadExplorerCell {
             n,
             graph_seed: split_labeled(seed, dataset.name()),
         };
-        let rows = run_replicated(&PadScenario, &config, seed, replications, cancel, tracer)?;
+        let rows = run_replicated(seed, replications, cancel, |seed| run_pad(&config, seed))?;
         let first = &rows[0];
         Ok(CellOutput {
             metrics: vec![

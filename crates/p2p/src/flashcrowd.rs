@@ -3,11 +3,11 @@
 //! \[66\] developed "a method to identify flashcrowds, the first
 //! comprehensive model of BT-flashcrowds, and showed evidence of important
 //! negative phenomena that occur only during flashcrowds". Here the model
-//! is `atlarge-workload`'s [`Flashcrowd`](atlarge_workload::arrivals::Flashcrowd)
-//! arrival process; the detector flags windows whose arrival rate exceeds
-//! a multiple of the trailing baseline; and the negative phenomenon —
-//! download-time inflation while the seed-to-leecher ratio collapses — is
-//! measured on the swarm simulator.
+//! is `atlarge-workload`'s [`Flashcrowd`] arrival process; the detector
+//! flags windows whose arrival rate exceeds a multiple of the trailing
+//! baseline; and the negative phenomenon — download-time inflation while
+//! the seed-to-leecher ratio collapses — is measured on the swarm
+//! simulator.
 
 use crate::swarm::{run_swarm, Bandwidth, SharingPolicy, SwarmConfig, SwarmResult, TitForTat};
 use atlarge_evolve::SwapPlan;

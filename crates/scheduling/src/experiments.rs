@@ -15,7 +15,7 @@ use crate::simulator::{simulate, FailureEvent, SimConfig, SimMetrics};
 use atlarge_datacenter::environment::Environment;
 use atlarge_exp::registry::{run_replicated, CellOutput, CellScenario, ParamSpec};
 use atlarge_exp::CancelToken;
-use atlarge_exp::{Campaign, CampaignResult, Scenario, SeedMode};
+use atlarge_exp::{Campaign, CampaignResult, SeedMode};
 use atlarge_stats::descriptive::Summary;
 use atlarge_telemetry::tracer::Tracer;
 use atlarge_workload::mixes::Mix;
@@ -221,27 +221,17 @@ pub struct Table9Spec {
     pub env: Environment,
 }
 
-/// The Table 9 scenario: one study row per run.
-#[derive(Debug, Clone, Copy)]
-pub struct Table9Scenario {
-    /// Experiment size (tests use `Quick`, benches `Full`).
-    pub scale: Scale,
-}
-
-impl Scenario for Table9Scenario {
-    type Config = Table9Spec;
-    type Outcome = Table9Row;
-
-    fn run(&self, config: &Table9Spec, seed: u64, _tracer: &dyn Tracer) -> Table9Row {
-        run_row(
-            config.study,
-            config.mix,
-            config.env,
-            self.scale,
-            seed,
-            estimate_sigma(config.mix),
-        )
-    }
+/// One Table 9 run: the study's row at its family's estimate error.
+/// The campaign and the served cell both call it.
+fn run_table9(scale: Scale, spec: &Table9Spec, seed: u64) -> Table9Row {
+    run_row(
+        spec.study,
+        spec.mix,
+        spec.env,
+        scale,
+        seed,
+        estimate_sigma(spec.mix),
+    )
 }
 
 /// Runs Table 9 as a declared campaign: a `study` factor over the seven
@@ -252,7 +242,8 @@ pub fn table9_campaign(
     replications: usize,
 ) -> CampaignResult<Table9Spec, Table9Row> {
     let matrix = table9_matrix();
-    Campaign::new("scheduling.table9", Table9Scenario { scale })
+    let run = |spec: &Table9Spec, seed| run_table9(scale, spec, seed);
+    Campaign::new("scheduling.table9", run)
         .factor("study", matrix.iter().map(|&(study, _, _)| study))
         .replications(replications)
         .root_seed(seed)
@@ -301,44 +292,30 @@ pub fn render_table9(rows: &[Table9Row]) -> String {
 /// The sigma levels of the prediction-sensitivity ablation.
 const SENSITIVITY_SIGMAS: [f64; 4] = [0.0, 0.8, 1.6, 2.4];
 
-/// The \[120\] mechanism as a scenario: the big-data row at one
-/// estimate-error level; the outcome is the portfolio's mean bounded
-/// slowdown.
-#[derive(Debug, Clone, Copy)]
-pub struct SensitivityScenario {
-    /// Experiment size.
-    pub scale: Scale,
-}
-
-impl Scenario for SensitivityScenario {
-    type Config = f64;
-    type Outcome = f64;
-
-    fn run(&self, sigma: &f64, seed: u64, _tracer: &dyn Tracer) -> f64 {
-        run_row(
-            "[120]",
-            Mix::BigData,
-            Environment::OwnCluster,
-            self.scale,
-            seed,
-            *sigma,
-        )
-        .portfolio
-        .mean_bounded_slowdown
-    }
-}
-
 /// The \[120\] mechanism isolated: the same big-data workload with
 /// increasingly wrong runtime estimates, run as a common-random-numbers
-/// campaign — every sigma level of a replication shares one seed, so
-/// each replication is a paired comparison against its own sigma = 0
-/// baseline. Returns `(sigma, degradation)` rows, where degradation is
+/// campaign whose run is the big-data row at one estimate-error level,
+/// scored by the portfolio's mean bounded slowdown. Every sigma level of
+/// a replication shares one seed, so each replication is a paired
+/// comparison against its own sigma = 0 baseline. Returns `(sigma, degradation)` rows, where degradation is
 /// the portfolio's mean bounded slowdown normalized by the paired
 /// baseline, averaged over replications. Degradation above 1 means the
 /// portfolio — which selects policies by *simulating on the estimates*
 /// — is making sub-optimal selections.
 pub fn prediction_sensitivity(scale: Scale, seed: u64, replications: usize) -> Vec<(f64, f64)> {
-    let r = Campaign::new("scheduling.sensitivity", SensitivityScenario { scale })
+    let slowdown = |&sigma: &f64, seed| {
+        run_row(
+            "[120]",
+            Mix::BigData,
+            Environment::OwnCluster,
+            scale,
+            seed,
+            sigma,
+        )
+        .portfolio
+        .mean_bounded_slowdown
+    };
+    let r = Campaign::new("scheduling.sensitivity", slowdown)
         .factor("sigma", SENSITIVITY_SIGMAS.map(|s| format!("{s}")))
         .replications(replications)
         .root_seed(seed)
@@ -420,42 +397,31 @@ pub fn row_under_failures(
     (healthy, failing, failures.len())
 }
 
-/// The active-set ablation as a scenario: the scientific workload under
-/// a portfolio restricted to the best `k` policies. All cells of one
-/// replication share a seed (common random numbers), so every `k` sees
-/// the identical job stream.
-#[derive(Debug, Clone, Copy)]
-pub struct ActiveSetScenario {
-    /// Experiment size.
-    pub scale: Scale,
-}
-
-impl Scenario for ActiveSetScenario {
-    type Config = usize;
-    type Outcome = (u64, f64);
-
-    fn run(&self, k: &usize, seed: u64, _tracer: &dyn Tracer) -> (u64, f64) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let jobs = Mix::Scientific.generate(
-            &mut rng,
-            self.scale.horizon(),
-            rate_scale(Mix::Scientific, Environment::OwnCluster, self.scale),
-        );
-        let pools = pool_cores(Environment::OwnCluster);
-        let config = SimConfig {
-            estimate_sigma: estimate_sigma(Mix::Scientific),
-            seed,
-        };
-        let m = simulate(
-            &jobs,
-            &pools,
-            PortfolioScheduler::new(Policy::all().to_vec(), *k, 300.0).explore_every(50),
-            &config,
-            &[],
-            None,
-        );
-        (m.lookahead_events, m.mean_bounded_slowdown)
-    }
+/// One active-set run: the scientific workload under a portfolio
+/// restricted to the best `k` policies, as `(lookahead events, mean
+/// bounded slowdown)`. All cells of one replication share a seed
+/// (common random numbers), so every `k` sees the identical job stream.
+fn run_active_set(scale: Scale, k: usize, seed: u64) -> (u64, f64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let jobs = Mix::Scientific.generate(
+        &mut rng,
+        scale.horizon(),
+        rate_scale(Mix::Scientific, Environment::OwnCluster, scale),
+    );
+    let pools = pool_cores(Environment::OwnCluster);
+    let config = SimConfig {
+        estimate_sigma: estimate_sigma(Mix::Scientific),
+        seed,
+    };
+    let m = simulate(
+        &jobs,
+        &pools,
+        PortfolioScheduler::new(Policy::all().to_vec(), k, 300.0).explore_every(50),
+        &config,
+        &[],
+        None,
+    );
+    (m.lookahead_events, m.mean_bounded_slowdown)
 }
 
 /// The ablation behind §6.6's online-feasibility question: lookahead cost
@@ -463,7 +429,8 @@ impl Scenario for ActiveSetScenario {
 /// common-random-numbers campaign over the `active-set` factor. Returns
 /// `(active_set_size, lookahead_events, mean_bounded_slowdown)` rows.
 pub fn active_set_ablation(scale: Scale, seed: u64) -> Vec<(usize, u64, f64)> {
-    Campaign::new("scheduling.active-set", ActiveSetScenario { scale })
+    let run = |&k: &usize, seed| run_active_set(scale, k, seed);
+    Campaign::new("scheduling.active-set", run)
         .factor(
             "active-set",
             (1..=Policy::all().len()).map(|k| k.to_string()),
@@ -527,7 +494,7 @@ impl CellScenario for Table9Cell {
         seed: u64,
         replications: usize,
         cancel: &CancelToken,
-        tracer: &dyn Tracer,
+        _tracer: &dyn Tracer,
     ) -> Result<CellOutput, String> {
         let scale = match params["scale"].as_str() {
             "full" => Scale::Full,
@@ -537,14 +504,10 @@ impl CellScenario for Table9Cell {
             .into_iter()
             .find(|&(t, _, _)| short_tag(t) == params["study"])
             .expect("choice validation admits only matrix tags");
-        let rows = run_replicated(
-            &Table9Scenario { scale },
-            &Table9Spec { study, mix, env },
-            seed,
-            replications,
-            cancel,
-            tracer,
-        )?;
+        let spec = Table9Spec { study, mix, env };
+        let rows = run_replicated(seed, replications, cancel, |seed| {
+            run_table9(scale, &spec, seed)
+        })?;
         let first = &rows[0];
         let summarize = |f: &dyn Fn(&Table9Row) -> f64| Summary::from_iter(rows.iter().map(f));
         Ok(CellOutput {
@@ -721,16 +684,12 @@ mod tests {
     fn active_set_cells_share_the_job_stream() {
         // CRN mode: every k must see the same derived seed, hence the
         // same generated jobs — the ablation varies only the active set.
-        let r = Campaign::new(
-            "scheduling.active-set",
-            ActiveSetScenario {
-                scale: Scale::Quick,
-            },
-        )
-        .factor("active-set", ["1", "2"])
-        .root_seed(11)
-        .seed_mode(SeedMode::CommonRandomNumbers)
-        .run(|cell| cell.level("active-set").parse().expect("parses"));
+        let run = |&k: &usize, seed| run_active_set(Scale::Quick, k, seed);
+        let r = Campaign::new("scheduling.active-set", run)
+            .factor("active-set", ["1", "2"])
+            .root_seed(11)
+            .seed_mode(SeedMode::CommonRandomNumbers)
+            .run(|cell| cell.level("active-set").parse().expect("parses"));
         assert_eq!(r.cells[0].runs[0].seed, r.cells[1].runs[0].seed);
     }
 
@@ -752,6 +711,45 @@ mod tests {
         assert_eq!(m[0].1, Mix::Synthetic);
         assert_eq!(m[6].1, Mix::BigData);
         assert_eq!(m[4].2, Environment::MultiCluster);
+    }
+
+    #[test]
+    fn serve_cell_equals_the_campaign_cell() {
+        // Study 114 is the campaign's cell 0, so both paths draw
+        // `derive_seed(root, 0, rep)` and call the same run function.
+        let campaign = table9_campaign(Scale::Quick, 7, 2);
+        let cell = &campaign.cells[0];
+        let mut reg = atlarge_exp::Registry::new();
+        reg.register(Box::new(Table9Cell));
+        let raw = BTreeMap::from([
+            ("study".to_string(), "114".to_string()),
+            ("scale".to_string(), "quick".to_string()),
+        ]);
+        let params = reg.validate("scheduling", &raw).expect("valid query");
+        let out = Table9Cell
+            .run_cell(
+                &params,
+                7,
+                2,
+                &CancelToken::new(),
+                &atlarge_telemetry::NullTracer,
+            )
+            .expect("runs clean");
+        let metric = |name: &str, f: fn(&Table9Row) -> f64| (name.to_string(), cell.summarize(f));
+        assert_eq!(
+            out.metrics,
+            vec![
+                metric("portfolio_gap", |r| r.portfolio_gap()),
+                metric("portfolio_slowdown", |r| r.portfolio.mean_bounded_slowdown),
+                metric("best_single_slowdown", |r| r.best_single_slowdown().1),
+                metric("worst_single_slowdown", |r| r.worst_single_slowdown().1),
+                metric("makespan", |r| r.portfolio.makespan),
+            ]
+        );
+        assert_eq!(
+            out.notes[0],
+            ("study".to_string(), cell.first().study.to_string())
+        );
     }
 
     #[test]

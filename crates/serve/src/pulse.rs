@@ -12,9 +12,8 @@
 //!   [`Stopwatch`] readings (the workspace's sanctioned wall-clock
 //!   boundary) and feed *reports only* — never a cacheable body.
 //! - **Lock-free sharded latency recording.** Per-stage and per-domain
-//!   end-to-end durations land in
-//!   [`ShardedHistogram`](atlarge_telemetry::hist::ShardedHistogram)s:
-//!   three relaxed atomic adds per record, no locks on the hot path.
+//!   end-to-end durations land in [`ShardedHistogram`]s: three relaxed
+//!   atomic adds per record, no locks on the hot path.
 //! - **Windowed aggregation.** Two cumulative snapshots one second
 //!   apart difference into that second's histogram, which is how the
 //!   `/watch` stream emits per-window p50/p99 without any per-request

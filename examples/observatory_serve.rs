@@ -1,6 +1,9 @@
 //! The design-exploration server: every reproduced domain behind one
-//! HTTP query schema, with fingerprint-keyed result caching and
-//! streaming trace telemetry.
+//! HTTP query schema, with fingerprint-keyed result caching and a
+//! chunked JSONL `/trace` endpoint. `/trace` streams whatever records a
+//! cell hands its tracer, but no registered domain routes the tracer
+//! into its model run yet, so its answers hold the request's span, the
+//! query manifest and the result only.
 //!
 //! ```sh
 //! cargo run --release --example observatory_serve

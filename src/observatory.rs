@@ -4,8 +4,8 @@
 //! Two export modes, mirroring the example's `--trace` flag:
 //!
 //! - [`export_trace`] — single-file mode: re-runs the flashcrowd swarm
-//!   with a [`Recorder`](crate::telemetry::Recorder) attached and writes
-//!   `<path>` (kernel trace + manifest) plus `<path>.metrics.jsonl`.
+//!   with a [`Recorder`] attached and writes `<path>` (kernel trace +
+//!   manifest) plus `<path>.metrics.jsonl`.
 //!   Parent directories are created as needed — `--trace out/deep/run.jsonl`
 //!   works even when `out/` does not exist yet.
 //! - [`export_all_domains`] — directory mode: a seven-cell `domain`
@@ -20,7 +20,7 @@ use crate::autoscaling::autoscaler::React;
 use crate::autoscaling::sim::{run as run_autoscaling, AutoscaleConfig};
 use crate::datacenter::run_cluster;
 use crate::evolve::SwapPlan;
-use crate::exp::{Campaign, Scenario};
+use crate::exp::Campaign;
 use crate::graph::generators::preferential_attachment;
 use crate::graph::platforms::{run as run_graph, Algorithm, Platform};
 use crate::mmog::provisioning::compare_policies;
@@ -29,7 +29,6 @@ use crate::scheduling::policy::Policy;
 use crate::scheduling::simulator::{simulate, SimConfig};
 use crate::serverless::platform::{run_platform, FaasConfig, FunctionSpec};
 use crate::telemetry::manifest::RunManifest;
-use crate::telemetry::tracer::Tracer;
 use crate::telemetry::Recorder;
 use crate::workload::job::{Job, JobId, Task};
 use crate::workload::workflow::{generate, Shape};
@@ -107,99 +106,84 @@ fn write_domain(dir: &Path, domain: &str, rec: &Recorder) -> std::io::Result<Str
     ))
 }
 
-/// The traced-export scenario: one instrumented domain per cell, each
-/// writing its own JSONL pair into the export directory. Cells touch
-/// disjoint files, so the campaign can fan domains across threads; the
-/// summary lines come back as outcomes and print in canonical order.
-struct ExportScenario {
-    dir: PathBuf,
-    arrivals: Vec<f64>,
-}
-
-impl ExportScenario {
-    fn export(&self, domain: &str, seed: u64) -> std::io::Result<String> {
-        let rec = Recorder::new();
-        match domain {
-            "p2p" => trace_p2p(&self.arrivals, seed, &rec),
-            "serverless" => {
-                let functions = vec![
-                    FunctionSpec {
-                        name: "thumbnail".into(),
-                        exec_time: 0.8,
-                        memory_gb: 0.5,
-                    },
-                    FunctionSpec {
-                        name: "transcode".into(),
-                        exec_time: 3.0,
-                        memory_gb: 2.0,
-                    },
-                ];
-                let invocations: Vec<(f64, usize)> = (0..400)
-                    .map(|i| (f64::from(i) * 2.5, (i % 3 == 0) as usize))
-                    .collect();
-                let cfg = FaasConfig {
-                    keep_alive: 60.0,
-                    ..FaasConfig::default()
-                };
-                run_platform(functions, cfg, &invocations, seed, Some(&rec));
-            }
-            "autoscaling" => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let workflows: Vec<_> = (0..12)
-                    .map(|i| generate(&mut rng, Shape::ForkJoin(6), 30.0, 0.3, f64::from(i) * 40.0))
-                    .collect();
-                run_autoscaling(
-                    workflows,
-                    React,
-                    AutoscaleConfig::default(),
-                    seed,
-                    Some(&rec),
-                );
-            }
-            "datacenter" => {
-                run_cluster(8, 16, 400, seed, Some(&rec));
-            }
-            "graph" => {
-                let graph = preferential_attachment(600, 4, seed);
-                run_graph(
-                    Platform::Sequential,
-                    Algorithm::PageRank,
-                    &graph,
-                    Some(&rec),
-                );
-            }
-            "mmog" => {
-                compare_policies(seed, Some(&rec));
-            }
-            "scheduling" => {
-                let jobs: Vec<Job> = (0..40)
-                    .map(|i| {
-                        Job::new(
-                            JobId(i),
-                            i as f64 * 5.0,
-                            vec![Task::new(8.0 + (i % 7) as f64, 1), Task::new(12.0, 2)],
-                        )
-                    })
-                    .collect();
-                let sched_cfg = SimConfig {
-                    estimate_sigma: 0.3,
-                    seed,
-                };
-                simulate(&jobs, &[8, 8], Policy::Sjf, &sched_cfg, &[], Some(&rec));
-            }
-            other => unreachable!("unknown export domain {other}"),
+/// One traced export: re-runs `domain` with a [`Recorder`] attached and
+/// writes its JSONL pair into `dir`. Each is one cell of the export
+/// campaign; cells touch disjoint files, so the campaign can fan domains
+/// across threads, and the summary lines come back as outcomes and
+/// print in canonical order.
+fn export_domain(dir: &Path, arrivals: &[f64], domain: &str, seed: u64) -> std::io::Result<String> {
+    let rec = Recorder::new();
+    match domain {
+        "p2p" => trace_p2p(arrivals, seed, &rec),
+        "serverless" => {
+            let functions = vec![
+                FunctionSpec {
+                    name: "thumbnail".into(),
+                    exec_time: 0.8,
+                    memory_gb: 0.5,
+                },
+                FunctionSpec {
+                    name: "transcode".into(),
+                    exec_time: 3.0,
+                    memory_gb: 2.0,
+                },
+            ];
+            let invocations: Vec<(f64, usize)> = (0..400)
+                .map(|i| (f64::from(i) * 2.5, (i % 3 == 0) as usize))
+                .collect();
+            let cfg = FaasConfig {
+                keep_alive: 60.0,
+                ..FaasConfig::default()
+            };
+            run_platform(functions, cfg, &invocations, seed, Some(&rec));
         }
-        write_domain(&self.dir, domain, &rec)
+        "autoscaling" => {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let workflows: Vec<_> = (0..12)
+                .map(|i| generate(&mut rng, Shape::ForkJoin(6), 30.0, 0.3, f64::from(i) * 40.0))
+                .collect();
+            run_autoscaling(
+                workflows,
+                React,
+                AutoscaleConfig::default(),
+                seed,
+                Some(&rec),
+            );
+        }
+        "datacenter" => {
+            run_cluster(8, 16, 400, seed, Some(&rec));
+        }
+        "graph" => {
+            let graph = preferential_attachment(600, 4, seed);
+            run_graph(
+                Platform::Sequential,
+                Algorithm::PageRank,
+                &graph,
+                Some(&rec),
+            );
+        }
+        "mmog" => {
+            compare_policies(seed, Some(&rec));
+        }
+        "scheduling" => {
+            let jobs: Vec<Job> = (0..40)
+                .map(|i| {
+                    Job::new(
+                        JobId(i),
+                        i as f64 * 5.0,
+                        vec![Task::new(8.0 + (i % 7) as f64, 1), Task::new(12.0, 2)],
+                    )
+                })
+                .collect();
+            let sched_cfg = SimConfig {
+                estimate_sigma: 0.3,
+                seed,
+            };
+            simulate(&jobs, &[8, 8], Policy::Sjf, &sched_cfg, &[], Some(&rec));
+        }
+        other => unreachable!("unknown export domain {other}"),
     }
-}
-
-impl Scenario for ExportScenario {
-    type Config = String;
-    type Outcome = std::io::Result<String>;
-
-    fn run(&self, domain: &String, seed: u64, _tracer: &dyn Tracer) -> Self::Outcome {
-        self.export(domain, seed)
-    }
+    write_domain(dir, domain, &rec)
 }
 
 /// Re-runs every instrumented domain traced — a seven-cell `domain`
@@ -209,13 +193,9 @@ impl Scenario for ExportScenario {
 pub fn export_all_domains(dir: &Path, arrivals: &[f64], seed: u64) -> std::io::Result<Vec<String>> {
     std::fs::create_dir_all(dir)?;
 
-    let result = Campaign::new(
-        "observatory.export",
-        ExportScenario {
-            dir: dir.to_path_buf(),
-            arrivals: arrivals.to_vec(),
-        },
-    )
+    let result = Campaign::new("observatory.export", |domain: &String, seed| {
+        export_domain(dir, arrivals, domain, seed)
+    })
     .factor("domain", EXPORT_DOMAINS)
     .root_seed(seed)
     .run(|cell| cell.level("domain").to_string());

@@ -3,33 +3,24 @@
 //! Section-6 harness now relies on.
 
 use atlarge::exp::seed::derive_seed;
-use atlarge::exp::{Campaign, Scenario};
-use atlarge::telemetry::tracer::Tracer;
+use atlarge::exp::Campaign;
 use atlarge_check::check;
 use rand::Rng;
 use std::collections::BTreeSet;
 
-/// A stochastic scenario: a seeded random walk whose outcome depends on
-/// every bit of the seed and on the configured length.
-#[derive(Debug, Clone, Copy)]
-struct WalkScenario;
-
-impl Scenario for WalkScenario {
-    type Config = usize;
-    type Outcome = f64;
-
-    fn run(&self, steps: &usize, seed: u64, _tracer: &dyn Tracer) -> f64 {
-        let mut state = seed | 1;
-        let mut sum = 0.0;
-        for _ in 0..*steps {
-            // xorshift64 keeps the walk cheap and seed-sensitive.
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            sum += (state % 1_000) as f64 / 1_000.0 - 0.5;
-        }
-        sum
+/// A stochastic run function: a seeded random walk whose outcome
+/// depends on every bit of the seed and on the configured length.
+fn walk(steps: &usize, seed: u64) -> f64 {
+    let mut state = seed | 1;
+    let mut sum = 0.0;
+    for _ in 0..*steps {
+        // xorshift64 keeps the walk cheap and seed-sensitive.
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        sum += (state % 1_000) as f64 / 1_000.0 - 0.5;
     }
+    sum
 }
 
 fn walk_campaign(
@@ -38,7 +29,7 @@ fn walk_campaign(
     root_seed: u64,
     threads: usize,
 ) -> atlarge::exp::CampaignResult<usize, f64> {
-    Campaign::new("prop.walk", WalkScenario)
+    Campaign::new("prop.walk", walk)
         .factor("steps", (1..=levels).map(|s| (s * 10).to_string()))
         .replications(replications)
         .root_seed(root_seed)
@@ -63,7 +54,7 @@ fn prop_serial_equals_parallel() {
     });
 }
 
-/// (b) Distinct replications of a stochastic scenario produce nonzero
+/// (b) Distinct replications of a stochastic run function produce nonzero
 /// variance: the replication seeds are genuinely different streams, not
 /// one stream repeated.
 #[test]
@@ -120,7 +111,7 @@ fn prop_seed_axes_do_not_alias() {
 
 /// Two executions of the same campaign render byte-identical output —
 /// the end-to-end regression guard for the `unordered-iteration` lint:
-/// no iteration-order nondeterminism anywhere between scenario outcomes
+/// no iteration-order nondeterminism anywhere between run outcomes
 /// and the exported JSONL (the manifest line's digest included).
 #[test]
 fn identical_campaign_output_across_two_runs() {
