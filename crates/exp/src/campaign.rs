@@ -3,10 +3,10 @@
 //! A [`Campaign`] declares *what* to sweep (a [`FactorGrid`]), *how
 //! often* (a replication count under a [`SeedMode`]), and *how wide*
 //! (a thread count); [`Campaign::run`] executes every `(cell,
-//! replication)` job — serially or work-stealing across cores — and
-//! aggregates into a [`CampaignResult`] whose content is **independent
-//! of the execution schedule**: seeds are pure functions of position,
-//! outcomes land in canonical cell order, and the stamped
+//! replication)` job — serially, or claimed in turn by one worker per
+//! core — and aggregates into a [`CampaignResult`] whose content is
+//! **independent of the execution schedule**: seeds are pure functions
+//! of position, outcomes land in canonical cell order, and the stamped
 //! [`RunManifest`] ignores only wall-clock time. Rendering a result
 //! twice therefore yields byte-identical text whether it was computed
 //! on one thread or sixteen.

@@ -1,19 +1,17 @@
-//! A work-stealing fork-join executor on `std::thread`.
+//! A fork-join executor on `std::thread`.
 //!
-//! Jobs are indexed `0..n`; each worker owns a deque seeded round-robin
-//! and pops from its front, stealing from the *back* of a victim's
-//! deque when its own runs dry — the classic work-stealing discipline,
-//! on plain `Mutex<VecDeque>` structures (the workspace stays
-//! dependency-free; uncontended std mutexes are ~20ns, far below the
-//! cost of any simulation run).
+//! Jobs are indexed `0..n`. Scoped workers claim the next unclaimed
+//! index from one shared counter (a single `fetch_add` per job, far
+//! below the cost of any simulation run), so a worker that finishes a
+//! short job simply takes the next one and no worker idles while jobs
+//! remain.
 //!
 //! Results are returned **in job-index order regardless of execution
 //! interleaving**, which is what lets the campaign engine guarantee
 //! byte-identical aggregation between serial and parallel runs.
 
 use crate::cancel::CancelToken;
-use std::collections::VecDeque;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs `jobs` invocations of `job` on up to `threads` workers and
 /// returns the results in job-index order.
@@ -55,36 +53,21 @@ where
         }
         return Some(out);
     }
-    let workers = threads.min(jobs);
-    // Round-robin initial partition: worker w owns jobs w, w+workers, …
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new(((w..jobs).step_by(workers)).collect()))
-        .collect();
-
+    let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
     let chunks = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let queues = &queues;
-                let job = &job;
-                scope.spawn(move || {
+        let handles: Vec<_> = (0..threads.min(jobs))
+            .map(|_| {
+                scope.spawn(|| {
                     let mut done: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        if cancel.is_cancelled() {
+                    while !cancel.is_cancelled() {
+                        // Relaxed: the counter publishes no data, only
+                        // indices; results come back through `join`.
+                        let idx = next.fetch_add(1, Ordering::Relaxed);
+                        if idx >= jobs {
                             break;
                         }
-                        // Own queue first (front), then steal from the
-                        // back of the first non-empty victim.
-                        let next = queues[w].lock().expect("queue lock").pop_front();
-                        let next = next.or_else(|| {
-                            (0..queues.len())
-                                .filter(|&v| v != w)
-                                .find_map(|v| queues[v].lock().expect("queue lock").pop_back())
-                        });
-                        match next {
-                            Some(idx) => done.push((idx, job(idx))),
-                            None => break,
-                        }
+                        done.push((idx, job(idx)));
                     }
                     done
                 })
@@ -183,7 +166,7 @@ mod tests {
 
     #[test]
     fn uneven_job_costs_still_order_results() {
-        // Early jobs are slow: stealing reorders execution but not output.
+        // Early jobs are slow: claiming reorders execution but not output.
         let out = run_indexed(40, 4, |i| {
             if i < 4 {
                 std::thread::sleep(std::time::Duration::from_millis(5));

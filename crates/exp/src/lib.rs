@@ -10,9 +10,10 @@
 //! - [`seed`] — SplitMix64 derivation of independent per-cell,
 //!   per-replication streams from a single root seed.
 //! - [`Campaign`] — the builder tying them together: it sweeps one
-//!   experiment, a pure `(config, seed) → outcome` run function, with a
-//!   work-stealing `std::thread` executor that guarantees
-//!   **byte-identical aggregation between serial and parallel runs**.
+//!   experiment, a pure `(config, seed) → outcome` run function, on
+//!   scoped `std::thread` workers that claim jobs from one counter, and
+//!   guarantees **byte-identical aggregation between serial and
+//!   parallel runs**.
 //! - [`CampaignResult`] — outcomes in canonical cell order, aggregated
 //!   through `atlarge-stats` (mean/CI/quantiles per cell) and stamped
 //!   with an `atlarge-telemetry` [`RunManifest`](atlarge_telemetry::RunManifest)

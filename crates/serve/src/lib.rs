@@ -5,8 +5,9 @@
 //! campaign binary per question makes that loop minutes long; this
 //! crate makes it a keep-alive HTTP round-trip. A long-lived server
 //! holds every reproduced domain behind one query schema
-//! ([`Registry`]), executes cells on a bounded work-stealing pool
-//! (overload answers `503`, never a growing backlog), and memoizes
+//! ([`Registry`]), runs each cold cell on the connection thread that
+//! asked for it behind a bounded run gate (at most `threads` runs at
+//! once; overload answers `503`, never a growing backlog), and memoizes
 //! rendered results in a fingerprint-keyed LRU — repeat questions are
 //! answered from cache with **byte-identical** bodies, the same
 //! reproducibility contract (`same_run_as`) the rest of the workspace
@@ -43,8 +44,8 @@
 
 pub mod cache;
 pub mod client;
+mod gate;
 pub mod http;
-pub mod pool;
 pub mod pulse;
 pub mod query;
 pub mod server;
@@ -53,7 +54,6 @@ pub mod stats;
 pub use atlarge_exp::Registry;
 pub use cache::ResultCache;
 pub use client::{get, get_stream, ClientConn, HttpResponse, StreamingResponse};
-pub use pool::WorkPool;
 pub use pulse::{retry_after_secs, Outcome, Pulse, SloSpec, SloStatus, SpanRecord, Stage};
 pub use query::{cache_key, parse_run_query, RunQuery};
 pub use server::{ServeConfig, Server};

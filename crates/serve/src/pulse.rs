@@ -7,8 +7,8 @@
 //! - **Request-scoped spans.** Every query gets a monotonically
 //!   increasing request id at accept time, echoed in the
 //!   `X-Atlarge-Request` response header and carried through admission,
-//!   pool queueing, the scenario run, rendering, and the response
-//!   write. Per-stage wall durations come exclusively from
+//!   the wait for a run slot, the scenario run, rendering, and the
+//!   response write. Per-stage wall durations come exclusively from
 //!   [`Stopwatch`] readings (the workspace's sanctioned wall-clock
 //!   boundary) and feed *reports only* — never a cacheable body.
 //! - **Lock-free sharded latency recording.** Per-stage and per-domain
@@ -38,10 +38,10 @@ use std::sync::Mutex;
 /// Pipeline stages a request's wall time is attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
-    /// Waiting in the pool queue between admission and a worker
-    /// picking the job up.
+    /// Waiting between admission to the run gate and holding a run
+    /// slot.
     Queue = 0,
-    /// Executing the scenario cell on a worker.
+    /// Executing the scenario cell in its slot.
     Run = 1,
     /// Rendering the canonical response body.
     Render = 2,
@@ -57,7 +57,7 @@ pub const STAGE_NAMES: [&str; 4] = ["queue", "run", "render", "write"];
 pub enum Outcome {
     /// Served from the result cache.
     Hit,
-    /// Computed cold on the pool.
+    /// Computed cold in a run slot.
     Miss,
     /// Streamed live over `/trace`.
     Stream,
@@ -301,7 +301,7 @@ pub struct Pulse {
 
 impl Pulse {
     /// A plane for a server exposing `domains`, with `shards`-way
-    /// histogram sharding (match the worker count).
+    /// histogram sharding (match the run-slot count).
     pub fn new(domains: &[&str], shards: usize, slo: SloSpec) -> Self {
         let mut names: Vec<String> = domains.iter().map(|d| d.to_string()).collect();
         names.sort();
@@ -423,8 +423,8 @@ impl Pulse {
     }
 
     /// The `Retry-After` value for a shed request: the estimated time
-    /// for the pool to drain the current queue, from the observed
-    /// service-time EWMA.
+    /// for `workers` run slots to drain the current queue, from the
+    /// observed service-time EWMA.
     pub fn retry_after_secs(&self, queue_depth: usize, workers: usize) -> u64 {
         retry_after_secs(self.ewma_service_ns(), queue_depth, workers)
     }
@@ -603,22 +603,22 @@ pub fn render_window(
     line
 }
 
-/// Estimated seconds until the pool drains `queue_depth` queued jobs
-/// through `workers` workers whose service time averages `ewma_ns`,
-/// clamped to `[1, 30]` — the `Retry-After` a shed client is told.
+/// Estimated seconds until `workers` run slots, whose service time
+/// averages `ewma_ns`, drain `queue_depth` queued requests, clamped to
+/// `[1, 30]` — the `Retry-After` a shed client is told.
 pub fn retry_after_secs(ewma_ns: u64, queue_depth: usize, workers: usize) -> u64 {
     let drain_s = (ewma_ns as f64 / 1e9) * (queue_depth as f64 + 1.0) / workers.max(1) as f64;
     (drain_s.ceil() as u64).clamp(1, 30)
 }
 
 /// Gauges sampled at exposition time by the caller (they live in the
-/// pool/cache, not in [`Pulse`]).
+/// run gate and the cache, not in [`Pulse`]).
 pub struct ExpositionGauges {
-    /// Jobs queued but not started.
+    /// Requests admitted but holding no run slot yet.
     pub queue_depth: usize,
-    /// Pool queue budget.
+    /// Admission queue budget.
     pub queue_capacity: usize,
-    /// Pool worker count.
+    /// Run slots: cold runs allowed at once.
     pub workers: usize,
     /// Result-cache entries resident.
     pub cache_entries: usize,
@@ -659,7 +659,7 @@ pub fn render_prometheus(pulse: &Pulse, stats: &ServerStats, gauges: &Exposition
         ),
         (
             "atlarge_cache_misses_total",
-            "Answers computed cold on the pool",
+            "Answers computed cold",
             snap.cache_misses,
         ),
         (
@@ -703,7 +703,7 @@ pub fn render_prometheus(pulse: &Pulse, stats: &ServerStats, gauges: &Exposition
         ),
         (
             "atlarge_pool_workers",
-            "Worker threads in the query pool",
+            "Run slots: cold runs allowed at once",
             gauges.workers as f64,
         ),
         (

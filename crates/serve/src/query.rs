@@ -34,7 +34,7 @@ use std::fmt::Write;
 use std::hash::Hasher;
 
 /// Hard ceiling on per-query replications, so one query cannot
-/// monopolize a worker indefinitely.
+/// monopolize a run slot indefinitely.
 pub const MAX_REPLICATIONS: usize = 64;
 
 /// Default seed when a query omits one — fixed, so the cacheable

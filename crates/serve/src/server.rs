@@ -1,5 +1,6 @@
-//! The exploration server: a TCP accept loop, per-connection reader
-//! threads, and the shared query pool behind them.
+//! The exploration server: a TCP accept loop, one thread per
+//! connection, and the shared run gate that bounds the cold runs those
+//! threads execute.
 //!
 //! Request flow for `/run`: read the head into the connection's one
 //! reused buffer (at most 16 KiB, enforced while reading) → decode the
@@ -9,16 +10,18 @@
 //! defaults → key it → cache probe. A hit is answered from that
 //! borrowed form with six heap allocations: the decoded pair list, the
 //! validation's two small vectors, the manifest's model name, the key,
-//! and the request-id header. On a miss, the owned
-//! [`RunQuery`](crate::query::RunQuery) is built, a pool slot is
-//! reserved (or `503`), the cell executes on a worker, is rendered
-//! once, and the rendered bytes are cached and answered. A later hit
-//! returns the *same* `Arc` of bytes the cold run produced —
-//! byte-identity is structural, not re-derived. `/trace` reserves a
-//! slot the same way, then moves the client's stream into the job,
-//! where a [`JsonlSink`] narrates the run live over chunked transfer
-//! encoding; a client hangup latches the sink's error hook, which
-//! cancels the run at the next replication boundary.
+//! and the request-id header. On a miss, the request is admitted to
+//! the run gate (or `503`), the owned [`RunQuery`] is built, and the
+//! connection thread waits for a run slot, executes the cell, gives the
+//! slot back, renders once, and caches and answers the rendered
+//! bytes. A later hit returns the *same* `Arc` of bytes the cold run
+//! produced — byte-identity is structural, not re-derived. `/trace` is
+//! admitted the same way and writes its head before it waits; the run
+//! then narrates itself through a [`JsonlSink`] over chunked transfer
+//! encoding, and a client hangup latches the sink's error hook, which
+//! cancels the run at the next replication boundary. A panicking run
+//! gives its slot back in the unwind: `/run` answers `500`, `/trace`
+//! drops the stream with no tail.
 //!
 //! Every request gets a server-scoped id ([`Pulse::begin_request`]),
 //! echoed in the `X-Atlarge-Request` header and attached to the span
@@ -29,34 +32,36 @@
 //! a response body the cache could serve back.
 
 use crate::cache::ResultCache;
+use crate::gate::{RunGate, Ticket};
 use crate::http::{
     read_request, write_chunked_head, write_response, ChunkedWriter, ReadError, Request,
 };
-use crate::pool::WorkPool;
 use crate::pulse::{
     render_prometheus, render_window, ExpositionGauges, Outcome, Pulse, SloSpec, SpanRecord,
 };
-use crate::query::{error_body, query_manifest, render_body, render_domains, validate_query};
+use crate::query::{
+    error_body, query_manifest, render_body, render_domains, validate_query, RunQuery,
+};
 use crate::stats::ServerStats;
-use atlarge_exp::{CancelToken, Registry};
+use atlarge_exp::{CancelToken, CellOutput, Registry};
 use atlarge_telemetry::export::{json_f64, json_object, json_str};
 use atlarge_telemetry::wall::Stopwatch;
-use atlarge_telemetry::JsonlSink;
-use atlarge_telemetry::NullTracer;
+use atlarge_telemetry::{JsonlSink, NullTracer, Tracer};
 use std::borrow::Cow;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// Server tuning knobs.
 pub struct ServeConfig {
     /// Listen address; port `0` binds an ephemeral port (tests).
     pub addr: String,
-    /// Pool workers; `0` means one per available core.
+    /// Cold runs executing at once; `0` means one per available core.
     pub threads: usize,
-    /// Queued queries admitted before `503`.
+    /// Admitted queries waiting for a run slot before `503`.
     pub queue_capacity: usize,
     /// Cached result bodies.
     pub cache_capacity: usize,
@@ -81,7 +86,7 @@ impl Default for ServeConfig {
 
 struct Shared {
     registry: Registry,
-    pool: WorkPool,
+    gate: RunGate,
     cache: ResultCache,
     stats: ServerStats,
     pulse: Pulse,
@@ -115,7 +120,7 @@ impl Server {
         let pulse = Pulse::new(&registry.domains(), threads, config.slo);
         let shared = Arc::new(Shared {
             registry,
-            pool: WorkPool::new(threads, config.queue_capacity),
+            gate: RunGate::new(threads, config.queue_capacity),
             cache: ResultCache::new(config.cache_capacity, config.cache_shards),
             stats: ServerStats::new(),
             pulse,
@@ -171,7 +176,6 @@ impl Server {
         if let Some(handle) = self.ticker.take() {
             handle.join().expect("pulse ticker panicked");
         }
-        self.shared.pool.shutdown();
     }
 }
 
@@ -331,8 +335,8 @@ fn route<W: Write>(w: &mut W, request: &Request, shared: &Arc<Shared>) -> std::i
                 .iter()
                 .map(|d| format!("\"{d}\""))
                 .collect();
-            let queue_depth = shared.pool.queue_depth();
-            let queue_capacity = shared.pool.capacity();
+            let queue_depth = shared.gate.queued();
+            let queue_capacity = shared.gate.capacity();
             let cache_entries = shared.cache.len();
             let cache_capacity = shared.cache.capacity();
             let body = format!(
@@ -347,7 +351,7 @@ fn route<W: Write>(w: &mut W, request: &Request, shared: &Arc<Shared>) -> std::i
                     (
                         "pool",
                         json_object(&[
-                            ("workers", shared.pool.threads().to_string()),
+                            ("workers", shared.gate.slots().to_string()),
                             ("queue_depth", queue_depth.to_string()),
                             ("queue_capacity", queue_capacity.to_string()),
                             (
@@ -386,7 +390,7 @@ fn route<W: Write>(w: &mut W, request: &Request, shared: &Arc<Shared>) -> std::i
                 "{}\n",
                 shared
                     .stats
-                    .render_json(shared.pool.queue_depth(), &shared.pulse)
+                    .render_json(shared.gate.queued(), &shared.pulse)
             );
             write_response(w, 200, "application/json", &[], body.as_bytes())
         }
@@ -395,9 +399,9 @@ fn route<W: Write>(w: &mut W, request: &Request, shared: &Arc<Shared>) -> std::i
                 &shared.pulse,
                 &shared.stats,
                 &ExpositionGauges {
-                    queue_depth: shared.pool.queue_depth(),
-                    queue_capacity: shared.pool.capacity(),
-                    workers: shared.pool.threads(),
+                    queue_depth: shared.gate.queued(),
+                    queue_capacity: shared.gate.capacity(),
+                    workers: shared.gate.slots(),
                     cache_entries: shared.cache.len(),
                     cache_capacity: shared.cache.capacity(),
                 },
@@ -462,39 +466,14 @@ fn handle_run<W: Write>(w: &mut W, request: &Request, shared: &Arc<Shared>) -> s
         return result;
     }
 
-    let Some(ticket) = shared.pool.reserve() else {
+    let Some(ticket) = shared.gate.admit() else {
         return shed(w, shared, &req_header);
     };
     let query = query.to_run_query();
-
-    let (tx, rx) = mpsc::channel();
-    let job_shared = Arc::clone(shared);
-    let job_query = query.clone();
-    let queued = Stopwatch::start();
-    shared.pool.submit(
-        ticket,
-        Box::new(move || {
-            let queue_ns = queued.elapsed_nanos();
-            let run_watch = Stopwatch::start();
-            let scenario = job_shared
-                .registry
-                .get(&job_query.domain)
-                .expect("validated queries name registered domains");
-            let outcome = scenario.run_cell(
-                &job_query.params,
-                job_query.seed,
-                job_query.replications,
-                &CancelToken::new(),
-                &NullTracer,
-            );
-            // A send failure means the connection thread is gone; the
-            // result simply goes unobserved.
-            let _unobserved = tx.send((outcome, queue_ns, run_watch.elapsed_nanos()));
-        }),
-    );
-
-    match rx.recv() {
-        Ok((Ok(output), queue_ns, run_ns)) => {
+    let (outcome, [queue_ns, run_ns]) =
+        run_in_slot(ticket, shared, &query, &CancelToken::new(), &NullTracer);
+    match outcome {
+        Some(Ok(output)) => {
             let render_watch = Stopwatch::start();
             let body = Arc::new(render_body(&query, &key, &output).into_bytes());
             shared.cache.insert(&key, Arc::clone(&body));
@@ -520,7 +499,7 @@ fn handle_run<W: Write>(w: &mut W, request: &Request, shared: &Arc<Shared>) -> s
             );
             result
         }
-        Ok((Err(reason), _, _)) => {
+        Some(Err(reason)) => {
             shared.stats.client_errors.fetch_add(1, Ordering::Relaxed);
             write_response(
                 w,
@@ -530,7 +509,7 @@ fn handle_run<W: Write>(w: &mut W, request: &Request, shared: &Arc<Shared>) -> s
                 error_body(&reason).as_bytes(),
             )
         }
-        Err(_) => {
+        None => {
             shared.stats.server_errors.fetch_add(1, Ordering::Relaxed);
             shared.pulse.observe(
                 req_id,
@@ -549,6 +528,36 @@ fn handle_run<W: Write>(w: &mut W, request: &Request, shared: &Arc<Shared>) -> s
     }
 }
 
+/// Waits for a run slot, runs the query's cell in it on this thread and
+/// gives the slot back, also when the run panics; the outcome is then
+/// `None`. Returns the outcome with the queue and run stage times.
+fn run_in_slot(
+    ticket: Ticket<'_>,
+    shared: &Shared,
+    query: &RunQuery,
+    cancel: &CancelToken,
+    tracer: &dyn Tracer,
+) -> (Option<Result<CellOutput, String>>, [u64; 2]) {
+    let scenario = shared
+        .registry
+        .get(&query.domain)
+        .expect("validated queries name registered domains");
+    let queued = Stopwatch::start();
+    let _slot = ticket.wait();
+    let queue_ns = queued.elapsed_nanos();
+    let run_watch = Stopwatch::start();
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        scenario.run_cell(
+            &query.params,
+            query.seed,
+            query.replications,
+            cancel,
+            tracer,
+        )
+    }));
+    (outcome.ok(), [queue_ns, run_watch.elapsed_nanos()])
+}
+
 /// Answers `503` with a `Retry-After` derived from the pulse plane's
 /// service-time EWMA and the current backlog, and charges the shed to
 /// the availability budget.
@@ -557,7 +566,7 @@ fn shed<W: Write>(w: &mut W, shared: &Arc<Shared>, req_header: &str) -> std::io:
     shared.pulse.observe_shed();
     let retry = shared
         .pulse
-        .retry_after_secs(shared.pool.queue_depth(), shared.pool.threads())
+        .retry_after_secs(shared.gate.queued(), shared.gate.slots())
         .to_string();
     write_response(
         w,
@@ -568,9 +577,9 @@ fn shed<W: Write>(w: &mut W, shared: &Arc<Shared>, req_header: &str) -> std::io:
     )
 }
 
-/// Streams a traced run as chunked JSONL. Runs on the connection
-/// thread's budget but inside a pool reservation, so tracing traffic
-/// and `/run` traffic share one admission gate.
+/// Streams a traced run as chunked JSONL. The run is admitted to the
+/// same gate as `/run` and executes on this connection thread once it
+/// holds a slot, so tracing traffic and `/run` traffic share one bound.
 fn handle_trace(mut stream: TcpStream, request: &Request, shared: &Arc<Shared>) {
     let req_id = shared.pulse.begin_request();
     let req_header = req_id.to_string();
@@ -589,7 +598,7 @@ fn handle_trace(mut stream: TcpStream, request: &Request, shared: &Arc<Shared>) 
             return;
         }
     };
-    let Some(ticket) = shared.pool.reserve() else {
+    let Some(ticket) = shared.gate.admit() else {
         let _closing = shed(&mut stream, shared, &req_header);
         return;
     };
@@ -605,80 +614,55 @@ fn handle_trace(mut stream: TcpStream, request: &Request, shared: &Arc<Shared>) 
     )
     .is_err()
     {
-        return; // ticket drop releases the slot
+        return; // the ticket's drop gives its place back
     }
 
-    let (tx, rx) = mpsc::channel();
-    let job_shared = Arc::clone(shared);
-    let queued = Stopwatch::start();
-    shared.pool.submit(
-        ticket,
-        Box::new(move || {
-            let queue_ns = queued.elapsed_nanos();
-            let run_watch = Stopwatch::start();
-            let cancel = CancelToken::new();
-            let hangup = cancel.clone();
-            let sink = JsonlSink::new(ChunkedWriter::new(stream)).on_error(move || hangup.cancel());
-            let scenario = job_shared
-                .registry
-                .get(&query.domain)
-                .expect("validated queries name registered domains");
-            let outcome = scenario.run_cell(
-                &query.params,
-                query.seed,
-                query.replications,
-                &cancel,
-                &sink,
-            );
-            let run_ns = run_watch.elapsed_nanos();
-            let client_gone = sink.has_failed();
-            // The serving-side span rides in the stream itself, ahead
-            // of the manifest so the manifest stays the last record
-            // before the closing result document.
-            let span = SpanRecord {
-                id: req_id,
-                domain: query.domain.clone(),
-                outcome: if outcome.is_ok() || client_gone {
-                    Outcome::Stream
-                } else {
-                    Outcome::Error
-                },
-                stage_ns: [queue_ns, run_ns, 0, 0],
-                total_ns: queue_ns + run_ns,
-                seq: 0,
-            };
-            sink.emit_raw(&span.render_trace_line());
-            let manifest = query_manifest(&query);
-            // Closing handshake: manifest line, then the final result
-            // line (or the error), then the terminating chunk.
-            let write_watch = Stopwatch::start();
-            if let Ok(mut chunked) = sink.finish_into(&manifest) {
-                let tail = match &outcome {
-                    Ok(output) => render_body(&query, &key, output),
-                    Err(reason) => error_body(reason),
-                };
-                if chunked.write_all(tail.as_bytes()).is_ok() {
-                    let _closing = chunked.finish();
-                }
-            }
-            if outcome.is_err() && !client_gone {
-                job_shared
-                    .stats
-                    .server_errors
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            job_shared.pulse.observe(
-                req_id,
-                &query.domain,
-                span.outcome,
-                [queue_ns, run_ns, 0, write_watch.elapsed_nanos()],
-            );
-            let _unobserved = tx.send(());
-        }),
+    let cancel = CancelToken::new();
+    let hangup = cancel.clone();
+    let sink = JsonlSink::new(ChunkedWriter::new(stream)).on_error(move || hangup.cancel());
+    let (outcome, [queue_ns, run_ns]) = run_in_slot(ticket, shared, &query, &cancel, &sink);
+    // A panicking run drops the stream with no tail: the client sees
+    // the body end without its terminating chunk.
+    let Some(outcome) = outcome else { return };
+    let client_gone = sink.has_failed();
+    // The serving-side span rides in the stream itself, ahead of the
+    // manifest so the manifest stays the last record before the
+    // closing result document.
+    let span = SpanRecord {
+        id: req_id,
+        domain: query.domain.clone(),
+        outcome: if outcome.is_ok() || client_gone {
+            Outcome::Stream
+        } else {
+            Outcome::Error
+        },
+        stage_ns: [queue_ns, run_ns, 0, 0],
+        total_ns: queue_ns + run_ns,
+        seq: 0,
+    };
+    sink.emit_raw(&span.render_trace_line());
+    let manifest = query_manifest(&query);
+    // Closing handshake: manifest line, then the final result line (or
+    // the error), then the terminating chunk.
+    let write_watch = Stopwatch::start();
+    if let Ok(mut chunked) = sink.finish_into(&manifest) {
+        let tail = match &outcome {
+            Ok(output) => render_body(&query, &key, output),
+            Err(reason) => error_body(reason),
+        };
+        if chunked.write_all(tail.as_bytes()).is_ok() {
+            let _closing = chunked.finish();
+        }
+    }
+    if outcome.is_err() && !client_gone {
+        shared.stats.server_errors.fetch_add(1, Ordering::Relaxed);
+    }
+    shared.pulse.observe(
+        req_id,
+        &query.domain,
+        span.outcome,
+        [queue_ns, run_ns, 0, write_watch.elapsed_nanos()],
     );
-    // Wait for the stream job so this connection's lifetime covers it
-    // (shutdown's drain then covers trace streams too).
-    let _finished = rx.recv();
 }
 
 /// `/watch` window length bounds, milliseconds.
@@ -764,7 +748,7 @@ fn handle_watch(mut stream: TcpStream, request: &Request, shared: &Arc<Shared>) 
             &prev,
             &cur,
             now_s - last_s,
-            shared.pool.queue_depth(),
+            shared.gate.queued(),
         );
         if chunked.write_all(line.as_bytes()).is_err() {
             return; // client hung up; nothing to clean beyond the stream

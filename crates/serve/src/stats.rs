@@ -51,7 +51,7 @@ impl ServerStats {
     }
 
     /// The `/stats` JSON document. `queue_depth` is sampled by the
-    /// caller from the pool at render time; per-domain latency comes
+    /// caller from the run gate at render time; per-domain latency comes
     /// from the pulse plane's histograms.
     pub fn render_json(&self, queue_depth: usize, pulse: &Pulse) -> String {
         let snap = pulse.snapshot(self);

@@ -4,7 +4,8 @@
 
 use atlarge_exp::registry::{CellOutput, CellScenario, ParamSpec};
 use atlarge_exp::{CancelToken, Registry};
-use atlarge_serve::client::{get, ClientConn};
+use atlarge_obsv::jsonl::parse;
+use atlarge_serve::client::{get, get_stream, ClientConn};
 use atlarge_serve::server::{ServeConfig, Server};
 use atlarge_serve::standard_registry;
 use atlarge_stats::descriptive::Summary;
@@ -287,6 +288,13 @@ fn saturated_pool_answers_503_and_recovers() {
         "{}",
         stats.body_str()
     );
+    // Every admitted request gave its place back: a leaked ticket would
+    // still count as queued here.
+    let health = get(&addr, "/healthz").expect("healthz").body_str();
+    let pool = parse(health.trim()).expect("valid JSON");
+    let pool = pool.get("pool").expect("pool block");
+    assert_eq!(pool.u64_field("queue_depth"), Some(0), "{health}");
+    assert_eq!(pool.f64_field("saturation"), Some(0.0), "{health}");
     server.shutdown();
 }
 
@@ -443,8 +451,9 @@ fn a_panicking_query_answers_500_and_its_worker_keeps_serving() {
     )
     .expect("bind");
     let addr = server.addr().to_string();
-    // Every query after the first panic needs the one worker to have
-    // survived it; without that they never answer, so bound the wait.
+    // Every query after the first panic needs the one run slot to have
+    // come back from it; without that they never answer, so bound the
+    // wait.
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
         let status = |path: &str| get(&addr, path).expect("responds").status;
@@ -452,13 +461,36 @@ fn a_panicking_query_answers_500_and_its_worker_keeps_serving() {
             status("/run?domain=boom&tag=a"),
             status("/run?domain=boom&tag=b"),
         ];
+        // A panicking traced run: the head is already out, so the
+        // stream just ends, without its terminating chunk.
+        let mut stream = get_stream(&addr, "/trace?domain=boom&tag=c").expect("trace opens");
+        let mut traced = Vec::new();
+        while let Ok(Some(line)) = stream.next_line() {
+            traced.push(line);
+        }
         let fresh = get(&addr, "/run?domain=echo&x=7&seed=99").expect("responds");
-        let _unobserved = tx.send((boom, fresh));
+        let _unobserved = tx.send((boom, (stream.status, traced), fresh));
     });
-    let (boom, fresh) = rx
+    let (boom, (trace_status, traced), fresh) = rx
         .recv_timeout(std::time::Duration::from_secs(20))
-        .expect("a panicking query killed the pool's only worker");
+        .expect("a panicking query kept the only run slot");
     assert_eq!(boom, [500, 500]);
+    assert_eq!(trace_status, 200);
+    assert!(
+        traced
+            .iter()
+            .all(|line| !line.contains("\"kind\":\"manifest\"")),
+        "a panicking traced run closed its stream: {traced:?}"
+    );
     assert_eq!(fresh.status, 200, "{}", fresh.body_str());
-    server.shutdown();
+    // A run that unwound past its connection thread would never close
+    // that connection, and the drain would wait for it forever.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        server.shutdown();
+        let _unobserved = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(20))
+        .expect("shutdown never drained the panicking runs' connections");
 }

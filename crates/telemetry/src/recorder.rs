@@ -67,45 +67,48 @@ impl TraceRecord {
     /// One-line JSON rendering. Schedule and dispatch records carry the
     /// causal `id`/`parent` fields; `parent` is omitted for roots.
     pub fn to_json(&self) -> String {
-        let mut fields = vec![("t", json_f64(self.time))];
-        match &self.kind {
-            TraceKind::Schedule {
-                fire_at,
-                id,
-                parent,
-            } => {
-                fields.push(("kind", json_str("schedule")));
-                fields.push(("label", json_str(&self.label)));
-                fields.push(("fire_at", json_f64(*fire_at)));
-                fields.push(("id", id.to_string()));
-                if let Some(p) = parent {
-                    fields.push(("parent", p.to_string()));
-                }
-            }
-            TraceKind::Dispatch {
-                queue_len,
-                id,
-                parent,
-            } => {
-                fields.push(("kind", json_str("dispatch")));
-                fields.push(("label", json_str(&self.label)));
-                fields.push(("queue", queue_len.to_string()));
-                fields.push(("id", id.to_string()));
-                if let Some(p) = parent {
-                    fields.push(("parent", p.to_string()));
-                }
-            }
-            TraceKind::SpanEnter => {
-                fields.push(("kind", json_str("span_enter")));
-                fields.push(("label", json_str(&self.label)));
-            }
-            TraceKind::SpanExit => {
-                fields.push(("kind", json_str("span_exit")));
-                fields.push(("label", json_str(&self.label)));
-            }
-        }
-        json_object(&fields)
+        render_trace_line(self.time, &self.label, &self.kind)
     }
+}
+
+/// The one JSON rendering of a trace record, shared by
+/// [`TraceRecord::to_json`] and the streaming
+/// [`JsonlSink`](crate::sink::JsonlSink), so a recorder export and a
+/// live stream agree byte for byte.
+pub(crate) fn render_trace_line(time: f64, label: &str, kind: &TraceKind) -> String {
+    let (name, detail, id, parent) = match *kind {
+        TraceKind::Schedule {
+            fire_at,
+            id,
+            parent,
+        } => (
+            "schedule",
+            Some(("fire_at", json_f64(fire_at))),
+            Some(id),
+            parent,
+        ),
+        TraceKind::Dispatch {
+            queue_len,
+            id,
+            parent,
+        } => (
+            "dispatch",
+            Some(("queue", queue_len.to_string())),
+            Some(id),
+            parent,
+        ),
+        TraceKind::SpanEnter => ("span_enter", None, None, None),
+        TraceKind::SpanExit => ("span_exit", None, None, None),
+    };
+    let mut fields = vec![
+        ("t", json_f64(time)),
+        ("kind", json_str(name)),
+        ("label", json_str(label)),
+    ];
+    fields.extend(detail);
+    fields.extend(id.map(|id| ("id", id.to_string())));
+    fields.extend(parent.map(|p| ("parent", p.to_string())));
+    json_object(&fields)
 }
 
 /// Accumulated profile of one span name.

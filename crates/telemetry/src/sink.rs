@@ -5,7 +5,7 @@
 //! This is the streaming half of the observability story: a
 //! long-running exploration service can attach a [`JsonlSink`] wrapped
 //! around a chunked HTTP response body and narrate a run to a client
-//! live. Record shapes are byte-identical to
+//! live. Records are rendered by the same function as
 //! [`TraceRecord::to_json`](crate::recorder::TraceRecord::to_json), so
 //! everything that consumes recorder exports (the `obsv` readers, the
 //! `trace_lens` example) ingests sink output unchanged.
@@ -15,8 +15,8 @@
 //! error, and fires an optional error hook exactly once — a server uses
 //! that hook to cancel the run whose audience hung up.
 
-use crate::export::{json_f64, json_object, json_str};
 use crate::manifest::RunManifest;
+use crate::recorder::{render_trace_line, TraceKind};
 use crate::tracer::Tracer;
 use std::io::Write;
 use std::sync::Mutex;
@@ -121,47 +121,29 @@ impl<W: Write + Send> JsonlSink<W> {
 
 impl<W: Write + Send> Tracer for JsonlSink<W> {
     fn on_schedule(&self, now: f64, fire_at: f64, label: &str, id: u64, parent: Option<u64>) {
-        let mut fields = vec![
-            ("t", json_f64(now)),
-            ("kind", json_str("schedule")),
-            ("label", json_str(label)),
-            ("fire_at", json_f64(fire_at)),
-            ("id", id.to_string()),
-        ];
-        if let Some(p) = parent {
-            fields.push(("parent", p.to_string()));
-        }
-        self.emit(json_object(&fields));
+        let kind = TraceKind::Schedule {
+            fire_at,
+            id,
+            parent,
+        };
+        self.emit(render_trace_line(now, label, &kind));
     }
 
     fn on_dispatch(&self, now: f64, label: &str, queue_len: usize, id: u64, parent: Option<u64>) {
-        let mut fields = vec![
-            ("t", json_f64(now)),
-            ("kind", json_str("dispatch")),
-            ("label", json_str(label)),
-            ("queue", queue_len.to_string()),
-            ("id", id.to_string()),
-        ];
-        if let Some(p) = parent {
-            fields.push(("parent", p.to_string()));
-        }
-        self.emit(json_object(&fields));
+        let kind = TraceKind::Dispatch {
+            queue_len,
+            id,
+            parent,
+        };
+        self.emit(render_trace_line(now, label, &kind));
     }
 
     fn on_span_enter(&self, now: f64, name: &str) {
-        self.emit(json_object(&[
-            ("t", json_f64(now)),
-            ("kind", json_str("span_enter")),
-            ("label", json_str(name)),
-        ]));
+        self.emit(render_trace_line(now, name, &TraceKind::SpanEnter));
     }
 
     fn on_span_exit(&self, now: f64, name: &str) {
-        self.emit(json_object(&[
-            ("t", json_f64(now)),
-            ("kind", json_str("span_exit")),
-            ("label", json_str(name)),
-        ]));
+        self.emit(render_trace_line(now, name, &TraceKind::SpanExit));
     }
 }
 
