@@ -271,10 +271,13 @@ impl<'a> Parser<'a> {
                                 .bytes
                                 .get(self.pos..self.pos + 4)
                                 .ok_or_else(|| self.err("short \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u hex"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u hex"))?;
+                            // Four ASCII hex digits and nothing else:
+                            // `from_str_radix` would also take a sign.
+                            let code = Some(hex)
+                                .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+                                .and_then(|h| std::str::from_utf8(h).ok())
+                                .and_then(|h| u32::from_str_radix(h, 16).ok())
+                                .ok_or_else(|| self.err("bad \\u hex"))?;
                             self.pos += 4;
                             // Surrogates never appear in our own exports;
                             // map them to the replacement character.
@@ -341,6 +344,9 @@ mod tests {
         let v = parse(r#"{"s":"a\"b\nc","x":-1.5e-3}"#).unwrap();
         assert_eq!(v.str_field("s"), Some("a\"b\nc"));
         assert!((v.f64_field("x").unwrap() + 0.0015).abs() < 1e-12);
+        assert_eq!(parse(r#""\u0041""#), Ok(Json::Str("A".to_string())));
+        let signed = parse(r#""\u+041""#).expect_err("a sign is not a hex digit");
+        assert_eq!(signed.msg, "bad \\u hex");
     }
 
     #[test]

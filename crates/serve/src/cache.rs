@@ -15,7 +15,6 @@
 
 use atlarge_telemetry::manifest::fnv1a;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 struct Entry {
@@ -39,8 +38,6 @@ impl Shard {
 pub struct ResultCache {
     shards: Vec<Mutex<Shard>>,
     per_shard_capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl ResultCache {
@@ -64,8 +61,6 @@ impl ResultCache {
                 })
                 .collect(),
             per_shard_capacity: capacity.div_ceil(shards),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
         }
     }
 
@@ -74,25 +69,13 @@ impl ResultCache {
         &self.shards[idx]
     }
 
-    /// Looks `key` up, refreshing its recency on a hit. Counts the
-    /// outcome toward the hit/miss statistics.
+    /// Looks `key` up, refreshing its recency on a hit.
     pub fn get(&self, key: &str) -> Option<Arc<Vec<u8>>> {
         let mut shard = self.shard_of(key).lock().expect("cache shard lock");
         let stamp = shard.touch();
-        match shard.map.get_mut(key) {
-            Some(entry) => {
-                entry.stamp = stamp;
-                let body = Arc::clone(&entry.body);
-                drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(body)
-            }
-            None => {
-                drop(shard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let entry = shard.map.get_mut(key)?;
+        entry.stamp = stamp;
+        Some(Arc::clone(&entry.body))
     }
 
     /// Inserts (or refreshes) `key`, evicting the shard's
@@ -129,14 +112,6 @@ impl ResultCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// `(hits, misses)` counted by [`ResultCache::get`].
-    pub fn hit_stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -148,12 +123,11 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_and_counts_hits() {
+    fn round_trips_a_body() {
         let cache = ResultCache::new(8, 2);
         assert!(cache.get("k1").is_none());
         cache.insert("k1", body("v1"));
         assert_eq!(cache.get("k1").expect("cached").as_slice(), b"v1");
-        assert_eq!(cache.hit_stats(), (1, 1));
         assert_eq!(cache.len(), 1);
     }
 

@@ -176,7 +176,11 @@ pub fn percent_decode(s: &str) -> Cow<'_, str> {
                 i += 1;
             }
             b'%' => {
-                let hex = bytes.get(i + 1..i + 3);
+                // Two ASCII hex digits and nothing else: `from_str_radix`
+                // would also take a sign, decoding `%+1` as byte 1.
+                let hex = bytes
+                    .get(i + 1..i + 3)
+                    .filter(|h| h.iter().all(u8::is_ascii_hexdigit));
                 match hex.and_then(|h| u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok()) {
                     Some(b) => {
                         out.push(b);
@@ -457,6 +461,7 @@ mod tests {
         assert_eq!(percent_decode("%5B114%5D"), "[114]");
         assert_eq!(percent_decode("100%"), "100%", "dangling escape is literal");
         assert_eq!(percent_decode("%zz"), "%zz", "bad hex is literal");
+        assert_eq!(percent_decode("%+1"), "% 1", "a sign is not a hex digit");
     }
 
     #[test]

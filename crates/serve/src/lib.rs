@@ -25,18 +25,20 @@
 //!   records over chunked transfer encoding, closed by a
 //!   `server_span` record (the serving-side story of the request),
 //!   the query manifest, and the result document.
-//! - `GET /stats` — queue depth, cache hit rate, SLO state, and
-//!   per-domain latency quantiles from log-scale histograms.
+//! - `GET /stats` — request counters, queue depth, cache hit rate, SLO
+//!   state, and per-domain latency quantiles from log-scale histograms.
 //! - `GET /metrics` — Prometheus text exposition: counters, gauges,
 //!   per-stage and per-domain latency histograms, SLO burn rates.
 //! - `GET /watch?windows=<n>&window_ms=<m>` — chunked JSONL stream of
 //!   per-window aggregates (rps, p50/p99 per stage, hit rate, shed
 //!   rate, queue depth, SLO burn) — the live dashboard feed.
 //!
-//! The observability plane behind `/metrics`, `/watch`, and the
-//! request-scoped spans is [`pulse`]: lock-free sharded histograms
-//! over [`atlarge_telemetry::hist`], a per-second SLO sample ring, and
-//! a request-id counter whose ids ride the `X-Atlarge-Request` header.
+//! The observability plane behind `/stats`, `/metrics`, `/watch`, and
+//! the request-scoped spans is the private `pulse` module: the one
+//! request ledger (a counter per kind of answer, from which the SLO
+//! totals derive), lock-free sharded histograms over
+//! [`atlarge_telemetry::hist`], a per-second SLO sample ring, and a
+//! request-id counter whose ids ride the `X-Atlarge-Request` header.
 //!
 //! Everything is `std`-only: sockets from `std::net`, the HTTP/1.1
 //! subset hand-written in [`http`], JSON via `atlarge-telemetry`'s
@@ -46,18 +48,15 @@ pub mod cache;
 pub mod client;
 mod gate;
 pub mod http;
-pub mod pulse;
+mod pulse;
 pub mod query;
 pub mod server;
-pub mod stats;
 
 pub use atlarge_exp::Registry;
 pub use cache::ResultCache;
 pub use client::{get, get_stream, ClientConn, HttpResponse, StreamingResponse};
-pub use pulse::{retry_after_secs, Outcome, Pulse, SloSpec, SloStatus, SpanRecord, Stage};
 pub use query::{cache_key, parse_run_query, RunQuery};
 pub use server::{ServeConfig, Server};
-pub use stats::ServerStats;
 
 /// The standard registry: every reproduced domain of the paper's
 /// Table 5–9 and §6 studies, under its published domain name.

@@ -1,9 +1,17 @@
-//! `atlarge-pulse` — the server's live observability plane.
+//! The server's live observability plane and its one request ledger.
 //!
 //! The AtLarge design processes observe *running* systems, not only
 //! simulated ones; this module makes the exploration server itself a
 //! first-class observable. It owns:
 //!
+//! - **The request ledger.** One counter per kind of answer
+//!   ([`Outcome`]: hit, miss, stream, error, shed, refused) and one per
+//!   kind of work a request starts ([`Started`]: `/run` queries,
+//!   `/trace` and `/watch` streams). `/stats`, `/metrics`, `/watch`,
+//!   `/healthz` and the SLO totals all read these counters and nothing
+//!   else, so every answer is counted once and every view agrees.
+//!   [`Pulse::answer`] counts an answer *before* its bytes go out, so a
+//!   client that has read an answer finds it counted.
 //! - **Request-scoped spans.** Every query gets a monotonically
 //!   increasing request id at accept time, echoed in the
 //!   `X-Atlarge-Request` response header and carried through admission,
@@ -18,16 +26,14 @@
 //!   apart difference into that second's histogram, which is how the
 //!   `/watch` stream emits per-window p50/p99 without any per-request
 //!   bookkeeping beyond the atomics above.
-//! - **SLO burn-rate tracking.** A declarative [`SloSpec`] (latency
-//!   objective + availability objective) evaluated over 1m and 5m
-//!   windows from a ring of per-second samples; burn rate is budget
-//!   consumed per unit budget-sustainable rate, so `burn = 1` means
-//!   "spending exactly the error budget", `burn = 14.4` sustained
-//!   means "the monthly budget dies in ~2 days" — the classic
-//!   fast-burn alerting threshold this module adopts for its
-//!   `critical` state.
+//! - **SLO burn-rate tracking.** A latency objective and an
+//!   availability objective, evaluated over 1m and 5m windows from a
+//!   ring of per-second samples; burn rate is budget consumed per unit
+//!   budget-sustainable rate, so `burn = 1` means "spending exactly the
+//!   error budget", `burn = 14.4` sustained means "the monthly budget
+//!   dies in ~2 days" — the classic fast-burn alerting threshold this
+//!   module adopts for its `critical` state.
 
-use crate::stats::ServerStats;
 use atlarge_telemetry::export::{json_f64, json_object, json_str};
 use atlarge_telemetry::hist::{HistogramSnapshot, ShardedHistogram};
 use atlarge_telemetry::wall::Stopwatch;
@@ -35,34 +41,33 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Pipeline stages a request's wall time is attributed to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
-    /// Waiting between admission to the run gate and holding a run
-    /// slot.
-    Queue = 0,
-    /// Executing the scenario cell in its slot.
-    Run = 1,
-    /// Rendering the canonical response body.
-    Render = 2,
-    /// Writing the response to the client socket.
-    Write = 3,
-}
-
-/// Stage names in [`Stage`] discriminant order.
+/// Pipeline stages a request's wall time is attributed to, in the order
+/// of every `stage_ns` array: `queue` (between admission to the run gate
+/// and holding a run slot), `run` (the scenario cell in its slot),
+/// `render` (the canonical response body) and `write` (the response to
+/// the client socket).
 pub const STAGE_NAMES: [&str; 4] = ["queue", "run", "render", "write"];
 
-/// How a request was answered, as recorded in its span.
+/// Index of the `run` stage in [`STAGE_NAMES`].
+const RUN: usize = 1;
+
+/// How a request was answered: the ledger keeps one counter per kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
-    /// Served from the result cache.
+    /// A `/run` served from the result cache.
     Hit,
-    /// Computed cold in a run slot.
+    /// A `/run` computed cold in a run slot.
     Miss,
-    /// Streamed live over `/trace`.
+    /// A `/trace` stream that reached its tail, or lost its client.
     Stream,
-    /// Failed server-side (counts against the availability SLO).
+    /// A server error: a panicking run, answered `500` on `/run` and
+    /// with a tail-less stream on `/trace`.
     Error,
+    /// Refused with `503` by the admission gate.
+    Shed,
+    /// A client refusal: a `4xx`, a cell's typed `Err` on `/run` and
+    /// `/trace` alike included.
+    Refused,
 }
 
 impl Outcome {
@@ -72,42 +77,47 @@ impl Outcome {
             Outcome::Miss => "miss",
             Outcome::Stream => "stream",
             Outcome::Error => "error",
+            Outcome::Shed => "shed",
+            Outcome::Refused => "refused",
         }
+    }
+
+    /// Whether the answer ran or was served, and so has a span: the
+    /// stage and domain histograms and the latency SLO see it.
+    fn spanned(self) -> bool {
+        !matches!(self, Outcome::Shed | Outcome::Refused)
     }
 }
 
-/// A declarative service-level objective for the exploration server.
+/// What a request started, counted apart from how it is answered.
 #[derive(Debug, Clone, Copy)]
-pub struct SloSpec {
-    /// Per-request end-to-end latency target, milliseconds.
-    pub latency_ms: f64,
-    /// Fraction of requests that must meet `latency_ms` (e.g. `0.99`
-    /// for "p99 < latency_ms").
-    pub latency_objective: f64,
-    /// Fraction of requests that must be answered without shedding or
-    /// server error (e.g. `0.999` for "99.9% available").
-    pub availability: f64,
+pub enum Started {
+    /// A `/run` query, counted before it is validated.
+    Query,
+    /// A `/trace` stream, counted once admitted to the run gate.
+    Trace,
+    /// A `/watch` stream, counted once its head is written.
+    Watch,
 }
 
-impl Default for SloSpec {
-    fn default() -> Self {
-        SloSpec {
-            latency_ms: 50.0,
-            latency_objective: 0.99,
-            availability: 0.999,
-        }
-    }
-}
+/// Per-request end-to-end latency target, milliseconds.
+const SLO_LATENCY_MS: f64 = 50.0;
+/// Fraction of spanned answers that must meet [`SLO_LATENCY_MS`]
+/// ("p99 < 50 ms").
+const SLO_LATENCY_OBJECTIVE: f64 = 0.99;
+/// Fraction of answers that must be neither a shed nor a server error
+/// ("99.9% available"). A client refusal counts on neither side.
+const SLO_AVAILABILITY: f64 = 0.999;
 
 /// Sustained burn at or above this rate in *both* the short and long
 /// window flips the SLO state to `critical` (the SRE-workbook fast-burn
 /// page threshold).
-pub const CRITICAL_BURN: f64 = 14.4;
+const CRITICAL_BURN: f64 = 14.4;
 
 /// Short / long burn-rate windows, seconds.
-pub const BURN_SHORT_SECS: usize = 60;
+const BURN_SHORT_SECS: usize = 60;
 /// See [`BURN_SHORT_SECS`].
-pub const BURN_LONG_SECS: usize = 300;
+const BURN_LONG_SECS: usize = 300;
 
 /// Evaluated SLO state at one instant.
 #[derive(Debug, Clone, Copy)]
@@ -143,14 +153,14 @@ impl SloStatus {
 
     /// Renders the `"slo"` JSON object shared by `/healthz`, `/watch`,
     /// and `/stats`.
-    pub fn render_json(&self, spec: &SloSpec) -> String {
+    pub fn render_json(&self) -> String {
         json_object(&[
             ("state", json_str(self.state)),
             ("healthy", self.healthy.to_string()),
             (
                 "availability",
                 json_object(&[
-                    ("target", json_f64(spec.availability)),
+                    ("target", json_f64(SLO_AVAILABILITY)),
                     ("burn_1m", json_f64(self.avail_burn_1m)),
                     ("burn_5m", json_f64(self.avail_burn_5m)),
                 ]),
@@ -158,13 +168,43 @@ impl SloStatus {
             (
                 "latency",
                 json_object(&[
-                    ("target_ms", json_f64(spec.latency_ms)),
-                    ("objective", json_f64(spec.latency_objective)),
+                    ("target_ms", json_f64(SLO_LATENCY_MS)),
+                    ("objective", json_f64(SLO_LATENCY_OBJECTIVE)),
                     ("burn_1m", json_f64(self.lat_burn_1m)),
                     ("burn_5m", json_f64(self.lat_burn_5m)),
                 ]),
             ),
         ])
+    }
+}
+
+/// The ledger's counters at one instant.
+#[derive(Debug, Clone, Copy)]
+pub struct Counts {
+    answers: [u64; 6],
+    started: [u64; 3],
+}
+
+impl Counts {
+    /// Answers of one kind.
+    pub fn answers(&self, outcome: Outcome) -> u64 {
+        self.answers[outcome as usize]
+    }
+
+    /// Requests that started `what`.
+    pub fn started(&self, what: Started) -> u64 {
+        self.started[what as usize]
+    }
+
+    /// Cache hit rate in `[0, 1]`; zero before any hit or miss.
+    pub fn hit_rate(&self) -> f64 {
+        let hits = self.answers(Outcome::Hit) as f64;
+        let total = hits + self.answers(Outcome::Miss) as f64;
+        if total == 0.0 {
+            0.0
+        } else {
+            hits / total
+        }
     }
 }
 
@@ -175,6 +215,21 @@ struct SloSample {
     bad: u64,
     lat_total: u64,
     lat_slow: u64,
+}
+
+impl SloSample {
+    /// The SLO totals the ledger's counters derive: every answer but a
+    /// client refusal is an availability sample, a shed or a server
+    /// error a bad one; every spanned answer is a latency sample.
+    fn totals(counts: &Counts, lat_slow: u64) -> Self {
+        let [hit, miss, stream, error, shed, _refused] = counts.answers;
+        SloSample {
+            total: hit + miss + stream + error + shed,
+            bad: shed + error,
+            lat_total: hit + miss + stream + error,
+            lat_slow,
+        }
+    }
 }
 
 /// Ring of per-second samples, long enough for the 5m burn window.
@@ -280,7 +335,6 @@ pub struct Pulse {
     /// Server lifetime clock; `t_ms` in `/watch` lines is relative to
     /// this (a report field, never a result).
     epoch: Stopwatch,
-    slo: SloSpec,
     /// Per-stage wall-latency histograms.
     stage: [ShardedHistogram; 4],
     /// Per-domain end-to-end histograms, sorted by domain name for
@@ -290,10 +344,12 @@ pub struct Pulse {
     next_seq: AtomicU64,
     /// EWMA of cold-run service time, nanoseconds (0 = no signal yet).
     ewma_service_ns: AtomicU64,
-    // SLO accounting totals, sampled once per second into the ring.
-    slo_total: AtomicU64,
-    slo_bad: AtomicU64,
-    lat_total: AtomicU64,
+    /// The ledger: answers by kind, in [`Outcome`] order.
+    answers: [AtomicU64; 6],
+    /// The ledger: work started, in [`Started`] order.
+    started: [AtomicU64; 3],
+    /// Spanned answers slower than the latency target: the one SLO
+    /// total the ledger's counters cannot derive.
     lat_slow: AtomicU64,
     ring: Mutex<SloRing>,
     recent: Mutex<VecDeque<SpanRecord>>,
@@ -302,12 +358,11 @@ pub struct Pulse {
 impl Pulse {
     /// A plane for a server exposing `domains`, with `shards`-way
     /// histogram sharding (match the run-slot count).
-    pub fn new(domains: &[&str], shards: usize, slo: SloSpec) -> Self {
+    pub fn new(domains: &[&str], shards: usize) -> Self {
         let mut names: Vec<String> = domains.iter().map(|d| d.to_string()).collect();
         names.sort();
         Pulse {
             epoch: Stopwatch::start(),
-            slo,
             stage: std::array::from_fn(|_| ShardedHistogram::new(shards)),
             domains: names
                 .into_iter()
@@ -316,9 +371,8 @@ impl Pulse {
             next_request: AtomicU64::new(1),
             next_seq: AtomicU64::new(1),
             ewma_service_ns: AtomicU64::new(0),
-            slo_total: AtomicU64::new(0),
-            slo_bad: AtomicU64::new(0),
-            lat_total: AtomicU64::new(0),
+            answers: std::array::from_fn(|_| AtomicU64::new(0)),
+            started: std::array::from_fn(|_| AtomicU64::new(0)),
             lat_slow: AtomicU64::new(0),
             ring: Mutex::new(SloRing {
                 samples: VecDeque::new(),
@@ -326,11 +380,6 @@ impl Pulse {
             }),
             recent: Mutex::new(VecDeque::with_capacity(SPAN_RING)),
         }
-    }
-
-    /// The configured SLO.
-    pub fn slo_spec(&self) -> &SloSpec {
-        &self.slo
     }
 
     /// Milliseconds since the server started (report field).
@@ -343,9 +392,41 @@ impl Pulse {
         self.next_request.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Records one completed request span: histograms, SLO accounting,
-    /// EWMA service time, and the recent-span ring.
-    pub fn observe(&self, id: u64, domain: &str, outcome: Outcome, stage_ns: [u64; 4]) {
+    /// Counts a request that started `what`.
+    pub fn count_started(&self, what: Started) {
+        self.started[what as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one answer that has no span: a shed or a client refusal.
+    pub fn count(&self, outcome: Outcome) {
+        self.answers[outcome as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one answer to request `id` on `domain`: counts it, runs
+    /// `write` (which sends it) as its write stage, and then, if the
+    /// answer ran or was served, records its span after the queue, run
+    /// and render stages in `stage_ns`. Returns what `write` returned.
+    pub fn answer<T>(
+        &self,
+        id: u64,
+        domain: &str,
+        outcome: Outcome,
+        [queue_ns, run_ns, render_ns]: [u64; 3],
+        write: impl FnOnce() -> T,
+    ) -> T {
+        self.count(outcome);
+        let watch = Stopwatch::start();
+        let written = write();
+        if outcome.spanned() {
+            let write_ns = watch.elapsed_nanos();
+            self.record_span(id, domain, outcome, [queue_ns, run_ns, render_ns, write_ns]);
+        }
+        written
+    }
+
+    /// Records a counted answer's span: histograms, latency SLO, EWMA
+    /// service time, and the recent-span ring.
+    fn record_span(&self, id: u64, domain: &str, outcome: Outcome, stage_ns: [u64; 4]) {
         let total_ns: u64 = stage_ns.iter().sum();
         for (hist, &ns) in self.stage.iter().zip(&stage_ns) {
             if ns > 0 {
@@ -358,16 +439,12 @@ impl Pulse {
         {
             self.domains[idx].1.record(total_ns);
         }
-        self.slo_total.fetch_add(1, Ordering::Relaxed);
-        if outcome == Outcome::Error {
-            self.slo_bad.fetch_add(1, Ordering::Relaxed);
-        }
-        self.lat_total.fetch_add(1, Ordering::Relaxed);
-        if total_ns as f64 / 1e6 > self.slo.latency_ms {
-            self.lat_slow.fetch_add(1, Ordering::Relaxed);
+        if total_ns as f64 / 1e6 > SLO_LATENCY_MS {
+            // Release: whoever sees this tally also sees the answer's count.
+            self.lat_slow.fetch_add(1, Ordering::Release);
         }
         if outcome == Outcome::Miss || outcome == Outcome::Stream {
-            self.note_service_ns(stage_ns[Stage::Run as usize]);
+            self.note_service_ns(stage_ns[RUN]);
         }
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let mut recent = self.recent.lock().expect("span ring lock");
@@ -391,13 +468,6 @@ impl Pulse {
             total_ns,
             seq,
         });
-    }
-
-    /// Records a request shed with `503` — it burned availability
-    /// budget without ever getting a span.
-    pub fn observe_shed(&self) {
-        self.slo_total.fetch_add(1, Ordering::Relaxed);
-        self.slo_bad.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Folds a cold-run service time into the EWMA the `Retry-After`
@@ -429,23 +499,31 @@ impl Pulse {
         retry_after_secs(self.ewma_service_ns(), queue_depth, workers)
     }
 
+    /// The ledger's counters right now.
+    pub fn counts(&self) -> Counts {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        Counts {
+            answers: self.answers.each_ref().map(load),
+            started: self.started.each_ref().map(load),
+        }
+    }
+
     /// Advances SLO accounting by one sample; the server's pulse
     /// ticker calls this once per second.
     pub fn tick(&self) {
-        let totals = SloSample {
-            total: self.slo_total.load(Ordering::Relaxed),
-            bad: self.slo_bad.load(Ordering::Relaxed),
-            lat_total: self.lat_total.load(Ordering::Relaxed),
-            lat_slow: self.lat_slow.load(Ordering::Relaxed),
-        };
+        // An answer is counted before its span can be slow, so reading
+        // the slow tally first (Acquire, pairing with `record_span`)
+        // never samples more slow answers than answers.
+        let lat_slow = self.lat_slow.load(Ordering::Acquire);
+        let totals = SloSample::totals(&self.counts(), lat_slow);
         self.ring.lock().expect("slo ring lock").push_totals(totals);
     }
 
     /// Evaluates the multi-window burn rates right now.
     pub fn slo_status(&self) -> SloStatus {
         let ring = self.ring.lock().expect("slo ring lock");
-        let avail_budget = 1.0 - self.slo.availability;
-        let lat_budget = 1.0 - self.slo.latency_objective;
+        let avail_budget = 1.0 - SLO_AVAILABILITY;
+        let lat_budget = 1.0 - SLO_LATENCY_OBJECTIVE;
         let avail_1m = ring.burn(BURN_SHORT_SECS, avail_budget, false);
         let avail_5m = ring.burn(BURN_LONG_SECS, avail_budget, false);
         let lat_1m = ring.burn(BURN_SHORT_SECS, lat_budget, true);
@@ -468,9 +546,9 @@ impl Pulse {
         }
     }
 
-    /// A cumulative snapshot of every histogram plus the counters the
-    /// `/watch` windows difference against.
-    pub fn snapshot(&self, stats: &ServerStats) -> PulseSnapshot {
+    /// A cumulative snapshot of the ledger and every histogram, which
+    /// `/stats` and `/metrics` render and `/watch` windows difference.
+    pub fn snapshot(&self) -> PulseSnapshot {
         let mut e2e = HistogramSnapshot::zero();
         let mut domains = Vec::with_capacity(self.domains.len());
         for (name, hist) in &self.domains {
@@ -479,11 +557,7 @@ impl Pulse {
             domains.push((name.clone(), snap));
         }
         PulseSnapshot {
-            queries: stats.queries.load(Ordering::Relaxed),
-            cache_hits: stats.cache_hits.load(Ordering::Relaxed),
-            cache_misses: stats.cache_misses.load(Ordering::Relaxed),
-            rejected: stats.rejected.load(Ordering::Relaxed),
-            server_errors: stats.server_errors.load(Ordering::Relaxed),
+            counts: self.counts(),
             stage: std::array::from_fn(|i| self.stage[i].snapshot()),
             e2e,
             domains,
@@ -509,16 +583,8 @@ impl Pulse {
 /// Cumulative observability state at one instant; two of these
 /// difference into a `/watch` window.
 pub struct PulseSnapshot {
-    /// `/run` queries attempted.
-    pub queries: u64,
-    /// Cache hits answered.
-    pub cache_hits: u64,
-    /// Cold runs answered.
-    pub cache_misses: u64,
-    /// Requests shed with `503`.
-    pub rejected: u64,
-    /// Requests failed with `500`.
-    pub server_errors: u64,
+    /// The ledger's counters.
+    pub counts: Counts,
     /// Per-stage histograms ([`STAGE_NAMES`] order).
     pub stage: [HistogramSnapshot; 4],
     /// End-to-end latency merged over all domains.
@@ -527,6 +593,47 @@ pub struct PulseSnapshot {
     pub domains: Vec<(String, HistogramSnapshot)>,
     /// Span completion sequence at snapshot time.
     pub seq: u64,
+}
+
+/// Renders the `/stats` JSON document: the ledger's counters, the
+/// run gate's `queue_depth` (sampled by the caller at render time), the
+/// SLO state, and per-domain latency quantiles.
+pub fn render_stats(pulse: &Pulse, queue_depth: usize) -> String {
+    let snap = pulse.snapshot();
+    let c = &snap.counts;
+    let rendered: Vec<String> = snap
+        .domains
+        .iter()
+        .filter(|(_, h)| h.count > 0)
+        .map(|(domain, h)| {
+            let quantile_ms = |q: f64| json_f64(h.quantile_ms(q).unwrap_or(0.0));
+            format!(
+                "{}:{}",
+                json_str(domain),
+                json_object(&[
+                    ("count", h.count.to_string()),
+                    ("p50_ms", quantile_ms(0.5)),
+                    ("p99_ms", quantile_ms(0.99)),
+                ])
+            )
+        })
+        .collect();
+    let mut body = json_object(&[
+        ("queries", c.started(Started::Query).to_string()),
+        ("cache_hits", c.answers(Outcome::Hit).to_string()),
+        ("cache_misses", c.answers(Outcome::Miss).to_string()),
+        ("hit_rate", json_f64(c.hit_rate())),
+        ("rejected", c.answers(Outcome::Shed).to_string()),
+        ("client_errors", c.answers(Outcome::Refused).to_string()),
+        ("server_errors", c.answers(Outcome::Error).to_string()),
+        ("trace_streams", c.started(Started::Trace).to_string()),
+        ("watch_streams", c.started(Started::Watch).to_string()),
+        ("queue_depth", queue_depth.to_string()),
+        ("slo", pulse.slo_status().render_json()),
+        ("latency_ms", format!("{{{}}}", rendered.join(","))),
+    ]);
+    body.push('\n');
+    body
 }
 
 fn json_quantiles(h: &HistogramSnapshot) -> String {
@@ -548,11 +655,9 @@ pub fn render_window(
     queue_depth: usize,
 ) -> String {
     let e2e = cur.e2e.delta(&prev.e2e);
-    let hits = cur.cache_hits - prev.cache_hits;
-    let misses = cur.cache_misses - prev.cache_misses;
-    let shed = cur.rejected - prev.rejected;
-    let errors = cur.server_errors - prev.server_errors;
-    let answered = hits + misses;
+    let delta = |o: Outcome| cur.counts.answers(o) - prev.counts.answers(o);
+    let answered = delta(Outcome::Hit) + delta(Outcome::Miss);
+    let shed = delta(Outcome::Shed);
     let requests = e2e.count;
     let stages: Vec<String> = STAGE_NAMES
         .iter()
@@ -589,14 +694,14 @@ pub fn render_window(
                 0.0
             }),
         ),
-        ("hit_rate", json_f64(rate(hits, answered))),
+        ("hit_rate", json_f64(rate(delta(Outcome::Hit), answered))),
         ("shed_rate", json_f64(rate(shed, shed + answered))),
-        ("errors", errors.to_string()),
+        ("errors", delta(Outcome::Error).to_string()),
         ("queue_depth", queue_depth.to_string()),
         ("p50_ms", q(0.5)),
         ("p99_ms", q(0.99)),
         ("stages", format!("{{{}}}", stages.join(","))),
-        ("slo", pulse.slo_status().render_json(pulse.slo_spec())),
+        ("slo", pulse.slo_status().render_json()),
         ("slowest", slowest),
     ]);
     line.push('\n');
@@ -643,45 +748,45 @@ fn prom_histogram(out: &mut String, name: &str, label: &str, h: &HistogramSnapsh
 /// Renders the full `/metrics` document in Prometheus text exposition
 /// format (version 0.0.4): counters, gauges, per-stage and per-domain
 /// latency histograms (seconds), and SLO burn-rate gauges.
-pub fn render_prometheus(pulse: &Pulse, stats: &ServerStats, gauges: &ExpositionGauges) -> String {
-    let snap = pulse.snapshot(stats);
+pub fn render_prometheus(pulse: &Pulse, gauges: &ExpositionGauges) -> String {
+    let snap = pulse.snapshot();
+    let c = &snap.counts;
     let mut out = String::with_capacity(64 * 1024);
     let counters: [(&str, &str, u64); 7] = [
         (
             "atlarge_requests_total",
             "Queries attempted against /run",
-            snap.queries,
+            c.started(Started::Query),
         ),
         (
             "atlarge_cache_hits_total",
             "Answers served from the result cache",
-            snap.cache_hits,
+            c.answers(Outcome::Hit),
         ),
         (
             "atlarge_cache_misses_total",
             "Answers computed cold",
-            snap.cache_misses,
+            c.answers(Outcome::Miss),
         ),
         (
             "atlarge_shed_total",
             "Requests refused with 503 by the admission gate",
-            snap.rejected,
+            c.answers(Outcome::Shed),
         ),
         (
             "atlarge_server_errors_total",
             "Requests failed with 500",
-            snap.server_errors,
+            c.answers(Outcome::Error),
         ),
         (
             "atlarge_client_errors_total",
             "Requests answered with 4xx",
-            stats.client_errors.load(Ordering::Relaxed),
+            c.answers(Outcome::Refused),
         ),
         (
             "atlarge_stream_requests_total",
             "Trace and watch streams started",
-            stats.trace_streams.load(Ordering::Relaxed)
-                + stats.watch_streams.load(Ordering::Relaxed),
+            c.started(Started::Trace) + c.started(Started::Watch),
         ),
     ];
     for (name, help, value) in counters {
@@ -693,7 +798,7 @@ pub fn render_prometheus(pulse: &Pulse, stats: &ServerStats, gauges: &Exposition
     let gauge_lines: [(&str, &str, f64); 5] = [
         (
             "atlarge_queue_depth",
-            "Jobs admitted but not yet started",
+            "Requests admitted but holding no run slot",
             gauges.queue_depth as f64,
         ),
         (
@@ -778,7 +883,14 @@ mod tests {
     use super::*;
 
     fn pulse() -> Pulse {
-        Pulse::new(&["graph", "p2p"], 4, SloSpec::default())
+        Pulse::new(&["graph", "p2p"], 4)
+    }
+
+    /// Counts one answer and records its span with all four stage
+    /// times given, as `Pulse::answer` does around a timed write.
+    fn observe(p: &Pulse, id: u64, domain: &str, outcome: Outcome, stage_ns: [u64; 4]) {
+        p.count(outcome);
+        p.record_span(id, domain, outcome, stage_ns);
     }
 
     #[test]
@@ -790,21 +902,38 @@ mod tests {
     }
 
     #[test]
+    fn answers_are_counted_before_their_write_and_refusals_have_no_span() {
+        let p = pulse();
+        let seen = p.answer(1, "graph", Outcome::Hit, [0; 3], || {
+            p.counts().answers(Outcome::Hit)
+        });
+        assert_eq!(seen, 1, "a client holding the answer finds it counted");
+        p.answer(2, "graph", Outcome::Refused, [0, 5_000_000, 0], || ());
+        p.count(Outcome::Shed);
+        let snap = p.snapshot();
+        assert_eq!(snap.e2e.count, 1, "only the hit has a span");
+        assert_eq!(snap.seq, 1);
+        assert_eq!(snap.counts.answers(Outcome::Refused), 1);
+        assert_eq!(snap.counts.answers(Outcome::Shed), 1);
+        assert_eq!(snap.counts.answers(Outcome::Miss), 0);
+    }
+
+    #[test]
     fn observe_feeds_stage_and_domain_histograms() {
         let p = pulse();
-        let stats = ServerStats::new();
         // 1ms queue, 10ms run, 0.1ms render, 0.05ms write.
-        p.observe(
+        observe(
+            &p,
             1,
             "graph",
             Outcome::Miss,
             [1_000_000, 10_000_000, 100_000, 50_000],
         );
-        p.observe(2, "graph", Outcome::Hit, [0, 0, 0, 20_000]);
-        let snap = p.snapshot(&stats);
+        observe(&p, 2, "graph", Outcome::Hit, [0, 0, 0, 20_000]);
+        let snap = p.snapshot();
         assert_eq!(snap.e2e.count, 2, "both spans reach the e2e histogram");
-        assert_eq!(snap.stage[Stage::Run as usize].count, 1);
-        assert_eq!(snap.stage[Stage::Write as usize].count, 2);
+        assert_eq!(snap.stage[RUN].count, 1);
+        assert_eq!(snap.stage[3].count, 2, "both spans wrote");
         let graph = &snap
             .domains
             .iter()
@@ -820,13 +949,13 @@ mod tests {
 
     #[test]
     fn full_span_ring_recycles_its_oldest_spans() {
-        let p = Pulse::new(&["graph", "p2p"], 1, SloSpec::default());
+        let p = Pulse::new(&["graph", "p2p"], 1);
         let n = SPAN_RING as u64 + 10;
         for i in 1..=n {
             let domain = if i % 2 == 0 { "graph" } else { "p2p" };
             // Older spans are slower, so the slowest retained span is
             // the oldest one the ring still holds.
-            p.observe(i, domain, Outcome::Hit, [0, 0, 0, 10_000 * (n + 1 - i)]);
+            observe(&p, i, domain, Outcome::Hit, [0, 0, 0, 10_000 * (n + 1 - i)]);
         }
         let slowest = p.slowest_between(0, n).expect("spans retained");
         assert_eq!((slowest.id, slowest.seq), (11, 11), "ten spans evicted");
@@ -840,12 +969,12 @@ mod tests {
     fn ewma_converges_toward_recent_service_times() {
         let p = pulse();
         for _ in 0..50 {
-            p.observe(1, "graph", Outcome::Miss, [0, 1_000_000, 0, 0]);
+            observe(&p, 1, "graph", Outcome::Miss, [0, 1_000_000, 0, 0]);
         }
         let settled = p.ewma_service_ns();
         assert!((900_000..=1_000_000).contains(&settled), "{settled}");
         for _ in 0..50 {
-            p.observe(1, "graph", Outcome::Miss, [0, 9_000_000, 0, 0]);
+            observe(&p, 1, "graph", Outcome::Miss, [0, 9_000_000, 0, 0]);
         }
         assert!(p.ewma_service_ns() > 8_000_000);
     }
@@ -867,10 +996,12 @@ mod tests {
     #[test]
     fn burn_rates_track_shed_traffic_and_recover() {
         let p = pulse();
-        // A healthy minute: 100 good requests per tick.
+        // A healthy minute: 100 good requests per tick, and 100 client
+        // refusals, which spend no availability budget.
         for _ in 0..10 {
             for _ in 0..100 {
-                p.observe(1, "graph", Outcome::Hit, [0, 0, 0, 1_000]);
+                observe(&p, 1, "graph", Outcome::Hit, [0, 0, 0, 1_000]);
+                p.count(Outcome::Refused);
             }
             p.tick();
         }
@@ -882,7 +1013,7 @@ mod tests {
         // An outage: everything shed for ten "seconds".
         for _ in 0..10 {
             for _ in 0..100 {
-                p.observe_shed();
+                p.count(Outcome::Shed);
             }
             p.tick();
         }
@@ -900,7 +1031,7 @@ mod tests {
         for _ in 0..5 {
             for _ in 0..10 {
                 // 200ms e2e against a 50ms target: all slow.
-                p.observe(1, "graph", Outcome::Miss, [0, 200_000_000, 0, 0]);
+                observe(&p, 1, "graph", Outcome::Miss, [0, 200_000_000, 0, 0]);
             }
             p.tick();
         }
@@ -913,12 +1044,10 @@ mod tests {
     #[test]
     fn windows_difference_cleanly() {
         let p = pulse();
-        let stats = ServerStats::new();
-        p.observe(1, "graph", Outcome::Miss, [0, 5_000_000, 0, 0]);
-        let a = p.snapshot(&stats);
-        p.observe(2, "p2p", Outcome::Miss, [0, 40_000_000, 0, 0]);
-        stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let b = p.snapshot(&stats);
+        observe(&p, 1, "graph", Outcome::Miss, [0, 5_000_000, 0, 0]);
+        let a = p.snapshot();
+        observe(&p, 2, "p2p", Outcome::Miss, [0, 40_000_000, 0, 0]);
+        let b = p.snapshot();
         let line = render_window(&p, &a, &b, 1.0, 3);
         assert!(line.contains("\"kind\":\"pulse\""), "{line}");
         assert!(line.contains("\"requests\":1"), "{line}");
@@ -935,20 +1064,19 @@ mod tests {
     #[test]
     fn prometheus_exposition_is_well_formed() {
         let p = pulse();
-        let stats = ServerStats::new();
-        stats.queries.fetch_add(3, Ordering::Relaxed);
-        stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-        stats.cache_misses.fetch_add(2, Ordering::Relaxed);
-        p.observe(
+        for _ in 0..3 {
+            p.count_started(Started::Query);
+        }
+        observe(
+            &p,
             1,
             "graph",
             Outcome::Miss,
             [1_000_000, 10_000_000, 100_000, 50_000],
         );
-        p.observe(2, "graph", Outcome::Hit, [0, 0, 0, 20_000]);
+        observe(&p, 2, "graph", Outcome::Hit, [0, 0, 0, 20_000]);
         let text = render_prometheus(
             &p,
-            &stats,
             &ExpositionGauges {
                 queue_depth: 2,
                 queue_capacity: 128,
@@ -1006,5 +1134,70 @@ mod tests {
         ] {
             assert!(json.contains(field), "{json} missing {field}");
         }
+    }
+
+    #[test]
+    fn hit_rate_handles_zero_and_mixed_traffic() {
+        let pulse = pulse();
+        assert_eq!(pulse.counts().hit_rate(), 0.0);
+        for _ in 0..3 {
+            pulse.count(Outcome::Hit);
+        }
+        pulse.count(Outcome::Miss);
+        assert!((pulse.counts().hit_rate() - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn render_includes_counters_and_per_domain_quantiles() {
+        let pulse = pulse();
+        pulse.count_started(Started::Query);
+        pulse.count_started(Started::Query);
+        observe(&pulse, 1, "graph", Outcome::Miss, [0, 500_000, 0, 0]);
+        observe(&pulse, 2, "graph", Outcome::Hit, [0, 0, 0, 80_000_000]);
+        observe(&pulse, 3, "p2p", Outcome::Stream, [0, 12_000_000, 0, 0]);
+        let json = render_stats(&pulse, 3);
+        assert!(json.contains("\"queries\":2"), "{json}");
+        assert!(json.contains("\"hit_rate\":0.5"), "{json}");
+        assert!(json.contains("\"queue_depth\":3"), "{json}");
+        assert!(json.contains("\"graph\":{\"count\":2"), "{json}");
+        assert!(json.contains("\"p2p\":{\"count\":1"), "{json}");
+        assert!(json.contains("\"slo\":{\"state\":\"ok\""), "{json}");
+    }
+
+    #[test]
+    fn domains_without_traffic_are_omitted_from_latency() {
+        let pulse = pulse();
+        observe(&pulse, 1, "graph", Outcome::Hit, [0, 0, 0, 10_000]);
+        let json = render_stats(&pulse, 0);
+        assert!(json.contains("\"graph\":{"), "{json}");
+        assert!(!json.contains("\"p2p\":{"), "{json}");
+    }
+
+    #[test]
+    fn log_scale_resolves_both_fast_and_slow_queries() {
+        let pulse = pulse();
+        for i in 0..100 {
+            observe(&pulse, i, "graph", Outcome::Hit, [0, 0, 0, 10_000]); // 10 µs
+        }
+        observe(
+            &pulse,
+            100,
+            "graph",
+            Outcome::Miss,
+            [0, 5_000_000_000, 0, 0],
+        ); // 5 s
+        let json = render_stats(&pulse, 0);
+        assert!(json.contains("\"count\":101"), "{json}");
+        let snap = pulse.snapshot();
+        let h = &snap
+            .domains
+            .iter()
+            .find(|(d, _)| d == "graph")
+            .expect("graph")
+            .1;
+        let p50 = h.quantile_ms(0.5).expect("samples");
+        let p999 = h.quantile_ms(0.999).expect("samples");
+        assert!(p50 < 1.0, "p50 {p50} should sit at the cached mode");
+        assert!(p999 > 100.0, "p999 {p999} should see the slow tail");
     }
 }

@@ -23,13 +23,23 @@
 //! gives its slot back in the unwind: `/run` answers `500`, `/trace`
 //! drops the stream with no tail.
 //!
-//! Every request gets a server-scoped id ([`Pulse::begin_request`]),
+//! Every request gets a server-scoped id (`Pulse::begin_request`),
 //! echoed in the `X-Atlarge-Request` header and attached to the span
 //! the pulse plane records, so one request is traceable from HTTP
 //! accept through admission, queueing, the run, and the response
 //! write. Wall-clock readings go through [`Stopwatch`] only, and only
 //! into reports (`/stats`, `/metrics`, `/watch`, headers) — never into
 //! a response body the cache could serve back.
+//!
+//! The pulse plane also holds the server's one request ledger, and
+//! every branch that sends an answer records it there with one call,
+//! before the answer's bytes go out: `Pulse::answer` for a hit, a miss,
+//! a stream or a server error (it then times the write and records the
+//! span), `Pulse::count` for a shed or a refusal (`refuse` sends every
+//! `4xx`). Runs follow one counting rule, on `/run` and `/trace` alike
+//! (`RunFailure`): a panic is a server error, and a cell's typed `Err`
+//! is a client refusal — unless the client of a `/trace` hung up, which
+//! is what cancelled its run; that run still counts as a stream.
 
 use crate::cache::ResultCache;
 use crate::gate::{RunGate, Ticket};
@@ -37,12 +47,12 @@ use crate::http::{
     read_request, write_chunked_head, write_response, ChunkedWriter, ReadError, Request,
 };
 use crate::pulse::{
-    render_prometheus, render_window, ExpositionGauges, Outcome, Pulse, SloSpec, SpanRecord,
+    render_prometheus, render_stats, render_window, ExpositionGauges, Outcome, Pulse, SpanRecord,
+    Started,
 };
 use crate::query::{
     error_body, query_manifest, render_body, render_domains, validate_query, RunQuery,
 };
-use crate::stats::ServerStats;
 use atlarge_exp::{CancelToken, CellOutput, Registry};
 use atlarge_telemetry::export::{json_f64, json_object, json_str};
 use atlarge_telemetry::wall::Stopwatch;
@@ -55,7 +65,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-/// Server tuning knobs.
+/// Server tuning knobs. The SLO objectives the pulse plane tracks burn
+/// against (p99 under 50 ms, 99.9% availability) and the result cache's
+/// eight shards are fixed.
 pub struct ServeConfig {
     /// Listen address; port `0` binds an ephemeral port (tests).
     pub addr: String,
@@ -65,10 +77,6 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Cached result bodies.
     pub cache_capacity: usize,
-    /// Cache shards.
-    pub cache_shards: usize,
-    /// Service-level objectives the pulse plane tracks burn against.
-    pub slo: SloSpec,
 }
 
 impl Default for ServeConfig {
@@ -78,17 +86,18 @@ impl Default for ServeConfig {
             threads: 0,
             queue_capacity: 128,
             cache_capacity: 1024,
-            cache_shards: 8,
-            slo: SloSpec::default(),
         }
     }
 }
+
+/// Result-cache shards: each is one lock, so eight keep concurrent
+/// clients from queueing on a single mutex.
+const CACHE_SHARDS: usize = 8;
 
 struct Shared {
     registry: Registry,
     gate: RunGate,
     cache: ResultCache,
-    stats: ServerStats,
     pulse: Pulse,
     running: AtomicBool,
     /// Open connections, so shutdown can wait for them to drain.
@@ -117,12 +126,11 @@ impl Server {
         };
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let pulse = Pulse::new(&registry.domains(), threads, config.slo);
+        let pulse = Pulse::new(&registry.domains(), threads);
         let shared = Arc::new(Shared {
             registry,
             gate: RunGate::new(threads, config.queue_capacity),
-            cache: ResultCache::new(config.cache_capacity, config.cache_shards),
-            stats: ServerStats::new(),
+            cache: ResultCache::new(config.cache_capacity, CACHE_SHARDS),
             pulse,
             running: AtomicBool::new(true),
             connections: Mutex::new(0),
@@ -272,14 +280,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
             }
             Err(ReadError::Closed) | Err(ReadError::Io(_)) => return,
             Err(ReadError::Malformed(reason)) => {
-                shared.stats.client_errors.fetch_add(1, Ordering::Relaxed);
-                let _closing = write_response(
-                    &mut writer,
-                    400,
-                    "application/json",
-                    &[],
-                    error_body(&reason).as_bytes(),
-                );
+                let _closing = refuse(&mut writer, &shared.pulse, 400, &[], &reason);
                 return;
             }
         };
@@ -317,14 +318,7 @@ fn query_param<'h>(request: &Request<'h>, key: &str) -> Option<Cow<'h, str>> {
 
 fn route<W: Write>(w: &mut W, request: &Request, shared: &Arc<Shared>) -> std::io::Result<()> {
     if request.method != "GET" {
-        shared.stats.client_errors.fetch_add(1, Ordering::Relaxed);
-        return write_response(
-            w,
-            405,
-            "application/json",
-            &[],
-            error_body("only GET is supported").as_bytes(),
-        );
+        return refuse(w, &shared.pulse, 405, &[], "only GET is supported");
     }
     match request.path {
         "/healthz" => {
@@ -369,10 +363,10 @@ fn route<W: Write>(w: &mut W, request: &Request, shared: &Arc<Shared>) -> std::i
                                 "occupancy",
                                 json_f64(cache_entries as f64 / cache_capacity.max(1) as f64),
                             ),
-                            ("hit_rate", json_f64(shared.stats.hit_rate())),
+                            ("hit_rate", json_f64(shared.pulse.counts().hit_rate())),
                         ]),
                     ),
-                    ("slo", slo.render_json(shared.pulse.slo_spec())),
+                    ("slo", slo.render_json()),
                 ])
             );
             // A server critically burning its availability budget asks
@@ -386,18 +380,12 @@ fn route<W: Write>(w: &mut W, request: &Request, shared: &Arc<Shared>) -> std::i
             write_response(w, 200, "application/json", &[], body.as_bytes())
         }
         "/stats" => {
-            let body = format!(
-                "{}\n",
-                shared
-                    .stats
-                    .render_json(shared.gate.queued(), &shared.pulse)
-            );
+            let body = render_stats(&shared.pulse, shared.gate.queued());
             write_response(w, 200, "application/json", &[], body.as_bytes())
         }
         "/metrics" => {
             let body = render_prometheus(
                 &shared.pulse,
-                &shared.stats,
                 &ExpositionGauges {
                     queue_depth: shared.gate.queued(),
                     queue_capacity: shared.gate.capacity(),
@@ -409,135 +397,133 @@ fn route<W: Write>(w: &mut W, request: &Request, shared: &Arc<Shared>) -> std::i
             write_response(w, 200, "text/plain; version=0.0.4", &[], body.as_bytes())
         }
         "/run" => handle_run(w, request, shared),
-        _ => {
-            shared.stats.client_errors.fetch_add(1, Ordering::Relaxed);
-            write_response(
-                w,
-                404,
-                "application/json",
-                &[],
-                error_body(&format!("no route {}", request.path)).as_bytes(),
-            )
-        }
+        _ => refuse(
+            w,
+            &shared.pulse,
+            404,
+            &[],
+            &format!("no route {}", request.path),
+        ),
     }
 }
 
+/// Answers a client refusal: counts it, then writes `status` with a
+/// `{"error": reason}` body.
+fn refuse<W: Write>(
+    w: &mut W,
+    pulse: &Pulse,
+    status: u16,
+    headers: &[(&str, &str)],
+    reason: &str,
+) -> std::io::Result<()> {
+    pulse.count(Outcome::Refused);
+    write_response(
+        w,
+        status,
+        "application/json",
+        headers,
+        error_body(reason).as_bytes(),
+    )
+}
+
 fn handle_run<W: Write>(w: &mut W, request: &Request, shared: &Arc<Shared>) -> std::io::Result<()> {
-    let total = Stopwatch::start();
     let req_id = shared.pulse.begin_request();
+    shared.pulse.count_started(Started::Query);
     let req_header = req_id.to_string();
-    shared.stats.queries.fetch_add(1, Ordering::Relaxed);
+    let id_header = [("X-Atlarge-Request", req_header.as_str())];
     let pairs = request.query_pairs();
     let query = match validate_query(&shared.registry, &pairs) {
         Ok(query) => query,
-        Err(reason) => {
-            shared.stats.client_errors.fetch_add(1, Ordering::Relaxed);
-            return write_response(
-                w,
-                400,
-                "application/json",
-                &[("X-Atlarge-Request", &req_header)],
-                error_body(&reason).as_bytes(),
-            );
-        }
+        Err(reason) => return refuse(w, &shared.pulse, 400, &id_header, &reason),
     };
     let key = query.cache_key();
 
     if let Some(body) = shared.cache.get(&key) {
-        shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-        let write_watch = Stopwatch::start();
-        let result = write_response(
-            w,
-            200,
-            "application/json",
-            &[
-                ("X-Atlarge-Cache", "hit"),
-                ("X-Atlarge-Key", &key),
-                ("X-Atlarge-Request", &req_header),
-            ],
-            &body,
-        );
-        shared.pulse.observe(
-            req_id,
-            query.domain,
-            Outcome::Hit,
-            [0, 0, 0, write_watch.elapsed_nanos()],
-        );
-        return result;
+        return shared
+            .pulse
+            .answer(req_id, query.domain, Outcome::Hit, [0; 3], || {
+                write_response(
+                    w,
+                    200,
+                    "application/json",
+                    &[
+                        ("X-Atlarge-Cache", "hit"),
+                        ("X-Atlarge-Key", &key),
+                        ("X-Atlarge-Request", &req_header),
+                    ],
+                    &body,
+                )
+            });
     }
 
     let Some(ticket) = shared.gate.admit() else {
         return shed(w, shared, &req_header);
     };
     let query = query.to_run_query();
-    let (outcome, [queue_ns, run_ns]) =
+    let (run, [queue_ns, run_ns]) =
         run_in_slot(ticket, shared, &query, &CancelToken::new(), &NullTracer);
-    match outcome {
-        Some(Ok(output)) => {
+    match run {
+        Ok(output) => {
             let render_watch = Stopwatch::start();
             let body = Arc::new(render_body(&query, &key, &output).into_bytes());
             shared.cache.insert(&key, Arc::clone(&body));
-            shared.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-            let render_ns = render_watch.elapsed_nanos();
-            let write_watch = Stopwatch::start();
-            let result = write_response(
-                w,
-                200,
-                "application/json",
-                &[
-                    ("X-Atlarge-Cache", "miss"),
-                    ("X-Atlarge-Key", &key),
-                    ("X-Atlarge-Request", &req_header),
-                ],
-                &body,
-            );
-            shared.pulse.observe(
-                req_id,
-                &query.domain,
-                Outcome::Miss,
-                [queue_ns, run_ns, render_ns, write_watch.elapsed_nanos()],
-            );
-            result
+            let stage_ns = [queue_ns, run_ns, render_watch.elapsed_nanos()];
+            shared
+                .pulse
+                .answer(req_id, &query.domain, Outcome::Miss, stage_ns, || {
+                    write_response(
+                        w,
+                        200,
+                        "application/json",
+                        &[
+                            ("X-Atlarge-Cache", "miss"),
+                            ("X-Atlarge-Key", &key),
+                            ("X-Atlarge-Request", &req_header),
+                        ],
+                        &body,
+                    )
+                })
         }
-        Some(Err(reason)) => {
-            shared.stats.client_errors.fetch_add(1, Ordering::Relaxed);
-            write_response(
-                w,
-                400,
-                "application/json",
-                &[("X-Atlarge-Request", &req_header)],
-                error_body(&reason).as_bytes(),
-            )
-        }
-        None => {
-            shared.stats.server_errors.fetch_add(1, Ordering::Relaxed);
-            shared.pulse.observe(
-                req_id,
-                &query.domain,
-                Outcome::Error,
-                [0, total.elapsed_nanos(), 0, 0],
-            );
-            write_response(
-                w,
-                500,
-                "application/json",
-                &[("X-Atlarge-Request", &req_header)],
-                error_body("worker dropped the query").as_bytes(),
-            )
-        }
+        Err(RunFailure::Refused(reason)) => refuse(w, &shared.pulse, 400, &id_header, &reason),
+        Err(RunFailure::Panicked) => shared.pulse.answer(
+            req_id,
+            &query.domain,
+            Outcome::Error,
+            [queue_ns, run_ns, 0],
+            || {
+                write_response(
+                    w,
+                    500,
+                    "application/json",
+                    &id_header,
+                    error_body("worker dropped the query").as_bytes(),
+                )
+            },
+        ),
     }
 }
 
+/// Why a cell run gave no output. This is the server's one counting
+/// rule for runs, on `/run` and `/trace` alike: a typed `Err` is the
+/// client's refusal (`Outcome::Refused`, a `400` on `/run`), a panic
+/// the server's error (`Outcome::Error`, a `500` on `/run`).
+enum RunFailure {
+    /// The cell refused the query, for this reason.
+    Refused(String),
+    /// The cell panicked.
+    Panicked,
+}
+
 /// Waits for a run slot, runs the query's cell in it on this thread and
-/// gives the slot back, also when the run panics; the outcome is then
-/// `None`. Returns the outcome with the queue and run stage times.
+/// gives the slot back, also when the run panics. Returns the run's
+/// output or failure with the queue and run stage times.
 fn run_in_slot(
     ticket: Ticket<'_>,
     shared: &Shared,
     query: &RunQuery,
     cancel: &CancelToken,
     tracer: &dyn Tracer,
-) -> (Option<Result<CellOutput, String>>, [u64; 2]) {
+) -> (Result<CellOutput, RunFailure>, [u64; 2]) {
     let scenario = shared
         .registry
         .get(&query.domain)
@@ -546,7 +532,7 @@ fn run_in_slot(
     let _slot = ticket.wait();
     let queue_ns = queued.elapsed_nanos();
     let run_watch = Stopwatch::start();
-    let outcome = catch_unwind(AssertUnwindSafe(|| {
+    let run = catch_unwind(AssertUnwindSafe(|| {
         scenario.run_cell(
             &query.params,
             query.seed,
@@ -555,15 +541,18 @@ fn run_in_slot(
             tracer,
         )
     }));
-    (outcome.ok(), [queue_ns, run_watch.elapsed_nanos()])
+    let run = match run {
+        Ok(run) => run.map_err(RunFailure::Refused),
+        Err(_panic) => Err(RunFailure::Panicked),
+    };
+    (run, [queue_ns, run_watch.elapsed_nanos()])
 }
 
 /// Answers `503` with a `Retry-After` derived from the pulse plane's
-/// service-time EWMA and the current backlog, and charges the shed to
-/// the availability budget.
+/// service-time EWMA and the current backlog; the ledger charges the
+/// shed to the availability budget.
 fn shed<W: Write>(w: &mut W, shared: &Arc<Shared>, req_header: &str) -> std::io::Result<()> {
-    shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-    shared.pulse.observe_shed();
+    shared.pulse.count(Outcome::Shed);
     let retry = shared
         .pulse
         .retry_after_secs(shared.gate.queued(), shared.gate.slots())
@@ -587,14 +576,8 @@ fn handle_trace(mut stream: TcpStream, request: &Request, shared: &Arc<Shared>) 
     let query = match validate_query(&shared.registry, &pairs) {
         Ok(query) => query,
         Err(reason) => {
-            shared.stats.client_errors.fetch_add(1, Ordering::Relaxed);
-            let _closing = write_response(
-                &mut stream,
-                400,
-                "application/json",
-                &[("X-Atlarge-Request", &req_header)],
-                error_body(&reason).as_bytes(),
-            );
+            let id_header = [("X-Atlarge-Request", req_header.as_str())];
+            let _closing = refuse(&mut stream, &shared.pulse, 400, &id_header, &reason);
             return;
         }
     };
@@ -602,7 +585,7 @@ fn handle_trace(mut stream: TcpStream, request: &Request, shared: &Arc<Shared>) 
         let _closing = shed(&mut stream, shared, &req_header);
         return;
     };
-    shared.stats.trace_streams.fetch_add(1, Ordering::Relaxed);
+    shared.pulse.count_started(Started::Trace);
 
     let key = query.cache_key();
     let query = query.to_run_query();
@@ -620,22 +603,34 @@ fn handle_trace(mut stream: TcpStream, request: &Request, shared: &Arc<Shared>) 
     let cancel = CancelToken::new();
     let hangup = cancel.clone();
     let sink = JsonlSink::new(ChunkedWriter::new(stream)).on_error(move || hangup.cancel());
-    let (outcome, [queue_ns, run_ns]) = run_in_slot(ticket, shared, &query, &cancel, &sink);
-    // A panicking run drops the stream with no tail: the client sees
-    // the body end without its terminating chunk.
-    let Some(outcome) = outcome else { return };
-    let client_gone = sink.has_failed();
+    let (run, [queue_ns, run_ns]) = run_in_slot(ticket, shared, &query, &cancel, &sink);
+    let stage_ns = [queue_ns, run_ns, 0];
+    let output = match run {
+        Ok(output) => Ok(output),
+        Err(RunFailure::Refused(reason)) => Err(reason),
+        // A panicking run drops the stream with no tail: the client sees
+        // the body end without its terminating chunk.
+        Err(RunFailure::Panicked) => {
+            let close = || drop(sink);
+            return shared
+                .pulse
+                .answer(req_id, &query.domain, Outcome::Error, stage_ns, close);
+        }
+    };
+    // A refused run is the client's refusal, unless the client's hangup
+    // is what cancelled it: that run still counts as a stream.
+    let outcome = if output.is_err() && !sink.has_failed() {
+        Outcome::Refused
+    } else {
+        Outcome::Stream
+    };
     // The serving-side span rides in the stream itself, ahead of the
     // manifest so the manifest stays the last record before the
     // closing result document.
     let span = SpanRecord {
         id: req_id,
         domain: query.domain.clone(),
-        outcome: if outcome.is_ok() || client_gone {
-            Outcome::Stream
-        } else {
-            Outcome::Error
-        },
+        outcome: Outcome::Stream,
         stage_ns: [queue_ns, run_ns, 0, 0],
         total_ns: queue_ns + run_ns,
         seq: 0,
@@ -644,25 +639,19 @@ fn handle_trace(mut stream: TcpStream, request: &Request, shared: &Arc<Shared>) 
     let manifest = query_manifest(&query);
     // Closing handshake: manifest line, then the final result line (or
     // the error), then the terminating chunk.
-    let write_watch = Stopwatch::start();
-    if let Ok(mut chunked) = sink.finish_into(&manifest) {
-        let tail = match &outcome {
-            Ok(output) => render_body(&query, &key, output),
-            Err(reason) => error_body(reason),
-        };
-        if chunked.write_all(tail.as_bytes()).is_ok() {
-            let _closing = chunked.finish();
-        }
-    }
-    if outcome.is_err() && !client_gone {
-        shared.stats.server_errors.fetch_add(1, Ordering::Relaxed);
-    }
-    shared.pulse.observe(
-        req_id,
-        &query.domain,
-        span.outcome,
-        [queue_ns, run_ns, 0, write_watch.elapsed_nanos()],
-    );
+    shared
+        .pulse
+        .answer(req_id, &query.domain, outcome, stage_ns, || {
+            if let Ok(mut chunked) = sink.finish_into(&manifest) {
+                let tail = match &output {
+                    Ok(output) => render_body(&query, &key, output),
+                    Err(reason) => error_body(reason),
+                };
+                if chunked.write_all(tail.as_bytes()).is_ok() {
+                    let _closing = chunked.finish();
+                }
+            }
+        });
 }
 
 /// `/watch` window length bounds, milliseconds.
@@ -674,22 +663,16 @@ const WATCH_WINDOW_MAX_MS: u64 = 60_000;
 /// `kind:"pulse"` lines until the client hangs up, the server shuts
 /// down, or the requested window count is reached.
 fn handle_watch(mut stream: TcpStream, request: &Request, shared: &Arc<Shared>) {
-    let req_id = shared.pulse.begin_request();
-    let req_header = req_id.to_string();
+    let req_header = shared.pulse.begin_request().to_string();
+    let id_header = [("X-Atlarge-Request", req_header.as_str())];
     let windows: u64 = match query_param(request, "windows")
         .map(|n| n.parse())
         .transpose()
     {
         Ok(n) => n.unwrap_or(0),
         Err(_) => {
-            shared.stats.client_errors.fetch_add(1, Ordering::Relaxed);
-            let _closing = write_response(
-                &mut stream,
-                400,
-                "application/json",
-                &[("X-Atlarge-Request", &req_header)],
-                error_body("windows must be a non-negative integer").as_bytes(),
-            );
+            let reason = "windows must be a non-negative integer";
+            let _closing = refuse(&mut stream, &shared.pulse, 400, &id_header, reason);
             return;
         }
     };
@@ -701,33 +684,20 @@ fn handle_watch(mut stream: TcpStream, request: &Request, shared: &Arc<Shared>) 
             .unwrap_or(1_000)
             .clamp(WATCH_WINDOW_MIN_MS, WATCH_WINDOW_MAX_MS),
         Err(_) => {
-            shared.stats.client_errors.fetch_add(1, Ordering::Relaxed);
-            let _closing = write_response(
-                &mut stream,
-                400,
-                "application/json",
-                &[("X-Atlarge-Request", &req_header)],
-                error_body("window_ms must be a positive integer").as_bytes(),
-            );
+            let reason = "window_ms must be a positive integer";
+            let _closing = refuse(&mut stream, &shared.pulse, 400, &id_header, reason);
             return;
         }
     };
-    if write_chunked_head(
-        &mut stream,
-        200,
-        "application/jsonl",
-        &[("X-Atlarge-Request", &req_header)],
-    )
-    .is_err()
-    {
+    if write_chunked_head(&mut stream, 200, "application/jsonl", &id_header).is_err() {
         return;
     }
-    shared.stats.watch_streams.fetch_add(1, Ordering::Relaxed);
+    shared.pulse.count_started(Started::Watch);
 
     let mut chunked = ChunkedWriter::new(stream);
     let watch = Stopwatch::start();
     let window = std::time::Duration::from_millis(window_ms);
-    let mut prev = shared.pulse.snapshot(&shared.stats);
+    let mut prev = shared.pulse.snapshot();
     let mut last_s = watch.elapsed_secs();
     let mut emitted = 0u64;
     loop {
@@ -742,7 +712,7 @@ fn handle_watch(mut stream: TcpStream, request: &Request, shared: &Arc<Shared>) 
             slept += step;
         }
         let now_s = watch.elapsed_secs();
-        let cur = shared.pulse.snapshot(&shared.stats);
+        let cur = shared.pulse.snapshot();
         let line = render_window(
             &shared.pulse,
             &prev,

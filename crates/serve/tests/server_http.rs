@@ -11,6 +11,8 @@ use atlarge_serve::standard_registry;
 use atlarge_stats::descriptive::Summary;
 use atlarge_telemetry::tracer::Tracer;
 use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Mutex;
 
@@ -493,4 +495,104 @@ fn a_panicking_query_answers_500_and_its_worker_keeps_serving() {
     done_rx
         .recv_timeout(std::time::Duration::from_secs(20))
         .expect("shutdown never drained the panicking runs' connections");
+}
+
+/// Sends one `method path` request on its own connection and returns
+/// the status code (the crate's client only speaks `GET`).
+fn status_of(addr: &str, method: &str, path: &str) -> u16 {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    write!(
+        stream,
+        "{method} {path} HTTP/1.1\r\nConnection: close\r\n\r\n"
+    )
+    .expect("send");
+    let mut line = String::new();
+    BufReader::new(stream)
+        .read_line(&mut line)
+        .expect("status line");
+    line.split_whitespace()
+        .nth(1)
+        .and_then(|code| code.parse().ok())
+        .unwrap_or_else(|| panic!("bad status line {line:?}"))
+}
+
+#[test]
+fn every_answer_is_counted_once_by_its_kind() {
+    let mut registry = echo_registry();
+    registry.register(Box::new(PanicCell));
+    let (server, addr) = start(registry);
+    let status = |path: &str| get(&addr, path).expect("responds").status;
+    assert_eq!(status("/run?domain=echo&x=2"), 200, "miss");
+    assert_eq!(status("/run?domain=echo&x=2"), 200, "hit");
+    assert_eq!(status("/run?domain=echo&bogus=1"), 400, "validation");
+    assert_eq!(
+        status("/run?domain=echo&x=abc"),
+        400,
+        "the cell's typed Err"
+    );
+    // The same refusal on /trace: the head is out before the run, so
+    // it streams the span, the manifest and the error as its tail.
+    let refused = get(&addr, "/trace?domain=echo&x=abc").expect("streams");
+    assert_eq!(refused.status, 200);
+    let body = refused.body_str();
+    let lines: Vec<&str> = body.lines().collect();
+    assert_eq!(lines.len(), 3, "{body}");
+    let span = parse(lines[0]).expect("span line");
+    assert_eq!(span.str_field("kind"), Some("server_span"));
+    assert_eq!(span.str_field("outcome"), Some("stream"));
+    assert!(lines[1].contains("\"kind\":\"manifest\""), "{body}");
+    assert_eq!(
+        lines[2],
+        "{\"error\":\"parameter 'x': cannot parse 'abc'\"}"
+    );
+    assert_eq!(status("/nonesuch"), 404);
+    assert_eq!(status_of(&addr, "POST", "/run?domain=echo"), 405);
+    assert_eq!(status("/trace?domain=echo&x=3"), 200, "a completed trace");
+    assert_eq!(status("/run?domain=boom&tag=a"), 500);
+    // A panicking trace: the head, then the stream ends without a tail.
+    let mut stream = get_stream(&addr, "/trace?domain=boom&tag=b").expect("opens");
+    assert_eq!(stream.status, 200);
+    while let Ok(Some(line)) = stream.next_line() {
+        assert!(!line.contains("\"kind\":\"manifest\""), "{line}");
+    }
+
+    let stats = get(&addr, "/stats").expect("stats").body_str();
+    let json = parse(stats.trim()).expect("valid JSON");
+    for (key, want) in [
+        ("queries", 5),
+        ("cache_hits", 1),
+        ("cache_misses", 1),
+        ("rejected", 0),
+        ("client_errors", 5),
+        ("server_errors", 2),
+        ("trace_streams", 3),
+        ("watch_streams", 0),
+        ("queue_depth", 0),
+    ] {
+        assert_eq!(json.u64_field(key), Some(want), "{key}: {stats}");
+    }
+    assert_eq!(json.f64_field("hit_rate"), Some(0.5), "{stats}");
+
+    let metrics = get(&addr, "/metrics").expect("metrics").body_str();
+    let counters: Vec<&str> = metrics
+        .lines()
+        .filter(|line| {
+            line.split(' ')
+                .next()
+                .is_some_and(|n| n.ends_with("_total"))
+        })
+        .collect();
+    assert_eq!(
+        counters,
+        [
+            "atlarge_requests_total 5",
+            "atlarge_cache_hits_total 1",
+            "atlarge_cache_misses_total 1",
+            "atlarge_shed_total 0",
+            "atlarge_server_errors_total 2",
+            "atlarge_client_errors_total 5",
+            "atlarge_stream_requests_total 3",
+        ]
+    );
+    server.shutdown();
 }
