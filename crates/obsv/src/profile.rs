@@ -8,6 +8,7 @@
 
 use crate::causal::{span_forest, SpanNode};
 use crate::trace::{Trace, TraceLine};
+use atlarge_telemetry::export::json_escape;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -15,10 +16,6 @@ use std::fmt::Write as _;
 /// `ts`/`dur` are microseconds; simulated seconds map 1:1 onto trace
 /// seconds so Perfetto's ruler reads as simulated time.
 const US_PER_SIM_SECOND: f64 = 1_000_000.0;
-
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 /// Renders `trace` as Chrome trace-event JSON (the object form, with a
 /// `traceEvents` array): complete (`ph:"X"`) events for spans, instant
@@ -29,12 +26,12 @@ pub fn to_chrome_json(trace: &Trace, process_name: &str) -> String {
     events.push(format!(
         "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\
          \"args\":{{\"name\":\"{}\"}}}}",
-        esc(process_name)
+        json_escape(process_name)
     ));
     fn emit_span(ev: &mut Vec<String>, s: &SpanNode) {
         ev.push(format!(
             "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\"dur\":{:.3},\"pid\":1,\"tid\":1}}",
-            esc(&s.name),
+            json_escape(&s.name),
             s.start * US_PER_SIM_SECOND,
             s.duration() * US_PER_SIM_SECOND,
         ));
@@ -50,7 +47,7 @@ pub fn to_chrome_json(trace: &Trace, process_name: &str) -> String {
             events.push(format!(
                 "{{\"name\":\"{}\",\"ph\":\"i\",\"ts\":{:.3},\"pid\":1,\"tid\":1,\"s\":\"t\",\
                  \"args\":{{\"id\":{id}}}}}",
-                esc(label),
+                json_escape(label),
                 t * US_PER_SIM_SECOND,
             ));
         }
@@ -169,6 +166,31 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| e.str_field("ph") == Some("i") && e.str_field("name") == Some("tick")));
+    }
+
+    #[test]
+    fn chrome_export_escapes_control_characters_in_names() {
+        // The JSONL escapes decode to a real newline, tab, U+0001, quote
+        // and backslash in the label, which the export must escape again.
+        let text = concat!(
+            "{\"t\":0,\"kind\":\"span_enter\",\"label\":\"a\\nb\\t\\u0001\\\"\\\\\"}\n",
+            "{\"t\":1,\"kind\":\"span_exit\",\"label\":\"a\\nb\\t\\u0001\\\"\\\\\"}\n",
+            "{\"t\":1,\"kind\":\"dispatch\",\"label\":\"a\\nb\",\"queue\":0,\"id\":0}\n",
+        );
+        let tr = parse_trace(text).unwrap();
+        let chrome = to_chrome_json(&tr, "p\nq");
+        assert!(chrome.bytes().all(|b| b >= 0x20), "{chrome:?}");
+        let parsed = crate::jsonl::parse(&chrome).expect("chrome export parses as JSON");
+        let events = parsed.get("traceEvents").unwrap().as_arr().unwrap();
+        assert_eq!(events[1].str_field("name"), Some("a\nb\t\u{1}\"\\"));
+        assert_eq!(events[2].str_field("name"), Some("a\nb"));
+        // A name without control characters renders as it always did.
+        let plain = to_chrome_json(&parse_trace(SPANS).unwrap(), "q\"\\");
+        assert!(plain.starts_with(
+            "{\"traceEvents\":[{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\
+             \"args\":{\"name\":\"q\\\"\\\\\"}},{\"name\":\"job\",\"ph\":\"X\",\"ts\":0.000,\
+             \"dur\":10000000.000,\"pid\":1,\"tid\":1}"
+        ));
     }
 
     #[test]

@@ -95,27 +95,38 @@ fn read_response<R: BufRead>(reader: &mut R) -> std::io::Result<HttpResponse> {
 
 fn read_chunked<R: BufRead>(reader: &mut R) -> std::io::Result<Vec<u8>> {
     let mut body = Vec::new();
-    loop {
-        let mut size_line = String::new();
-        if reader.read_line(&mut size_line)? == 0 {
-            return Err(bad_data("connection closed inside chunked body"));
-        }
-        let size = usize::from_str_radix(size_line.trim(), 16)
-            .map_err(|_| bad_data("malformed chunk size"))?;
-        if size == 0 {
-            let mut trailer = String::new();
-            reader.read_line(&mut trailer)?; // the final CRLF
-            return Ok(body);
-        }
-        let start = body.len();
-        body.resize(start + size, 0);
-        reader.read_exact(&mut body[start..])?;
-        let mut crlf = [0u8; 2];
-        reader.read_exact(&mut crlf)?;
-        if &crlf != b"\r\n" {
-            return Err(bad_data("chunk not terminated by CRLF"));
-        }
+    while read_chunk(reader, &mut body)? {}
+    Ok(body)
+}
+
+/// Reads one chunk of a chunked body and appends its data to `out`.
+/// Returns `false` once the terminating zero-length chunk is read.
+fn read_chunk<R: BufRead>(reader: &mut R, out: &mut Vec<u8>) -> std::io::Result<bool> {
+    let mut size_line = String::new();
+    if reader.read_line(&mut size_line)? == 0 {
+        return Err(bad_data("connection closed inside chunked body"));
     }
+    // Hex digits and nothing else: `from_str_radix` would also take a
+    // sign, reading `+5` as 5.
+    let digits = size_line.trim();
+    let size = Some(digits)
+        .filter(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_hexdigit()))
+        .and_then(|d| usize::from_str_radix(d, 16).ok())
+        .ok_or_else(|| bad_data("malformed chunk size"))?;
+    if size == 0 {
+        let mut trailer = String::new();
+        reader.read_line(&mut trailer)?; // the final CRLF
+        return Ok(false);
+    }
+    let start = out.len();
+    out.resize(start + size, 0);
+    reader.read_exact(&mut out[start..])?;
+    let mut crlf = [0u8; 2];
+    reader.read_exact(&mut crlf)?;
+    if &crlf != b"\r\n" {
+        return Err(bad_data("chunk not terminated by CRLF"));
+    }
+    Ok(true)
 }
 
 /// A response whose body is consumed incrementally, line by line — the
@@ -170,26 +181,7 @@ impl StreamingResponse {
     /// Reads one more chunk (or fixed-body slice) into `pending`.
     fn fill(&mut self) -> std::io::Result<()> {
         if self.chunked {
-            let mut size_line = String::new();
-            if self.reader.read_line(&mut size_line)? == 0 {
-                return Err(bad_data("connection closed inside chunked body"));
-            }
-            let size = usize::from_str_radix(size_line.trim(), 16)
-                .map_err(|_| bad_data("malformed chunk size"))?;
-            if size == 0 {
-                let mut trailer = String::new();
-                self.reader.read_line(&mut trailer)?; // the final CRLF
-                self.done = true;
-                return Ok(());
-            }
-            let start = self.pending.len();
-            self.pending.resize(start + size, 0);
-            self.reader.read_exact(&mut self.pending[start..])?;
-            let mut crlf = [0u8; 2];
-            self.reader.read_exact(&mut crlf)?;
-            if &crlf != b"\r\n" {
-                return Err(bad_data("chunk not terminated by CRLF"));
-            }
+            self.done = !read_chunk(&mut self.reader, &mut self.pending)?;
         } else {
             let start = self.pending.len();
             self.pending.resize(start + self.remaining_fixed, 0);
@@ -325,6 +317,26 @@ mod tests {
             b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n6\r\nhello\n\r\n5\r\nworld\r\n0\r\n\r\n";
         let r = read_response(&mut BufReader::new(&raw[..])).expect("parses");
         assert_eq!(r.body_str(), "hello\nworld");
+    }
+
+    #[test]
+    fn chunk_sizes_take_hex_digits_only() {
+        for size in ["+5", "-5", "", " ", "0x5", "5;x"] {
+            let raw = format!(
+                "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n{size}\r\nhello\r\n0\r\n\r\n"
+            );
+            let err = read_response(&mut BufReader::new(raw.as_bytes()))
+                .expect_err(&format!("size line {size:?}"));
+            assert_eq!(
+                err.to_string(),
+                "malformed chunk size",
+                "size line {size:?}"
+            );
+        }
+        let raw =
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nA\r\n0123456789\r\n0\r\n\r\n";
+        let r = read_response(&mut BufReader::new(&raw[..])).expect("uppercase hex");
+        assert_eq!(r.body, b"0123456789");
     }
 
     #[test]

@@ -245,29 +245,33 @@ fn write_headers<W: Write>(w: &mut W, extra_headers: &[(&str, &str)]) -> std::io
     w.write_all(b"\r\n")
 }
 
-/// Writes the head of a chunked streaming response; follow with a
-/// [`ChunkedWriter`] over the same stream.
+/// Writes the head of a chunked streaming response in one write; follow
+/// with a [`ChunkedWriter`] over the same stream.
 pub fn write_chunked_head<W: Write>(
     w: &mut W,
     status: u16,
     content_type: &str,
     extra_headers: &[(&str, &str)],
 ) -> std::io::Result<()> {
+    let mut head = Vec::with_capacity(256);
     write!(
-        w,
+        head,
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n",
         reason(status)
     )?;
-    write_headers(w, extra_headers)?;
+    write_headers(&mut head, extra_headers)?;
+    w.write_all(&head)?;
     w.flush()
 }
 
 /// A `Transfer-Encoding: chunked` body encoder: every `write` becomes
-/// one chunk, so each flushed trace line reaches the client framed and
-/// parseable immediately.
+/// one chunk, framed in one buffer and passed to the inner writer in
+/// one `write_all`, so each flushed trace line reaches the client
+/// framed and parseable immediately, in one send on a raw socket.
 pub struct ChunkedWriter<W: Write> {
     inner: W,
-    finished: bool,
+    /// The chunk being framed, reused from write to write.
+    frame: Vec<u8>,
 }
 
 impl<W: Write> ChunkedWriter<W> {
@@ -275,13 +279,12 @@ impl<W: Write> ChunkedWriter<W> {
     pub fn new(inner: W) -> Self {
         ChunkedWriter {
             inner,
-            finished: false,
+            frame: Vec::new(),
         }
     }
 
     /// Writes the terminating zero-length chunk.
     pub fn finish(mut self) -> std::io::Result<()> {
-        self.finished = true;
         self.inner.write_all(b"0\r\n\r\n")?;
         self.inner.flush()
     }
@@ -292,9 +295,11 @@ impl<W: Write> Write for ChunkedWriter<W> {
         if buf.is_empty() {
             return Ok(0);
         }
-        write!(self.inner, "{:x}\r\n", buf.len())?;
-        self.inner.write_all(buf)?;
-        self.inner.write_all(b"\r\n")?;
+        self.frame.clear();
+        write!(self.frame, "{:x}\r\n", buf.len())?;
+        self.frame.extend_from_slice(buf);
+        self.frame.extend_from_slice(b"\r\n");
+        self.inner.write_all(&self.frame)?;
         Ok(buf.len())
     }
 
@@ -475,6 +480,52 @@ mod tests {
         }
         let text = String::from_utf8(buf).unwrap();
         assert_eq!(text, "6\r\nhello\n\r\n5\r\nworld\r\n0\r\n\r\n");
+    }
+
+    /// A writer that records each `write` call's bytes apart.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn heads_and_chunks_each_reach_the_stream_in_one_write() {
+        let mut writes = Writes::default();
+        write_chunked_head(
+            &mut writes,
+            200,
+            "application/jsonl",
+            &[("X-Atlarge-Key", "k"), ("X-Atlarge-Request", "7")],
+        )
+        .unwrap();
+        let mut w = ChunkedWriter::new(writes);
+        w.write_all(b"{\"a\":1}\n").unwrap();
+        w.write_all(b"{\"b\":2}\n").unwrap();
+        let writes = std::mem::take(&mut w.inner);
+        w.finish().unwrap();
+        let writes: Vec<String> = writes
+            .0
+            .into_iter()
+            .map(|bytes| String::from_utf8(bytes).unwrap())
+            .collect();
+        assert_eq!(
+            writes,
+            [
+                "HTTP/1.1 200 OK\r\nContent-Type: application/jsonl\r\n\
+                 Transfer-Encoding: chunked\r\nConnection: close\r\n\
+                 X-Atlarge-Key: k\r\nX-Atlarge-Request: 7\r\n\r\n",
+                "8\r\n{\"a\":1}\n\r\n",
+                "8\r\n{\"b\":2}\n\r\n",
+            ]
+        );
     }
 
     #[test]

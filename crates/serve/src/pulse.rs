@@ -34,7 +34,7 @@
 //!   dies in ~2 days" — the classic fast-burn alerting threshold this
 //!   module adopts for its `critical` state.
 
-use atlarge_telemetry::export::{json_f64, json_object, json_str};
+use atlarge_telemetry::export::{json_f64, json_object, json_str, object_into};
 use atlarge_telemetry::hist::{HistogramSnapshot, ShardedHistogram};
 use atlarge_telemetry::wall::Stopwatch;
 use std::collections::VecDeque;
@@ -316,14 +316,16 @@ impl SpanRecord {
     /// carries wall durations only (no simulated time); `obsv`'s trace
     /// reader skips it during causal analysis.
     pub fn render_trace_line(&self) -> String {
-        json_object(&[
-            ("kind", json_str("server_span")),
-            ("req", self.id.to_string()),
-            ("domain", json_str(&self.domain)),
-            ("outcome", json_str(self.outcome.name())),
-            ("queue_ms", json_f64(self.stage_ns[0] as f64 / 1e6)),
-            ("run_ms", json_f64(self.stage_ns[1] as f64 / 1e6)),
-        ])
+        let mut line = String::with_capacity(128);
+        object_into(&mut line, |o| {
+            o.str("kind", "server_span")
+                .u64("req", self.id)
+                .str("domain", &self.domain)
+                .str("outcome", self.outcome.name())
+                .f64("queue_ms", self.stage_ns[0] as f64 / 1e6)
+                .f64("run_ms", self.stage_ns[1] as f64 / 1e6);
+        });
+        line
     }
 }
 
@@ -1134,6 +1136,23 @@ mod tests {
         ] {
             assert!(json.contains(field), "{json} missing {field}");
         }
+    }
+
+    #[test]
+    fn span_trace_lines_are_pinned() {
+        let s = SpanRecord {
+            id: 24,
+            domain: "graph".to_string(),
+            outcome: Outcome::Stream,
+            stage_ns: [192, 177_566, 0, 0],
+            total_ns: 177_758,
+            seq: 0,
+        };
+        assert_eq!(
+            s.render_trace_line(),
+            "{\"kind\":\"server_span\",\"req\":24,\"domain\":\"graph\",\
+             \"outcome\":\"stream\",\"queue_ms\":0.000192,\"run_ms\":0.177566}"
+        );
     }
 
     #[test]

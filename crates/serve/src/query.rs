@@ -20,14 +20,16 @@
 //!
 //! Rendering is deterministic by construction: every map is a
 //! `BTreeMap` or an order-stable `Vec`, floats go through the
-//! workspace's canonical [`json_f64`], and nothing wall-clock-derived
-//! enters the body — which is what makes "cache hits are byte-identical
-//! to cold runs" a provable property rather than an aspiration.
+//! workspace's one float formatter (behind
+//! `telemetry::export::ObjectWriter::f64`), and nothing
+//! wall-clock-derived enters the body — which is what makes "cache hits
+//! are byte-identical to cold runs" a provable property rather than an
+//! aspiration.
 
 use atlarge_exp::registry::CellOutput;
 use atlarge_exp::Registry;
 use atlarge_obsv::fingerprint::canonical_key;
-use atlarge_telemetry::export::{json_f64, json_object, json_str};
+use atlarge_telemetry::export::{json_object, json_str, object_into};
 use atlarge_telemetry::manifest::{Fnv1a, RunManifest, MANIFEST_SCHEMA};
 use std::collections::BTreeMap;
 use std::fmt::Write;
@@ -215,48 +217,50 @@ pub fn cache_key(query: &RunQuery) -> String {
     canonical_key(&query_manifest(query))
 }
 
-fn json_string_map<'a, I: Iterator<Item = (&'a str, &'a str)>>(entries: I) -> String {
-    let rendered: Vec<String> = entries
-        .map(|(k, v)| format!("{}:{}", json_str(k), json_str(v)))
-        .collect();
-    format!("{{{}}}", rendered.join(","))
-}
-
-/// Renders the response body of a completed query. Deterministic:
-/// byte-identical across repeats, threads, and cache hits.
+/// Renders the response body of a completed query into one buffer
+/// sized for it. Deterministic: byte-identical across repeats, threads,
+/// and cache hits.
 pub fn render_body(query: &RunQuery, key: &str, output: &CellOutput) -> String {
-    let metrics: Vec<String> = output
-        .metrics
-        .iter()
-        .map(|(name, summary)| {
-            format!(
-                "{}:{}",
-                json_str(name),
-                json_object(&[
-                    ("mean", json_f64(summary.mean())),
-                    ("std_dev", json_f64(summary.std_dev())),
-                    ("min", json_f64(summary.min())),
-                    ("max", json_f64(summary.max())),
-                    ("n", summary.len().to_string()),
-                ])
-            )
-        })
-        .collect();
-    let mut body = json_object(&[
-        ("domain", json_str(&query.domain)),
-        ("seed", query.seed.to_string()),
-        ("replications", query.replications.to_string()),
-        ("key", json_str(key)),
-        (
-            "params",
-            json_string_map(query.params.iter().map(|(k, v)| (k.as_str(), v.as_str()))),
-        ),
-        ("metrics", format!("{{{}}}", metrics.join(","))),
-        (
-            "notes",
-            json_string_map(output.notes.iter().map(|(k, v)| (k.as_str(), v.as_str()))),
-        ),
-    ]);
+    // Room for the usual body: each string pair with its quotes, colon
+    // and comma, and about 128 bytes per metric besides its name.
+    let pair = |name: &String, value: &String| name.len() + value.len() + 6;
+    let capacity = 160
+        + key.len()
+        + query.params.iter().map(|(n, v)| pair(n, v)).sum::<usize>()
+        + output.notes.iter().map(|(n, v)| pair(n, v)).sum::<usize>()
+        + output
+            .metrics
+            .iter()
+            .map(|(name, _)| name.len() + 128)
+            .sum::<usize>();
+    let mut body = String::with_capacity(capacity);
+    object_into(&mut body, |o| {
+        o.str("domain", &query.domain)
+            .u64("seed", query.seed)
+            .u64("replications", query.replications as u64)
+            .str("key", key)
+            .object("params", |params| {
+                for (name, value) in &query.params {
+                    params.str(name, value);
+                }
+            })
+            .object("metrics", |metrics| {
+                for (name, summary) in &output.metrics {
+                    metrics.object(name, |m| {
+                        m.f64("mean", summary.mean())
+                            .f64("std_dev", summary.std_dev())
+                            .f64("min", summary.min())
+                            .f64("max", summary.max())
+                            .u64("n", summary.len() as u64);
+                    });
+                }
+            })
+            .object("notes", |notes| {
+                for (name, value) in &output.notes {
+                    notes.str(name, value);
+                }
+            });
+    });
     body.push('\n');
     body
 }
@@ -596,6 +600,43 @@ mod tests {
         assert!(a.contains("\"metrics\":{\"x\":{\"mean\":6"), "{a}");
         assert!(a.contains("\"notes\":{\"mode\":\"fast\"}"), "{a}");
         assert!(a.ends_with('\n'));
+    }
+
+    #[test]
+    fn rendered_bodies_escape_every_class_as_before() {
+        let reg = registry();
+        let raw = pairs(&[("domain", "echo"), ("seed", "5"), ("replications", "3")]);
+        let mut query = parse_run_query(&reg, &raw).expect("valid");
+        let mut output = Echo
+            .run_cell(
+                &query.params,
+                query.seed,
+                query.replications,
+                &CancelToken::new(),
+                &atlarge_telemetry::NullTracer,
+            )
+            .expect("runs");
+        // A quote, a backslash, the three short escapes, `\u00xx` bytes,
+        // and what passes through unescaped: `/`, DEL, multi-byte UTF-8.
+        let every_class = "q\"b\\s/\n\r\t\u{0}\u{1}\u{8}\u{c}\u{1f} \u{7f}é€😀";
+        query
+            .params
+            .insert("label".to_string(), every_class.to_string());
+        output
+            .notes
+            .push(("label".to_string(), every_class.to_string()));
+        let key = cache_key(&query);
+        // The body the char-by-char renderer produced for this input.
+        let expected = concat!(
+            "{\"domain\":\"echo\",\"seed\":5,\"replications\":3,",
+            "\"key\":\"ak1|1|10:serve.echo|5|d0f20bcf25af8727|0|0|0000000000000000|0|0\",",
+            "\"params\":{\"label\":\"q\\\"b\\\\s/\\n\\r\\t\\u0000\\u0001\\u0008\\u000c\\u001f \u{7f}é€😀\",",
+            "\"mode\":\"fast\",\"x\":\"1\"},",
+            "\"metrics\":{\"x\":{\"mean\":6.0,\"std_dev\":0.0,\"min\":6.0,\"max\":6.0,\"n\":3}},",
+            "\"notes\":{\"mode\":\"fast\",",
+            "\"label\":\"q\\\"b\\\\s/\\n\\r\\t\\u0000\\u0001\\u0008\\u000c\\u001f \u{7f}é€😀\"}}\n",
+        );
+        assert_eq!(render_body(&query, &key, &output), expected);
     }
 
     #[test]

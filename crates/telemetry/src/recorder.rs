@@ -5,7 +5,7 @@
 //! *and* kept by the caller (or embedded in a model) to record
 //! domain-level metrics and read everything back after the run.
 
-use crate::export::{json_f64, json_object, json_str};
+use crate::export::{json_f64, json_object, json_str, object_into};
 use crate::manifest::{RunManifest, MANIFEST_SCHEMA};
 use crate::metrics::{Gauge, Tally};
 use crate::tracer::Tracer;
@@ -52,6 +52,18 @@ pub enum TraceKind {
     SpanExit,
 }
 
+impl TraceKind {
+    /// The record's `kind` field.
+    fn name(&self) -> &'static str {
+        match self {
+            TraceKind::Schedule { .. } => "schedule",
+            TraceKind::Dispatch { .. } => "dispatch",
+            TraceKind::SpanEnter => "span_enter",
+            TraceKind::SpanExit => "span_exit",
+        }
+    }
+}
+
 /// One record in the bounded event trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceRecord {
@@ -67,48 +79,44 @@ impl TraceRecord {
     /// One-line JSON rendering. Schedule and dispatch records carry the
     /// causal `id`/`parent` fields; `parent` is omitted for roots.
     pub fn to_json(&self) -> String {
-        render_trace_line(self.time, &self.label, &self.kind)
+        let mut line = String::with_capacity(96 + self.label.len());
+        render_trace_line(&mut line, self.time, &self.label, &self.kind);
+        line
     }
 }
 
-/// The one JSON rendering of a trace record, shared by
-/// [`TraceRecord::to_json`] and the streaming
-/// [`JsonlSink`](crate::sink::JsonlSink), so a recorder export and a
-/// live stream agree byte for byte.
-pub(crate) fn render_trace_line(time: f64, label: &str, kind: &TraceKind) -> String {
-    let (name, detail, id, parent) = match *kind {
-        TraceKind::Schedule {
-            fire_at,
-            id,
-            parent,
-        } => (
-            "schedule",
-            Some(("fire_at", json_f64(fire_at))),
-            Some(id),
-            parent,
-        ),
-        TraceKind::Dispatch {
-            queue_len,
-            id,
-            parent,
-        } => (
-            "dispatch",
-            Some(("queue", queue_len.to_string())),
-            Some(id),
-            parent,
-        ),
-        TraceKind::SpanEnter => ("span_enter", None, None, None),
-        TraceKind::SpanExit => ("span_exit", None, None, None),
-    };
-    let mut fields = vec![
-        ("t", json_f64(time)),
-        ("kind", json_str(name)),
-        ("label", json_str(label)),
-    ];
-    fields.extend(detail);
-    fields.extend(id.map(|id| ("id", id.to_string())));
-    fields.extend(parent.map(|p| ("parent", p.to_string())));
-    json_object(&fields)
+/// The one JSON rendering of a trace record, appended to `out`; shared
+/// by [`TraceRecord::to_json`], [`Recorder::write_trace_jsonl`] and the
+/// streaming [`JsonlSink`](crate::sink::JsonlSink), so a recorder
+/// export and a live stream agree byte for byte.
+pub(crate) fn render_trace_line(out: &mut String, time: f64, label: &str, kind: &TraceKind) {
+    object_into(out, |o| {
+        o.f64("t", time)
+            .str("kind", kind.name())
+            .str("label", label);
+        let parent = match *kind {
+            TraceKind::Schedule {
+                fire_at,
+                id,
+                parent,
+            } => {
+                o.f64("fire_at", fire_at).u64("id", id);
+                parent
+            }
+            TraceKind::Dispatch {
+                queue_len,
+                id,
+                parent,
+            } => {
+                o.u64("queue", queue_len as u64).u64("id", id);
+                parent
+            }
+            TraceKind::SpanEnter | TraceKind::SpanExit => None,
+        };
+        if let Some(parent) = parent {
+            o.u64("parent", parent);
+        }
+    });
 }
 
 /// Accumulated profile of one span name.
@@ -408,10 +416,17 @@ impl Recorder {
     /// terminated by the run-manifest line.
     pub fn write_trace_jsonl<W: Write>(&self, w: &mut W) -> io::Result<()> {
         let st = self.lock();
+        // One buffer for every line, and one write per line.
+        let mut line = String::new();
         for r in &st.trace {
-            writeln!(w, "{}", r.to_json())?;
+            line.clear();
+            render_trace_line(&mut line, r.time, &r.label, &r.kind);
+            line.push('\n');
+            w.write_all(line.as_bytes())?;
         }
-        writeln!(w, "{}", st.manifest().to_json())
+        let mut manifest = st.manifest().to_json();
+        manifest.push('\n');
+        w.write_all(manifest.as_bytes())
     }
 
     /// Writes every registered metric as JSONL: counters, per-label
@@ -635,6 +650,42 @@ mod tests {
         assert!(json.contains("\"parent\":0"), "{json}");
         // Roots omit the parent field entirely.
         assert!(!trace[0].to_json().contains("parent"));
+    }
+
+    #[test]
+    fn trace_lines_are_pinned_for_every_kind() {
+        let rec = Recorder::new();
+        rec.on_schedule(0.5, 1.25, "arrive \"a\"\n", 3, Some(1));
+        rec.on_schedule(0.0, 1e16, "root", 0, None);
+        rec.on_dispatch(1.25, "arrive", 7, 3, Some(1));
+        rec.on_dispatch(-0.0, "tick", 0, 0, None);
+        rec.on_span_enter(2.0, "service\t1");
+        rec.on_span_exit(1e-7, "service\t1");
+        let pinned = [
+            "{\"t\":0.5,\"kind\":\"schedule\",\"label\":\"arrive \\\"a\\\"\\n\",\"fire_at\":1.25,\"id\":3,\"parent\":1}",
+            "{\"t\":0.0,\"kind\":\"schedule\",\"label\":\"root\",\"fire_at\":1e16,\"id\":0}",
+            "{\"t\":1.25,\"kind\":\"dispatch\",\"label\":\"arrive\",\"queue\":7,\"id\":3,\"parent\":1}",
+            "{\"t\":-0.0,\"kind\":\"dispatch\",\"label\":\"tick\",\"queue\":0,\"id\":0}",
+            "{\"t\":2.0,\"kind\":\"span_enter\",\"label\":\"service\\t1\"}",
+            "{\"t\":1e-7,\"kind\":\"span_exit\",\"label\":\"service\\t1\"}",
+        ];
+        let lines: Vec<String> = rec.trace().iter().map(TraceRecord::to_json).collect();
+        assert_eq!(lines, pinned);
+        let mut export = Vec::new();
+        rec.write_trace_jsonl(&mut export).expect("write trace");
+        let export = String::from_utf8(export).expect("utf8");
+        let exported: Vec<&str> = export.lines().collect();
+        assert_eq!(exported[..pinned.len()], pinned);
+        assert_eq!(exported.len(), pinned.len() + 1, "then the manifest");
+        let nan = TraceRecord {
+            time: f64::NAN,
+            label: "x".to_string(),
+            kind: TraceKind::SpanEnter,
+        };
+        assert_eq!(
+            nan.to_json(),
+            "{\"t\":null,\"kind\":\"span_enter\",\"label\":\"x\"}"
+        );
     }
 
     #[test]

@@ -23,6 +23,8 @@ use std::sync::Mutex;
 
 struct SinkState<W: Write + Send> {
     writer: W,
+    /// The line being written, reused from record to record.
+    line: String,
     records: u64,
     error: Option<std::io::Error>,
     on_error: Option<Box<dyn FnMut() + Send>>,
@@ -30,8 +32,10 @@ struct SinkState<W: Write + Send> {
 
 /// A [`Tracer`] that appends one JSONL line per hook call to a writer.
 ///
-/// Every line is flushed immediately — the point of a streaming sink is
-/// that the consumer sees records live, not after the run.
+/// Every line, its `\n` included, reaches the writer in one `write_all`
+/// and is flushed immediately — the point of a streaming sink is that
+/// the consumer sees records live, not after the run, and a chunked
+/// HTTP body then carries each record as one chunk.
 pub struct JsonlSink<W: Write + Send> {
     state: Mutex<SinkState<W>>,
 }
@@ -42,6 +46,7 @@ impl<W: Write + Send> JsonlSink<W> {
         JsonlSink {
             state: Mutex::new(SinkState {
                 writer,
+                line: String::new(),
                 records: 0,
                 error: None,
                 on_error: None,
@@ -70,13 +75,8 @@ impl<W: Write + Send> JsonlSink<W> {
     /// count, or the first error this sink hit (including one latched
     /// earlier during hook calls).
     pub fn finish(self, manifest: &RunManifest) -> std::io::Result<u64> {
-        let mut st = self.state.into_inner().expect("sink lock");
-        if let Some(e) = st.error {
-            return Err(e);
-        }
-        writeln!(st.writer, "{}", manifest.to_json())?;
-        st.writer.flush()?;
-        Ok(st.records)
+        let records = self.records_written();
+        self.finish_into(manifest).map(|_| records)
     }
 
     /// Like [`JsonlSink::finish`], but hands the writer back so the
@@ -87,7 +87,9 @@ impl<W: Write + Send> JsonlSink<W> {
         if let Some(e) = st.error {
             return Err(e);
         }
-        writeln!(st.writer, "{}", manifest.to_json())?;
+        let mut line = manifest.to_json();
+        line.push('\n');
+        st.writer.write_all(line.as_bytes())?;
         st.writer.flush()?;
         Ok(st.writer)
     }
@@ -98,15 +100,24 @@ impl<W: Write + Send> JsonlSink<W> {
     /// request that carried this run) with the simulation's trace lines
     /// without racing the sink's writer.
     pub fn emit_raw(&self, json_line: &str) {
-        self.emit(json_line.to_string());
+        self.emit(|line| line.push_str(json_line));
     }
 
-    fn emit(&self, line: String) {
-        let mut st = self.state.lock().expect("sink lock");
+    /// Renders one line with `render` into the reused buffer, appends
+    /// its `\n`, and writes and flushes it.
+    fn emit(&self, render: impl FnOnce(&mut String)) {
+        let mut guard = self.state.lock().expect("sink lock");
+        let st = &mut *guard;
         if st.error.is_some() {
             return;
         }
-        let attempt = writeln!(st.writer, "{line}").and_then(|()| st.writer.flush());
+        st.line.clear();
+        render(&mut st.line);
+        st.line.push('\n');
+        let attempt = st
+            .writer
+            .write_all(st.line.as_bytes())
+            .and_then(|()| st.writer.flush());
         match attempt {
             Ok(()) => st.records += 1,
             Err(e) => {
@@ -126,7 +137,7 @@ impl<W: Write + Send> Tracer for JsonlSink<W> {
             id,
             parent,
         };
-        self.emit(render_trace_line(now, label, &kind));
+        self.emit(|line| render_trace_line(line, now, label, &kind));
     }
 
     fn on_dispatch(&self, now: f64, label: &str, queue_len: usize, id: u64, parent: Option<u64>) {
@@ -135,15 +146,15 @@ impl<W: Write + Send> Tracer for JsonlSink<W> {
             id,
             parent,
         };
-        self.emit(render_trace_line(now, label, &kind));
+        self.emit(|line| render_trace_line(line, now, label, &kind));
     }
 
     fn on_span_enter(&self, now: f64, name: &str) {
-        self.emit(render_trace_line(now, name, &TraceKind::SpanEnter));
+        self.emit(|line| render_trace_line(line, now, name, &TraceKind::SpanEnter));
     }
 
     fn on_span_exit(&self, now: f64, name: &str) {
-        self.emit(render_trace_line(now, name, &TraceKind::SpanExit));
+        self.emit(|line| render_trace_line(line, now, name, &TraceKind::SpanExit));
     }
 }
 
@@ -212,6 +223,38 @@ mod tests {
         let streamed = String::from_utf8(buf.data.lock().unwrap().clone()).unwrap();
         let streamed: Vec<&str> = streamed.lines().collect();
         assert_eq!(streamed, recorded, "sink and recorder disagree on shape");
+    }
+
+    /// A writer that counts its `write` and `flush` calls.
+    #[derive(Clone, Default)]
+    struct CountingWriter {
+        writes: Arc<AtomicUsize>,
+        flushes: Arc<AtomicUsize>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.fetch_add(1, Ordering::SeqCst);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            self.flushes.fetch_add(1, Ordering::SeqCst);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_record_is_one_write_then_a_flush() {
+        let counter = CountingWriter::default();
+        let sink = JsonlSink::new(counter.clone());
+        drive(&sink);
+        sink.emit_raw("{\"kind\":\"server_span\"}");
+        assert_eq!(sink.records_written(), 7);
+        assert_eq!(counter.writes.load(Ordering::SeqCst), 7);
+        assert_eq!(counter.flushes.load(Ordering::SeqCst), 7);
+        sink.finish(&manifest("counted")).expect("finish");
+        assert_eq!(counter.writes.load(Ordering::SeqCst), 8, "the manifest too");
+        assert_eq!(counter.flushes.load(Ordering::SeqCst), 8);
     }
 
     #[test]
