@@ -553,6 +553,61 @@ mod tests {
     }
 
     #[test]
+    fn outputs_equal_their_recorded_digests() {
+        // FNV-1a digests of the `{:?}` renderings, recorded before the
+        // simulator kept its running set and queue order incrementally:
+        // a change that moves any task start moves them.
+        let digest = |rendered: String| atlarge_telemetry::manifest::fnv1a(rendered.as_bytes());
+        assert_eq!(digest(format!("{:?}", rows())), 0x37d9_bfae_bd28_077d);
+        for (mix, env, seed, expected) in [
+            (
+                Mix::ComputerEngineering,
+                Environment::GeoDistributed,
+                1,
+                0xd583_88c7_9b95_55e5,
+            ),
+            (
+                Mix::BusinessCritical,
+                Environment::MultiCluster,
+                2,
+                0x40f9_0a6b_c14a_a731,
+            ),
+        ] {
+            let row = row_under_failures(mix, env, Scale::Quick, seed);
+            assert!(row.1.tasks_restarted > 0, "{mix:?}: failures kill tasks");
+            assert_eq!(digest(format!("{row:?}")), expected, "{mix:?} row");
+        }
+        // Every task of a Table 9 mix has one width, so the order among
+        // equal release times cannot move those rows; mixed widths can.
+        use atlarge_workload::job::{Job, JobId, Task};
+        let jobs: Vec<Job> = (0..200u64)
+            .map(|i| {
+                let task = |k| {
+                    Task::new(
+                        10.0 + ((i * 7 + k * 13) % 50) as f64,
+                        1 + ((i + k) % 4) as u32,
+                    )
+                };
+                Job::new(
+                    JobId(i),
+                    i as f64 * 15.0,
+                    (0..1 + i % 4).map(task).collect(),
+                )
+            })
+            .collect();
+        let config = SimConfig {
+            estimate_sigma: 1.0,
+            seed: 5,
+        };
+        let portfolio = PortfolioScheduler::new(Policy::all().to_vec(), 3, 300.0);
+        let mixed = (
+            simulate(&jobs, &[8, 6], Policy::EasyBackfilling, &config, &[], None),
+            simulate(&jobs, &[8, 6], portfolio, &config, &[], None),
+        );
+        assert_eq!(digest(format!("{mixed:?}")), 0x9535_5015_4050_daae);
+    }
+
+    #[test]
     fn all_rows_complete_all_jobs() {
         for r in rows() {
             assert!(r.portfolio.jobs_completed > 0, "{}: no jobs", r.study);

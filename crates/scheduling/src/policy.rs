@@ -40,7 +40,8 @@ use std::sync::Arc;
 /// assert!(!custom.backfills());
 /// ```
 pub trait SchedulingPolicy: Send + Sync + std::fmt::Debug {
-    /// Short display name (also the portfolio's score key).
+    /// Short display name. It identifies the ordering: two policies with
+    /// one name must order alike. It is also the portfolio's score key.
     fn name(&self) -> &'static str;
 
     /// Whether the policy uses backfilling semantics in the simulator.
@@ -48,8 +49,10 @@ pub trait SchedulingPolicy: Send + Sync + std::fmt::Debug {
         false
     }
 
-    /// Sorts the queue into this policy's service order. Implementations
-    /// must be deterministic (stable sorts over task fields only).
+    /// Sorts the queue into this policy's service order: a stable sort by
+    /// task fields only, so ordering an ordered queue leaves it unchanged.
+    /// The simulator relies on that: removals keep a queue in order, so it
+    /// re-orders only when a task joined or the chosen policy's name changed.
     fn order(&self, queue: &mut [QueuedTask]);
 }
 
@@ -58,8 +61,12 @@ pub trait SchedulingPolicy: Send + Sync + std::fmt::Debug {
 pub type PolicyRef = Arc<dyn SchedulingPolicy>;
 
 impl From<Policy> for PolicyRef {
+    /// Clones this thread's one handle to `p`, so choosers allocate none.
     fn from(p: Policy) -> PolicyRef {
-        Arc::new(p)
+        thread_local! {
+            static BUILT_IN: [PolicyRef; 7] = Policy::all().map(|p| Arc::new(p) as PolicyRef);
+        }
+        BUILT_IN.with(|all| all[p as usize].clone())
     }
 }
 
@@ -181,25 +188,19 @@ impl Policy {
     /// keys keep arrival order).
     pub fn order(&self, queue: &mut [QueuedTask]) {
         let cmp: fn(&QueuedTask, &QueuedTask) -> Ordering = match self {
-            Policy::Fcfs | Policy::EasyBackfilling => {
-                |a, b| a.submit.partial_cmp(&b.submit).expect("finite submits")
-            }
-            Policy::Sjf => |a, b| {
-                a.estimate
-                    .partial_cmp(&b.estimate)
-                    .expect("finite estimates")
-            },
-            Policy::Ljf => |a, b| {
-                b.estimate
-                    .partial_cmp(&a.estimate)
-                    .expect("finite estimates")
-            },
+            Policy::Fcfs | Policy::EasyBackfilling => |a, b| cmp_times(a.submit, b.submit),
+            Policy::Sjf => |a, b| cmp_times(a.estimate, b.estimate),
+            Policy::Ljf => |a, b| cmp_times(b.estimate, a.estimate),
             Policy::WidestFirst => |a, b| b.cpus.cmp(&a.cpus),
             Policy::NarrowestFirst => |a, b| a.cpus.cmp(&b.cpus),
             Policy::Random => |a, b| hash_task(a).cmp(&hash_task(b)),
         };
         queue.sort_by(cmp);
     }
+}
+
+fn cmp_times(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b).expect("finite task times")
 }
 
 impl std::fmt::Display for Policy {
@@ -312,6 +313,9 @@ mod tests {
         assert!(!obj.backfills());
         let bf: PolicyRef = Policy::EasyBackfilling.into();
         assert!(bf.backfills());
+        for p in Policy::all() {
+            assert_eq!(PolicyRef::from(p).name(), p.name(), "shared handle of {p}");
+        }
     }
 
     #[test]

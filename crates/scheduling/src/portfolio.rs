@@ -16,7 +16,7 @@
 use crate::policy::{PolicyRef, QueuedTask, SchedulingPolicy};
 use crate::simulator::{Chooser, RunningTask};
 use atlarge_evolve::{Capsule, CapsuleError, Evolvable, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// The portfolio scheduler: an online policy selector.
 ///
@@ -105,24 +105,15 @@ impl PortfolioScheduler {
             || self.scores.len() < self.policies.len()
         {
             // Exploration round: simulate the whole portfolio.
-            self.policies.clone()
-        } else {
-            // Exploitation round: only the active set (best-scored k).
-            let mut scored: Vec<(PolicyRef, f64)> = self
-                .policies
-                .iter()
-                .map(|p| {
-                    let score = self.scores.get(p.name()).copied().unwrap_or(f64::MAX);
-                    (p.clone(), score)
-                })
-                .collect();
-            scored.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores"));
-            scored
-                .into_iter()
-                .take(self.active_set_size)
-                .map(|(p, _)| p)
-                .collect()
+            return self.policies.clone();
         }
+        // Exploitation round: only the active set (best-scored k).
+        let score = |p: &PolicyRef| self.scores.get(p.name()).copied().unwrap_or(f64::MAX);
+        let mut scored: Vec<(f64, &PolicyRef)> =
+            self.policies.iter().map(|p| (score(p), p)).collect();
+        scored.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite scores"));
+        let active = scored.into_iter().take(self.active_set_size);
+        active.map(|(_, p)| p.clone()).collect()
     }
 }
 
@@ -215,10 +206,11 @@ impl Chooser for PortfolioScheduler {
         }
         self.last_reflection = now;
         self.reflections += 1;
+        let releases = releases(running, now);
         let mut best = self.current.clone();
         let mut best_score = f64::INFINITY;
         for p in self.candidates() {
-            let (score, events) = lookahead(p.as_ref(), queue, free_cores, running, now);
+            let (score, events) = simulate_ahead(p.as_ref(), queue, free_cores, &releases, now);
             self.lookahead_events += events;
             self.decisions += 1;
             let e = self.scores.entry(p.name()).or_insert(score);
@@ -255,25 +247,39 @@ pub fn lookahead(
     running: &[RunningTask],
     now: f64,
 ) -> (f64, u64) {
-    if queue.is_empty() {
-        return (1.0, 0);
-    }
-    let mut ordered: Vec<QueuedTask> = queue.to_vec();
-    policy.order(&mut ordered);
-    // Min-heap of (finish_time, cores) via sorted Vec used as event list.
+    simulate_ahead(policy, queue, free_cores, &releases(running, now), now)
+}
+
+/// Core releases `(max(estimated finish, now), cores)` in time, then start, order.
+fn releases(running: &[RunningTask], now: f64) -> Vec<(f64, u32)> {
     let mut frees: Vec<(f64, u32)> = running
         .iter()
         .map(|r| (r.est_finish.max(now), r.cpus))
         .collect();
     frees.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
+    frees
+}
+
+/// [`lookahead`] over inherited releases `frees`, sorted once per reflection.
+fn simulate_ahead(
+    policy: &dyn SchedulingPolicy,
+    queue: &[QueuedTask],
+    free_cores: u32,
+    frees: &[(f64, u32)],
+    now: f64,
+) -> (f64, u64) {
+    if queue.is_empty() {
+        return (1.0, 0);
+    }
+    let mut pending = VecDeque::from(queue.to_vec());
+    policy.order(pending.make_contiguous());
     let mut free = free_cores;
     let mut t = now;
     let mut free_idx = 0usize;
     let mut events = 0u64;
     let mut slowdown_sum = 0.0;
     let backfill = policy.backfills();
-    let mut pending = std::collections::VecDeque::from(ordered);
-    let mut started: Vec<(f64, u32)> = Vec::new(); // our own finish events
+    let mut started: VecDeque<(f64, u32)> = VecDeque::new(); // our own releases, in time order
     while !pending.is_empty() {
         // Try to start tasks (in order; backfilling policies may skip).
         let mut progress = false;
@@ -283,8 +289,9 @@ pub fn lookahead(
             if task.cpus <= free {
                 free -= task.cpus;
                 let finish = t + task.estimate;
-                started.push((finish, task.cpus));
-                started.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
+                // Releases at equal times come out in start order.
+                let at = started.partition_point(|&(ft, _)| ft <= finish);
+                started.insert(at, (finish, task.cpus));
                 let wait = t - now;
                 slowdown_sum += (wait + task.estimate) / task.estimate.max(10.0);
                 pending.remove(i);
@@ -303,26 +310,19 @@ pub fn lookahead(
             break;
         }
         if !progress || free == 0 {
-            // Advance time to the next core release (ours or inherited).
-            let next_inherited = frees.get(free_idx).map(|&(ft, _)| ft);
-            let next_own = started.first().map(|&(ft, _)| ft);
-            match (next_inherited, next_own) {
-                (Some(a), Some(b)) if a <= b => {
-                    t = a;
-                    free += frees[free_idx].1;
+            // Advance time to the next core release, inherited first on a tie.
+            let next = match frees.get(free_idx) {
+                Some(&r) if started.front().is_none_or(|&(ft, _)| r.0 <= ft) => {
                     free_idx += 1;
+                    Some(r)
                 }
-                (_, Some(b)) => {
-                    t = b;
-                    free += started.remove(0).1;
-                }
-                (Some(a), None) => {
-                    t = a;
-                    free += frees[free_idx].1;
-                    free_idx += 1;
-                }
-                (None, None) => break, // nothing will ever free: give up
-            }
+                _ => started.pop_front(),
+            };
+            let Some((at, cores)) = next else {
+                break; // nothing will ever free: give up
+            };
+            t = at;
+            free += cores;
             events += 1;
         }
     }

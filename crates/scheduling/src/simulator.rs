@@ -202,6 +202,8 @@ pub struct FailureEvent {
 struct Pool {
     total: u32,
     free: u32,
+    /// Running tasks as `(estimated finish, run id, cores)`, sorted: EASY's index.
+    releases: Vec<(f64, u64, u32)>,
 }
 
 #[derive(Debug)]
@@ -211,19 +213,23 @@ struct JobState {
     critical: f64,
 }
 
-struct SchedModel<C: Chooser> {
-    jobs: Vec<Job>,
+struct SchedModel<'a, C: Chooser> {
+    jobs: &'a [Job],
     pools: Vec<Pool>,
+    /// Waiting tasks are `queue[head..]`; the tasks before them have
+    /// started, and are dropped once they are half of `queue`.
     queue: Vec<QueuedTask>,
-    failures: Vec<FailureEvent>,
-    cancelled: std::collections::BTreeSet<u64>,
-    run_tasks: BTreeMap<u64, QueuedTask>,
+    head: usize,
+    /// The policy that last ordered the queue, `None` once a task joined
+    /// it: see `SchedulingPolicy::order` for why that is all it takes.
+    ordered_by: Option<&'static str>,
+    failures: &'a [FailureEvent],
     tasks_restarted: u64,
-    running: BTreeMap<u64, RunningTask>,
-    running_cache: Vec<RunningTask>,
-    cache_dirty: bool,
+    /// The running set in start order (run ids ascend), as choosers see it;
+    running: Vec<RunningTask>,
+    /// index for index, each running task's run id and queue entry.
+    run: Vec<(u64, QueuedTask)>,
     next_run_id: u64,
-    run_jobs: BTreeMap<u64, u64>,
     chooser: C,
     job_states: BTreeMap<u64, JobState>,
     responses: Vec<f64>,
@@ -235,61 +241,50 @@ struct SchedModel<C: Chooser> {
     recorder: Option<Recorder>,
 }
 
-impl<C: Chooser> SchedModel<C> {
-    fn free_cores(&self) -> u32 {
-        self.pools.iter().map(|p| p.free).sum()
-    }
-
-    fn refresh_cache(&mut self) {
-        if self.cache_dirty {
-            self.running_cache = self.running.values().copied().collect();
-            self.cache_dirty = false;
-        }
-    }
-
+impl<C: Chooser> SchedModel<'_, C> {
     fn start_task(&mut self, task: QueuedTask, pool: usize, ctx: &mut Ctx<Ev>) {
-        self.pools[pool].free -= task.cpus;
-        let run_id = self.next_run_id;
+        let (now, run_id) = (ctx.now(), self.next_run_id);
+        let est_finish = now + task.estimate;
         self.next_run_id += 1;
-        self.running.insert(
-            run_id,
-            RunningTask {
-                pool,
-                cpus: task.cpus,
-                est_finish: ctx.now() + task.estimate,
-                started_at: ctx.now(),
-            },
-        );
-        self.cache_dirty = true;
-        self.run_jobs.insert(run_id, task.job);
-        self.run_tasks.insert(run_id, task);
+        let p = &mut self.pools[pool];
+        p.free -= task.cpus;
+        // The newest run goes after every release not later than its own.
+        let at = p.releases.partition_point(|&(t, ..)| t <= est_finish);
+        p.releases.insert(at, (est_finish, run_id, task.cpus));
+        self.running.push(RunningTask {
+            pool,
+            cpus: task.cpus,
+            est_finish,
+            started_at: now,
+        });
+        self.run.push((run_id, task));
         ctx.schedule_in(task.runtime, Ev::Finish { run_id });
+    }
+
+    /// Takes the `i`-th running task out of the running set and its pool.
+    fn stop(&mut self, i: usize) -> (RunningTask, QueuedTask) {
+        let r = self.running.remove(i);
+        let (run_id, task) = self.run.remove(i);
+        let releases = &mut self.pools[r.pool].releases;
+        releases.remove(releases.partition_point(|&(t, id, _)| (t, id) < (r.est_finish, run_id)));
+        (r, task)
     }
 
     /// Kills running tasks in `pool` until at least `needed` cores are
     /// reclaimed (newest first); the tasks restart from scratch.
     fn kill_tasks(&mut self, pool: usize, needed: u32, now: f64) -> u32 {
         let mut reclaimed = 0u32;
-        let victims: Vec<u64> = self
-            .running
-            .iter()
-            .rev()
-            .filter(|(_, r)| r.pool == pool)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in victims {
-            if reclaimed >= needed {
-                break;
+        let mut i = self.running.len();
+        while i > 0 && reclaimed < needed {
+            i -= 1;
+            if self.running[i].pool == pool {
+                let (r, task) = self.stop(i);
+                reclaimed += r.cpus;
+                self.busy_core_time += (now - r.started_at) * f64::from(r.cpus);
+                self.tasks_restarted += 1;
+                self.queue.push(task);
+                self.ordered_by = None;
             }
-            let r = self.running.remove(&id).expect("victim runs");
-            self.cache_dirty = true;
-            self.cancelled.insert(id);
-            reclaimed += r.cpus;
-            self.busy_core_time += (now - r.started_at) * f64::from(r.cpus);
-            self.run_jobs.remove(&id);
-            let task = self.run_tasks.remove(&id).expect("task known");
-            self.tasks_restarted += 1;
-            self.queue.push(task);
         }
         reclaimed
     }
@@ -304,103 +299,106 @@ impl<C: Chooser> SchedModel<C> {
             .map(|(i, _)| i)
     }
 
+    /// Orders the queue by the chosen policy, then starts tasks in queue
+    /// order while they fit (strict priority semantics); a backfilling
+    /// policy then lets later tasks jump a blocked head.
     fn schedule(&mut self, ctx: &mut Ctx<Ev>) {
-        if self.queue.is_empty() {
+        let waiting = self.queue.len() - self.head;
+        if waiting == 0 {
             return;
         }
-        if let Some(label) = self.chooser.swap_due(ctx.now(), self.queue.len() as f64) {
+        if let Some(label) = self.chooser.swap_due(ctx.now(), waiting as f64) {
             ctx.span_enter(&label);
             self.chooser.apply_swap(ctx.now());
             ctx.span_exit(&label);
         }
-        let free = self.free_cores();
-        self.refresh_cache();
-        let running = std::mem::take(&mut self.running_cache);
+        let free = self.pools.iter().map(|p| p.free).sum();
         ctx.span_enter("sched.choose");
-        let policy = self.chooser.choose(ctx.now(), &self.queue, free, &running);
+        let queue = &self.queue[self.head..];
+        let policy = self.chooser.choose(ctx.now(), queue, free, &self.running);
         ctx.span_exit("sched.choose");
-        self.running_cache = running;
         if let Some(rec) = &self.recorder {
-            rec.gauge_set("sched.queue_tasks", ctx.now(), self.queue.len() as f64);
+            rec.gauge_set("sched.queue_tasks", ctx.now(), waiting as f64);
             rec.incr("sched.decisions");
         }
-        policy.order(&mut self.queue);
+        if self.ordered_by != Some(policy.name()) {
+            policy.order(&mut self.queue[self.head..]);
+            self.ordered_by = Some(policy.name());
+        }
+        while let Some(&task) = self.queue.get(self.head) {
+            let Some(pool) = self.pick_pool(task.cpus) else {
+                break;
+            };
+            self.start_task(task, pool, ctx);
+            self.head += 1;
+        }
         if policy.backfills() {
-            self.schedule_easy(ctx);
-        } else {
-            self.schedule_blocking(ctx);
+            self.backfill(ctx);
+        }
+        if 2 * self.head > self.queue.len() {
+            self.queue.drain(..self.head);
+            self.head = 0;
         }
     }
 
-    /// Start tasks in queue order, stopping at the first that cannot be
-    /// placed (strict priority semantics).
-    fn schedule_blocking(&mut self, ctx: &mut Ctx<Ev>) {
-        while !self.queue.is_empty() {
-            let head = self.queue[0];
-            match self.pick_pool(head.cpus) {
-                Some(pool) => {
-                    let t = self.queue.remove(0);
-                    self.start_task(t, pool, ctx);
-                }
-                None => break,
-            }
-        }
-    }
-
-    /// EASY backfilling: the head holds a reservation; later tasks may
-    /// start only if (by estimate) they finish before the reservation's
-    /// shadow time or fit in the cores spare at that time.
-    fn schedule_easy(&mut self, ctx: &mut Ctx<Ev>) {
-        loop {
-            if self.queue.is_empty() {
-                return;
-            }
-            let head = self.queue[0];
-            if let Some(pool) = self.pick_pool(head.cpus) {
-                let t = self.queue.remove(0);
-                self.start_task(t, pool, ctx);
-                continue;
-            }
-            let (shadow, extra) = self.reservation(head.cpus, ctx.now());
-            let mut i = 1;
-            while i < self.queue.len() {
-                let t = self.queue[i];
-                let fits_now = self.pick_pool(t.cpus).is_some();
-                let ends_before_shadow = ctx.now() + t.estimate <= shadow;
-                let within_extra = t.cpus <= extra;
-                if fits_now && (ends_before_shadow || within_extra) {
-                    let t = self.queue.remove(i);
-                    let pool = self.pick_pool(t.cpus).expect("checked fits");
-                    self.start_task(t, pool, ctx);
-                } else {
-                    i += 1;
-                }
-            }
+    /// EASY backfilling: the blocked head holds a reservation; later tasks
+    /// may start only if (by estimate) they finish before the
+    /// reservation's shadow time or fit in the cores spare at that time.
+    fn backfill(&mut self, ctx: &mut Ctx<Ev>) {
+        let Some(&blocked) = self.queue.get(self.head) else {
             return;
+        };
+        let now = ctx.now();
+        let (shadow, extra) = self.reservation(blocked.cpus, now);
+        let (mut kept, mut next) = (self.head + 1, self.head + 1);
+        // Once every pool is full, no later task can start.
+        while next < self.queue.len() && self.pools.iter().any(|p| p.free > 0) {
+            let t = self.queue[next];
+            next += 1;
+            match self.pick_pool(t.cpus) {
+                Some(pool) if now + t.estimate <= shadow || t.cpus <= extra => {
+                    self.start_task(t, pool, ctx)
+                }
+                _ => {
+                    self.queue[kept] = t;
+                    kept += 1;
+                }
+            }
         }
+        self.queue.drain(kept..next);
     }
 
-    /// Earliest estimated time `cpus` become free in some pool, and the
-    /// cores spare at that moment.
+    /// Earliest estimated time `cpus` (more than any pool has free) become
+    /// free in some pool, and the cores spare at that moment. A pool's
+    /// tasks release in `(max(estimated finish, now), start order)` order.
     fn reservation(&self, cpus: u32, now: f64) -> (f64, u32) {
         let mut best: Option<(f64, u32)> = None;
         for (pi, pool) in self.pools.iter().enumerate() {
-            let mut frees: Vec<(f64, u32)> = self
-                .running
-                .values()
-                .filter(|r| r.pool == pi)
-                .map(|r| (r.est_finish.max(now), r.cpus))
-                .collect();
-            frees.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite times"));
+            let releases = &pool.releases;
+            let (due, later) = releases.split_at(releases.partition_point(|&(t, ..)| t <= now));
+            let due_cpus: u32 = due.iter().map(|&(.., c)| c).sum();
+            // Every task past its estimate releases now; when together they
+            // reach `cpus`, start order decides which of them count.
             let mut avail = pool.free;
-            for (t, c) in frees {
+            let reach = |(t, c): (f64, u32)| {
                 avail += c;
-                if avail >= cpus {
-                    let extra = avail - cpus;
-                    if best.is_none_or(|(bt, _)| t < bt) {
-                        best = Some((t, extra));
-                    }
-                    break;
+                (avail >= cpus).then(|| (t, avail - cpus))
+            };
+            let found = if pool.free + due_cpus >= cpus {
+                let due = self
+                    .running
+                    .iter()
+                    .filter(|r| r.pool == pi && r.est_finish <= now);
+                due.map(|r| (now, r.cpus)).find_map(reach)
+            } else {
+                let later = later.iter().map(|&(t, _, c)| (t, c));
+                std::iter::once((now, due_cpus))
+                    .chain(later)
+                    .find_map(reach)
+            };
+            if let Some((t, extra)) = found {
+                if best.is_none_or(|(bt, _)| t < bt) {
+                    best = Some((t, extra));
                 }
             }
         }
@@ -408,13 +406,13 @@ impl<C: Chooser> SchedModel<C> {
     }
 }
 
-impl<C: Chooser> Model for SchedModel<C> {
+impl<C: Chooser> Model for SchedModel<'_, C> {
     type Event = Ev;
 
     fn handle(&mut self, ev: Ev, ctx: &mut Ctx<Ev>) {
         match ev {
             Ev::Arrival(job_idx) => {
-                let job = self.jobs[job_idx].clone();
+                let job = &self.jobs[job_idx];
                 let jid = job.id.0;
                 self.job_states.insert(
                     jid,
@@ -434,22 +432,20 @@ impl<C: Chooser> Model for SchedModel<C> {
                         cpus: t.cpus,
                     });
                 }
+                self.ordered_by = None;
                 self.schedule(ctx);
             }
             Ev::Finish { run_id } => {
-                if self.cancelled.remove(&run_id) {
-                    // The task was killed by a failure; its restart is
-                    // already queued and its cores were lost with the
-                    // machine.
+                // A run that no longer runs was killed by a failure; its
+                // restart is already queued and its cores were lost with
+                // the machine.
+                let Ok(i) = self.run.binary_search_by_key(&run_id, |&(id, _)| id) else {
                     return;
-                }
-                let r = self.running.remove(&run_id).expect("finishing task runs");
-                self.cache_dirty = true;
+                };
+                let (r, task) = self.stop(i);
                 self.pools[r.pool].free += r.cpus;
-                let task = self.run_tasks.remove(&run_id).expect("task known");
                 self.busy_core_time += task.runtime * f64::from(task.cpus);
-                let jid = self.run_jobs.remove(&run_id).expect("job known");
-                let js = self.job_states.get_mut(&jid).expect("job state exists");
+                let js = self.job_states.get_mut(&task.job).expect("job arrived");
                 js.remaining -= 1;
                 if js.remaining == 0 {
                     let resp = ctx.now() - js.submit;
@@ -534,21 +530,23 @@ pub fn simulate<C: Chooser>(
         );
     }
     let model = SchedModel {
-        jobs: jobs.to_vec(),
+        jobs,
         pools: pool_cores
             .iter()
-            .map(|&c| Pool { total: c, free: c })
+            .map(|&c| Pool {
+                total: c,
+                free: c,
+                releases: Vec::new(),
+            })
             .collect(),
         queue: Vec::new(),
-        failures: failures.to_vec(),
-        cancelled: std::collections::BTreeSet::new(),
-        run_tasks: BTreeMap::new(),
+        head: 0,
+        ordered_by: None,
+        failures,
         tasks_restarted: 0,
-        running: BTreeMap::new(),
-        running_cache: Vec::new(),
-        cache_dirty: false,
+        running: Vec::new(),
+        run: Vec::new(),
         next_run_id: 0,
-        run_jobs: BTreeMap::new(),
         chooser,
         job_states: BTreeMap::new(),
         responses: Vec::new(),
@@ -562,9 +560,10 @@ pub fn simulate<C: Chooser>(
     // Arrivals and failure injections are scheduled up front; pre-size
     // the event queue so the fill phase never reallocates.
     let mut sim = Simulation::with_capacity(model, config.seed, jobs.len() + failures.len());
+    let total_cores: u32 = pool_cores.iter().sum();
     if let Some(rec) = rec {
-        let cores: u32 = pool_cores.iter().sum();
-        let digest = fnv1a(format!("{}|{}|{cores}", jobs.len(), pool_cores.len()).as_bytes());
+        let (n, pools) = (jobs.len(), pool_cores.len());
+        let digest = fnv1a(format!("{n}|{pools}|{total_cores}").as_bytes());
         rec.set_run_info("scheduling.cluster", config.seed, digest);
         sim = sim.with_tracer(rec.clone());
     }
@@ -576,7 +575,6 @@ pub fn simulate<C: Chooser>(
     }
     sim.run();
     let m = sim.into_model();
-    let total_cores: u32 = pool_cores.iter().sum();
     let n = m.responses.len().max(1) as f64;
     SimMetrics {
         mean_response: m.responses.iter().sum::<f64>() / n,
@@ -727,6 +725,49 @@ mod tests {
         assert!(m.decisions > 0 && m.lookahead_events > 0);
         assert_eq!(m.decisions, portfolio.decisions());
         assert_eq!(m.lookahead_events, portfolio.lookahead_events());
+    }
+
+    #[test]
+    fn a_policy_is_known_by_its_ordering_not_its_type() {
+        // The queue is re-ordered only when a task joins it or the
+        // chosen policy's name changes, so a custom policy that orders
+        // like SJF must run exactly like SJF, restarts included.
+        use crate::policy::SchedulingPolicy;
+        #[derive(Debug)]
+        struct Shortest;
+        impl SchedulingPolicy for Shortest {
+            fn name(&self) -> &'static str {
+                "shortest"
+            }
+            fn order(&self, queue: &mut [QueuedTask]) {
+                queue.sort_by(|a, b| a.estimate.total_cmp(&b.estimate));
+            }
+        }
+        let jobs: Vec<Job> = (0..40)
+            .map(|i| {
+                let long = 5.0 + (i % 7) as f64 * 9.0;
+                job(
+                    i,
+                    i as f64 * 2.0,
+                    vec![(long, 1 + (i % 3) as u32), (12.0, 1)],
+                )
+            })
+            .collect();
+        let cfg = SimConfig {
+            estimate_sigma: 0.5,
+            seed: 4,
+        };
+        let failures = [FailureEvent {
+            time: 30.0,
+            pool: 0,
+            cores: 3,
+            duration: 40.0,
+        }];
+        let custom = FixedPolicy(std::sync::Arc::new(Shortest));
+        let custom = simulate(&jobs, &[4, 3], custom, &cfg, &failures, None);
+        let sjf = simulate(&jobs, &[4, 3], Policy::Sjf, &cfg, &failures, None);
+        assert!(sjf.tasks_restarted > 0, "the failure must kill tasks");
+        assert_eq!(custom, sjf);
     }
 
     #[test]

@@ -41,7 +41,18 @@ fn bad_data(context: &str) -> std::io::Error {
     std::io::Error::new(std::io::ErrorKind::InvalidData, context.to_string())
 }
 
-fn read_response<R: BufRead>(reader: &mut R) -> std::io::Result<HttpResponse> {
+/// A response head: status, headers (names lowercased), and how the
+/// body is framed.
+struct Head {
+    status: u16,
+    headers: Vec<(String, String)>,
+    /// `None` for a chunked body, else the `Content-Length`.
+    fixed_length: Option<usize>,
+}
+
+/// Reads a response head. A body that is not chunked needs a valid
+/// `Content-Length`.
+fn read_head<R: BufRead>(reader: &mut R) -> std::io::Result<Head> {
     let mut status_line = String::new();
     if reader.read_line(&mut status_line)? == 0 {
         return Err(bad_data("connection closed before status line"));
@@ -77,18 +88,31 @@ fn read_response<R: BufRead>(reader: &mut R) -> std::io::Result<HttpResponse> {
         }
         headers.push((name, value));
     }
-
-    let body = if chunked {
-        read_chunked(reader)?
-    } else {
-        let length = content_length.ok_or_else(|| bad_data("response without length"))?;
-        let mut body = vec![0u8; length];
-        reader.read_exact(&mut body)?;
-        body
+    let fixed_length = match (chunked, content_length) {
+        (true, _) => None,
+        (false, Some(length)) => Some(length),
+        (false, None) => return Err(bad_data("response without length")),
     };
-    Ok(HttpResponse {
+    Ok(Head {
         status,
         headers,
+        fixed_length,
+    })
+}
+
+fn read_response<R: BufRead>(reader: &mut R) -> std::io::Result<HttpResponse> {
+    let head = read_head(reader)?;
+    let body = match head.fixed_length {
+        None => read_chunked(reader)?,
+        Some(length) => {
+            let mut body = vec![0u8; length];
+            reader.read_exact(&mut body)?;
+            body
+        }
+    };
+    Ok(HttpResponse {
+        status: head.status,
+        headers: head.headers,
         body,
     })
 }
@@ -139,9 +163,8 @@ pub struct StreamingResponse {
     /// Header `(name, value)` pairs in wire order, names lowercased.
     pub headers: Vec<(String, String)>,
     reader: BufReader<TcpStream>,
-    chunked: bool,
-    /// Bytes of a fixed-length body not yet consumed (non-chunked).
-    remaining_fixed: usize,
+    /// `None` for a chunked body, else the fixed body's length.
+    fixed_length: Option<usize>,
     done: bool,
     pending: Vec<u8>,
 }
@@ -178,16 +201,16 @@ impl StreamingResponse {
         }
     }
 
-    /// Reads one more chunk (or fixed-body slice) into `pending`.
+    /// Reads one more chunk (or the whole fixed body) into `pending`.
     fn fill(&mut self) -> std::io::Result<()> {
-        if self.chunked {
-            self.done = !read_chunk(&mut self.reader, &mut self.pending)?;
-        } else {
-            let start = self.pending.len();
-            self.pending.resize(start + self.remaining_fixed, 0);
-            self.reader.read_exact(&mut self.pending[start..])?;
-            self.remaining_fixed = 0;
-            self.done = true;
+        match self.fixed_length {
+            None => self.done = !read_chunk(&mut self.reader, &mut self.pending)?,
+            Some(length) => {
+                let start = self.pending.len();
+                self.pending.resize(start + length, 0);
+                self.reader.read_exact(&mut self.pending[start..])?;
+                self.done = true;
+            }
         }
         Ok(())
     }
@@ -208,46 +231,12 @@ pub fn get_stream(addr: &str, path_and_query: &str) -> std::io::Result<Streaming
     writer.write_all(head.as_bytes())?;
     writer.flush()?;
 
-    let mut status_line = String::new();
-    if reader.read_line(&mut status_line)? == 0 {
-        return Err(bad_data("connection closed before status line"));
-    }
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|code| code.parse().ok())
-        .ok_or_else(|| bad_data("malformed status line"))?;
-    let mut headers = Vec::new();
-    let mut content_length = 0usize;
-    let mut chunked = false;
-    loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            return Err(bad_data("connection closed inside headers"));
-        }
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| bad_data("malformed header"))?;
-        let name = name.to_ascii_lowercase();
-        let value = value.trim().to_string();
-        if name == "content-length" {
-            content_length = value.parse().unwrap_or(0);
-        }
-        if name == "transfer-encoding" && value.eq_ignore_ascii_case("chunked") {
-            chunked = true;
-        }
-        headers.push((name, value));
-    }
+    let head = read_head(&mut reader)?;
     Ok(StreamingResponse {
-        status,
-        headers,
+        status: head.status,
+        headers: head.headers,
         reader,
-        chunked,
-        remaining_fixed: content_length,
+        fixed_length: head.fixed_length,
         done: false,
         pending: Vec::new(),
     })
@@ -337,6 +326,32 @@ mod tests {
             b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nA\r\n0123456789\r\n0\r\n\r\n";
         let r = read_response(&mut BufReader::new(&raw[..])).expect("uppercase hex");
         assert_eq!(r.body, b"0123456789");
+    }
+
+    #[test]
+    fn a_stream_without_a_valid_length_is_refused() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("binds");
+        let addr = listener.local_addr().expect("bound").to_string();
+        let heads = ["Content-Length: 5x\r\n", ""];
+        let server = std::thread::spawn(move || {
+            for head in heads {
+                let (conn, _) = listener.accept().expect("accepts");
+                let mut request = BufReader::new(&conn);
+                let mut line = String::new();
+                while request.read_line(&mut line).expect("reads") > 2 {
+                    line.clear();
+                }
+                let answer = format!("HTTP/1.1 200 OK\r\n{head}\r\nhello");
+                (&conn).write_all(answer.as_bytes()).expect("answers");
+            }
+        });
+        for head in heads {
+            match get_stream(&addr, "/watch") {
+                Ok(_) => panic!("{head:?}: a body with no valid length was accepted"),
+                Err(e) => assert_eq!(e.to_string(), "response without length", "{head:?}"),
+            }
+        }
+        server.join().expect("server thread");
     }
 
     #[test]

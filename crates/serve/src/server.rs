@@ -577,12 +577,13 @@ fn handle_trace(mut stream: TcpStream, request: &Request, shared: &Arc<Shared>) 
         Ok(query) => query,
         Err(reason) => {
             let id_header = [("X-Atlarge-Request", req_header.as_str())];
-            let _closing = refuse(&mut stream, &shared.pulse, 400, &id_header, &reason);
+            let w = &mut BufWriter::new(&stream);
+            let _closing = refuse(w, &shared.pulse, 400, &id_header, &reason);
             return;
         }
     };
     let Some(ticket) = shared.gate.admit() else {
-        let _closing = shed(&mut stream, shared, &req_header);
+        let _closing = shed(&mut BufWriter::new(&stream), shared, &req_header);
         return;
     };
     shared.pulse.count_started(Started::Trace);
@@ -672,7 +673,8 @@ fn handle_watch(mut stream: TcpStream, request: &Request, shared: &Arc<Shared>) 
         Ok(n) => n.unwrap_or(0),
         Err(_) => {
             let reason = "windows must be a non-negative integer";
-            let _closing = refuse(&mut stream, &shared.pulse, 400, &id_header, reason);
+            let w = &mut BufWriter::new(&stream);
+            let _closing = refuse(w, &shared.pulse, 400, &id_header, reason);
             return;
         }
     };
@@ -685,7 +687,8 @@ fn handle_watch(mut stream: TcpStream, request: &Request, shared: &Arc<Shared>) 
             .clamp(WATCH_WINDOW_MIN_MS, WATCH_WINDOW_MAX_MS),
         Err(_) => {
             let reason = "window_ms must be a positive integer";
-            let _closing = refuse(&mut stream, &shared.pulse, 400, &id_header, reason);
+            let w = &mut BufWriter::new(&stream);
+            let _closing = refuse(w, &shared.pulse, 400, &id_header, reason);
             return;
         }
     };
