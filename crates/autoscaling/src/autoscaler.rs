@@ -103,7 +103,7 @@ impl Autoscaler for React {
 /// Adapt: move toward demand in bounded steps, shrinking only after the
 /// demand has stayed below supply for `cooldown` consecutive decisions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Adapt {
+pub(crate) struct Adapt {
     /// Maximum servers added or removed per decision.
     pub max_step: u32,
     /// Consecutive low-demand decisions required before scaling in.
@@ -148,7 +148,7 @@ impl Autoscaler for Adapt {
 /// Hist: histogram prediction — provisions the `percentile` of demand
 /// observed at the same phase of a repeating `window` (e.g. time of day).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Hist {
+pub(crate) struct Hist {
     /// Length of the repeating window in simulated seconds.
     pub window: f64,
     /// Number of phase buckets per window.
@@ -209,7 +209,7 @@ impl Autoscaler for Hist {
 /// Reg: fits a line through recent demand and provisions the value
 /// extrapolated `horizon` seconds ahead.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Reg {
+pub(crate) struct Reg {
     /// How far ahead to extrapolate.
     pub horizon: f64,
     /// How many trailing samples to fit.
@@ -249,7 +249,7 @@ impl Autoscaler for Reg {
 /// ConPaaS-like: provisions the maximum demand seen over the trailing
 /// `lookback` samples (a conservative recent-peak rule).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecentPeak {
+pub(crate) struct RecentPeak {
     /// Trailing samples considered.
     pub lookback: usize,
 }
@@ -279,7 +279,7 @@ impl Autoscaler for RecentPeak {
 /// Plan (workflow-aware): provisions for the tasks that are eligible right
 /// now plus a structural margin for imminent releases.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Plan {
+pub(crate) struct Plan {
     /// Fraction of running tasks whose successors are assumed imminent.
     pub release_margin: f64,
 }
@@ -312,7 +312,7 @@ impl Autoscaler for Plan {
 /// eligible tasks exactly, but never below a floor proportional to recent
 /// demand (tokens persist one decision).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     /// Fraction of the previous target retained as a floor.
     pub retain: f64,
     previous: u32,
@@ -619,15 +619,14 @@ mod tests {
     }
 
     #[test]
-    fn capsule_bytes_are_deterministic_and_decode() {
-        use atlarge_evolve::Capsule;
+    fn capture_is_deterministic() {
         let mut hist = Hist::default();
         hist.decide(&view(0.0, 3.0, 1, &[]));
-        let a = hist.capture(1.0).to_bytes();
-        let b = hist.capture(1.0).to_bytes();
-        assert_eq!(a, b, "capture must be deterministic");
-        let decoded = Capsule::from_bytes(&a).unwrap();
-        assert_eq!(decoded, hist.capture(1.0));
+        assert_eq!(
+            hist.capture(1.0),
+            hist.capture(1.0),
+            "capture must be deterministic"
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ use atlarge_stats::timeseries::StepSeries;
 /// elasticity metrics. Same semantics as [`ElasticityReport::compute`],
 /// different mechanics.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SampledReport {
+pub(crate) struct SampledReport {
     /// (1) Mean servers missing while under-provisioned.
     pub under_accuracy: f64,
     /// (2) Mean servers excess while over-provisioned.
@@ -41,7 +41,7 @@ pub struct SampledReport {
 /// # Panics
 ///
 /// Panics unless `from < to` and `dt > 0`.
-pub fn sampled_report(
+pub(crate) fn sampled_report(
     demand: &StepSeries,
     supply: &StepSeries,
     from: f64,
@@ -91,6 +91,7 @@ pub struct Corroboration {
 impl Corroboration {
     /// Whether every metric agrees within `tolerance` (relative, with an
     /// absolute floor of 0.01 for near-zero metrics).
+    // #[allow_atlarge(dead-public-surface, reason = "the verdict of the §6.7 corroboration oracle")]
     pub fn agrees(&self, tolerance: f64) -> bool {
         self.rows.iter().all(|&(_, a, b, _)| {
             let scale = a.abs().max(b.abs()).max(0.01);
@@ -100,6 +101,7 @@ impl Corroboration {
 }
 
 /// Runs both implementations and tabulates the comparison.
+// #[allow_atlarge(dead-public-surface, reason = "the independent check of §6.7's elasticity metrics: an oracle its tests compare the exact implementation against")]
 pub fn corroborate(
     demand: &StepSeries,
     supply: &StepSeries,

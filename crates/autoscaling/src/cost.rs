@@ -2,25 +2,17 @@
 //!
 //! \[127\] "added ... an analysis of cost metrics based on several
 //! real-world cost models, an analysis of introducing two types of
-//! deadline-based SLAs". Two billing models are reproduced — fine-grained
-//! per-second billing and coarse per-hour billing with rounding-up — plus
-//! the two SLA types: a hard deadline (violations counted) and a soft
-//! deadline (violations penalized in cost).
+//! deadline-based SLAs". The experiments use fine-grained per-second
+//! billing and the hard-deadline SLA (violations counted).
 
 use atlarge_stats::timeseries::StepSeries;
 
 /// A billing model for provisioned supply.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BillingModel {
+pub(crate) enum BillingModel {
     /// Fine-grained: pay for exact server-seconds at `rate` per
     /// server-hour.
     PerSecond {
-        /// Price per server-hour.
-        rate: f64,
-    },
-    /// Coarse: each hour is billed at the peak supply within it, rounded
-    /// up (the classic cloud instance-hour).
-    PerHour {
         /// Price per server-hour.
         rate: f64,
     },
@@ -36,43 +28,18 @@ impl BillingModel {
         assert!(from < to, "billing window must be non-empty");
         match *self {
             BillingModel::PerSecond { rate } => supply.integral(from, to) / 3600.0 * rate,
-            BillingModel::PerHour { rate } => {
-                let mut total = 0.0;
-                let mut t = from;
-                while t < to {
-                    let end = (t + 3600.0).min(to);
-                    // Peak supply in the hour: sample at boundaries and at
-                    // every change point inside.
-                    let mut peak = supply.value_at(t);
-                    for &(pt, pv) in supply.points() {
-                        if pt > t && pt < end {
-                            peak = peak.max(pv);
-                        }
-                    }
-                    total += peak.ceil() * rate;
-                    t = end;
-                }
-                total
-            }
         }
     }
 }
 
-/// The two deadline-based SLA types of \[127\].
+/// The deadline-based SLA of \[127\] the experiments use.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum DeadlineSla {
+pub(crate) enum DeadlineSla {
     /// Hard: a workflow must finish within `slack` × its critical path;
     /// violations are counted.
     Hard {
         /// Allowed response/critical-path ratio.
         slack: f64,
-    },
-    /// Soft: each violation adds `penalty` to the cost.
-    Soft {
-        /// Allowed response/critical-path ratio.
-        slack: f64,
-        /// Cost added per violating workflow.
-        penalty: f64,
     },
 }
 
@@ -81,20 +48,12 @@ impl DeadlineSla {
     /// critical_path)` triples.
     pub fn violations(&self, workflows: &[(f64, f64, f64)]) -> usize {
         let slack = match *self {
-            DeadlineSla::Hard { slack } | DeadlineSla::Soft { slack, .. } => slack,
+            DeadlineSla::Hard { slack } => slack,
         };
         workflows
             .iter()
             .filter(|&&(s, c, cp)| c - s > slack * cp)
             .count()
-    }
-
-    /// Cost penalty implied by the SLA (0 for hard SLAs).
-    pub fn penalty_cost(&self, workflows: &[(f64, f64, f64)]) -> f64 {
-        match *self {
-            DeadlineSla::Hard { .. } => 0.0,
-            DeadlineSla::Soft { penalty, .. } => self.violations(workflows) as f64 * penalty,
-        }
     }
 }
 
@@ -119,34 +78,9 @@ mod tests {
     }
 
     #[test]
-    fn per_hour_rounds_up_at_peak() {
-        // 1 server, with a 10-minute spike to 5 in the first hour.
-        let s = supply(&[(0.0, 1.0), (600.0, 5.0), (1200.0, 1.0)]);
-        let per_hour = BillingModel::PerHour { rate: 1.0 };
-        let per_sec = BillingModel::PerSecond { rate: 1.0 };
-        let ch = per_hour.cost(&s, 0.0, 7200.0);
-        let cs = per_sec.cost(&s, 0.0, 7200.0);
-        // Hour 1 billed at 5, hour 2 at 1 => 6; per-second ≈ 2.67.
-        assert!((ch - 6.0).abs() < 1e-9, "per-hour {ch}");
-        assert!(ch > cs, "coarse billing should cost more: {ch} vs {cs}");
-    }
-
-    #[test]
     fn hard_sla_counts_violations() {
         let wfs = vec![(0.0, 10.0, 8.0), (0.0, 30.0, 8.0), (0.0, 9.0, 8.0)];
         let sla = DeadlineSla::Hard { slack: 1.5 };
         assert_eq!(sla.violations(&wfs), 1); // the 30s one
-        assert_eq!(sla.penalty_cost(&wfs), 0.0);
-    }
-
-    #[test]
-    fn soft_sla_prices_violations() {
-        let wfs = vec![(0.0, 100.0, 10.0), (0.0, 100.0, 10.0)];
-        let sla = DeadlineSla::Soft {
-            slack: 2.0,
-            penalty: 7.0,
-        };
-        assert_eq!(sla.violations(&wfs), 2);
-        assert_eq!(sla.penalty_cost(&wfs), 14.0);
     }
 }

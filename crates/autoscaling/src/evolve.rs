@@ -21,7 +21,7 @@ pub trait EvolvableScaler: Autoscaler + Evolvable + std::fmt::Debug {}
 impl<T: Autoscaler + Evolvable + std::fmt::Debug> EvolvableScaler for T {}
 
 /// Builds a roster autoscaler by its campaign name.
-pub fn scaler_by_name(name: &str) -> Option<Box<dyn EvolvableScaler>> {
+pub(crate) fn scaler_by_name(name: &str) -> Option<Box<dyn EvolvableScaler>> {
     match name {
         "react" => Some(Box::new(React)),
         "adapt" => Some(Box::new(Adapt::default())),

@@ -100,11 +100,11 @@ pub struct CampaignCell {
 }
 
 /// Number of autoscalers in the campaign roster.
-pub const ROSTER_SIZE: usize = 7;
+pub(crate) const ROSTER_SIZE: usize = 7;
 
 /// Roster names, each resolvable by
 /// [`scaler_by_name`](crate::evolve::scaler_by_name).
-pub const ROSTER_NAMES: [&str; ROSTER_SIZE] =
+pub(crate) const ROSTER_NAMES: [&str; ROSTER_SIZE] =
     ["react", "adapt", "hist", "reg", "peak", "plan", "token"];
 
 /// One campaign cell's config: the workload/autoscaler pairing, plus an
@@ -170,7 +170,7 @@ fn campaign_run(horizon: f64) -> impl Fn(&AutoscaleSpec, u64) -> CampaignCell + 
 
 /// Runs the §6.7 campaign through the engine: workload × autoscaler
 /// grid, common random numbers within each replication.
-pub fn campaign_result(
+pub(crate) fn campaign_result(
     horizon: f64,
     seed: u64,
     replications: usize,
@@ -252,7 +252,7 @@ pub fn ab_campaign_result(
 
 /// Runs the full campaign at the given horizon. Returns one cell per
 /// (autoscaler, workload), the single-replication view of
-/// [`campaign_result`].
+/// `campaign_result`.
 pub fn campaign(horizon: f64, seed: u64) -> Vec<CampaignCell> {
     campaign_result(horizon, seed, 1)
         .first_outcomes()
@@ -263,7 +263,7 @@ pub fn campaign(horizon: f64, seed: u64) -> Vec<CampaignCell> {
 
 /// Builds the §6.7 score table over campaign cells: metrics averaged per
 /// autoscaler across workloads.
-pub fn score_table(cells: &[CampaignCell]) -> ScoreTable {
+pub(crate) fn score_table(cells: &[CampaignCell]) -> ScoreTable {
     let mut table = ScoreTable::new();
     let names = ElasticityReport::metric_names();
     for (i, name) in names.iter().enumerate() {
@@ -295,7 +295,7 @@ pub fn score_table(cells: &[CampaignCell]) -> ScoreTable {
 
 /// The grading weights of \[127\]: responsiveness metrics dominate, cost
 /// and stability temper.
-pub fn grading_weights() -> BTreeMap<String, f64> {
+pub(crate) fn grading_weights() -> BTreeMap<String, f64> {
     let mut w = BTreeMap::new();
     w.insert("under_accuracy".to_string(), 3.0);
     w.insert("under_timeshare".to_string(), 3.0);

@@ -98,7 +98,7 @@ impl ElasticityReport {
     }
 
     /// The metric names, in order, for score tables.
-    pub fn metric_names() -> [&'static str; 12] {
+    pub(crate) fn metric_names() -> [&'static str; 12] {
         [
             "under_accuracy",
             "over_accuracy",
@@ -115,7 +115,7 @@ impl ElasticityReport {
         ]
     }
 
-    /// Metric values aligned with [`ElasticityReport::metric_names`].
+    /// Metric values aligned with `ElasticityReport::metric_names`.
     pub fn values(&self) -> [f64; 12] {
         [
             self.under_accuracy,
@@ -135,7 +135,7 @@ impl ElasticityReport {
 
     /// Whether lower is better for the metric at `index` (utilization is
     /// the one higher-is-better elasticity metric here).
-    pub fn lower_is_better(index: usize) -> bool {
+    pub(crate) fn lower_is_better(index: usize) -> bool {
         index != 8
     }
 }

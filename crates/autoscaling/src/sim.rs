@@ -55,28 +55,10 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// Mean task waiting time.
-    pub fn mean_wait(&self) -> f64 {
-        self.task_waits.iter().sum::<f64>() / self.task_waits.len().max(1) as f64
-    }
-
     /// Mean workflow response time.
     pub fn mean_response(&self) -> f64 {
         self.workflows.iter().map(|&(s, c, _)| c - s).sum::<f64>()
             / self.workflows.len().max(1) as f64
-    }
-
-    /// Fraction of workflows completing within `slack` × critical path.
-    pub fn deadline_fraction(&self, slack: f64) -> f64 {
-        if self.workflows.is_empty() {
-            return 1.0;
-        }
-        let met = self
-            .workflows
-            .iter()
-            .filter(|&&(s, c, cp)| c - s <= slack * cp)
-            .count();
-        met as f64 / self.workflows.len() as f64
     }
 }
 
@@ -372,6 +354,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Mean task waiting time.
+    fn mean_wait(r: &RunResult) -> f64 {
+        r.task_waits.iter().sum::<f64>() / r.task_waits.len().max(1) as f64
+    }
+
     fn workflows(n: usize, gap: f64) -> Vec<Workflow> {
         let mut rng = StdRng::seed_from_u64(1);
         (0..n)
@@ -419,8 +406,8 @@ mod tests {
             boot_delay: 0.0,
             ..Default::default()
         };
-        let ws = run(workflows(8, 20.0), React, slow, 3, None).mean_wait();
-        let wi = run(workflows(8, 20.0), React, instant, 3, None).mean_wait();
+        let ws = mean_wait(&run(workflows(8, 20.0), React, slow, 3, None));
+        let wi = mean_wait(&run(workflows(8, 20.0), React, instant, 3, None));
         assert!(wi < ws, "instant {wi} vs slow {ws}");
     }
 
@@ -435,20 +422,6 @@ mod tests {
         );
         // Every workflow finished despite scale-ins.
         assert_eq!(r.workflows.len(), 6);
-    }
-
-    #[test]
-    fn deadline_fraction_bounded() {
-        let r = run(
-            workflows(10, 40.0),
-            React,
-            AutoscaleConfig::default(),
-            3,
-            None,
-        );
-        let f = r.deadline_fraction(2.0);
-        assert!((0.0..=1.0).contains(&f));
-        assert!(r.deadline_fraction(1000.0) >= f);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! - **cold** — every request is a distinct cache key (the seed varies
 //!   per request), so each answer runs a fresh datacenter capacity cell
-//!   on the work-stealing pool;
+//!   behind the run gate;
 //! - **cached** — every request repeats one prewarmed query, so each
 //!   answer comes from the fingerprint-keyed LRU.
 //!

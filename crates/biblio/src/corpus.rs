@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The keywords tracked by the Figure-1 analysis.
-pub const KEYWORDS: [&str; 6] = [
+pub(crate) const KEYWORDS: [&str; 6] = [
     "design",
     "performance",
     "scalability",
@@ -22,7 +22,7 @@ pub const KEYWORDS: [&str; 6] = [
 
 /// A publication venue with its first year of publication.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct Venue {
+pub(crate) struct Venue {
     /// Venue name.
     pub name: &'static str,
     /// First year with proceedings (censoring boundary for Figure 2).
@@ -33,7 +33,7 @@ pub struct Venue {
 
 /// The venue list used by the analyses (top systems venues, as in the
 /// figures' axis).
-pub fn venues() -> Vec<Venue> {
+pub(crate) fn venues() -> Vec<Venue> {
     vec![
         Venue {
             name: "ICDCS",
@@ -81,13 +81,13 @@ pub fn venues() -> Vec<Venue> {
 /// One article of the corpus.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Article {
-    /// Venue index into [`Corpus::venues`].
+    /// Venue index into `Corpus::venues`.
     pub venue: usize,
     /// Publication year.
     pub year: u32,
     /// Whether this is a design article.
     pub is_design: bool,
-    /// Keyword presence flags, aligned with [`KEYWORDS`].
+    /// Keyword presence flags, aligned with `KEYWORDS`.
     pub keywords: [bool; 6],
 }
 
@@ -99,10 +99,10 @@ pub struct Corpus {
 }
 
 /// First year covered by the corpus.
-pub const FIRST_YEAR: u32 = 1980;
+pub(crate) const FIRST_YEAR: u32 = 1980;
 /// Last year covered by the corpus (2015-block is incomplete, as in the
 /// paper's Figure 2).
-pub const LAST_YEAR: u32 = 2018;
+pub(crate) const LAST_YEAR: u32 = 2018;
 
 impl Corpus {
     /// Generates the corpus with a seed.
@@ -129,7 +129,7 @@ impl Corpus {
     }
 
     /// The venue list.
-    pub fn venues(&self) -> &[Venue] {
+    pub(crate) fn venues(&self) -> &[Venue] {
         &self.venues
     }
 
@@ -143,7 +143,7 @@ impl Corpus {
 ///
 /// Calibration: a modest base rate through the 1980s–90s, a marked rise
 /// after 2000, saturating in the 2010s — the shape Figure 2 reports.
-pub fn design_probability(year: u32) -> f64 {
+pub(crate) fn design_probability(year: u32) -> f64 {
     let base = 0.06;
     if year < 2000 {
         base + 0.002 * (year.saturating_sub(FIRST_YEAR)) as f64 / 2.0

@@ -15,13 +15,6 @@ pub struct KeywordPresence {
 }
 
 impl KeywordPresence {
-    /// Looks up a fraction by names.
-    pub fn fraction(&self, venue: &str, keyword: &str) -> Option<f64> {
-        let v = self.venues.iter().position(|&n| n == venue)?;
-        let k = self.keywords.iter().position(|&n| n == keyword)?;
-        Some(self.fractions[v][k])
-    }
-
     /// Renders the table as aligned text (the harness prints this as the
     /// Figure-1 series).
     pub fn to_table_string(&self) -> String {
@@ -67,39 +60,46 @@ pub fn keyword_presence(corpus: &Corpus) -> KeywordPresence {
     }
 }
 
-/// Keyword presence restricted to a year range (used to show era effects).
-pub fn keyword_presence_in_years(corpus: &Corpus, from: u32, to: u32) -> KeywordPresence {
-    let nv = corpus.venues().len();
-    let mut hits = vec![[0u64; 6]; nv];
-    let mut totals = vec![0u64; nv];
-    for a in corpus
-        .articles()
-        .iter()
-        .filter(|a| a.year >= from && a.year <= to)
-    {
-        totals[a.venue] += 1;
-        for (k, &present) in a.keywords.iter().enumerate() {
-            if present {
-                hits[a.venue][k] += 1;
-            }
-        }
-    }
-    KeywordPresence {
-        venues: corpus.venues().iter().map(|v| v.name).collect(),
-        keywords: KEYWORDS.to_vec(),
-        fractions: (0..nv)
-            .map(|v| {
-                (0..KEYWORDS.len())
-                    .map(|k| hits[v][k] as f64 / totals[v].max(1) as f64)
-                    .collect()
-            })
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Looks up a fraction by names.
+    fn fraction(t: &KeywordPresence, venue: &str, keyword: &str) -> Option<f64> {
+        let v = t.venues.iter().position(|&n| n == venue)?;
+        let k = t.keywords.iter().position(|&n| n == keyword)?;
+        Some(t.fractions[v][k])
+    }
+
+    /// Keyword presence restricted to a year range (used to show era effects).
+    fn keyword_presence_in_years(corpus: &Corpus, from: u32, to: u32) -> KeywordPresence {
+        let nv = corpus.venues().len();
+        let mut hits = vec![[0u64; 6]; nv];
+        let mut totals = vec![0u64; nv];
+        for a in corpus
+            .articles()
+            .iter()
+            .filter(|a| a.year >= from && a.year <= to)
+        {
+            totals[a.venue] += 1;
+            for (k, &present) in a.keywords.iter().enumerate() {
+                if present {
+                    hits[a.venue][k] += 1;
+                }
+            }
+        }
+        KeywordPresence {
+            venues: corpus.venues().iter().map(|v| v.name).collect(),
+            keywords: KEYWORDS.to_vec(),
+            fractions: (0..nv)
+                .map(|v| {
+                    (0..KEYWORDS.len())
+                        .map(|k| hits[v][k] as f64 / totals[v].max(1) as f64)
+                        .collect()
+                })
+                .collect(),
+        }
+    }
 
     #[test]
     fn design_is_a_common_keyword_everywhere() {
@@ -108,7 +108,7 @@ mod tests {
         let c = Corpus::generate(10);
         let t = keyword_presence(&c);
         for v in &t.venues {
-            let f = t.fraction(v, "design").unwrap();
+            let f = fraction(&t, v, "design").unwrap();
             assert!(f > 0.10, "{v} design fraction {f}");
         }
     }
@@ -117,8 +117,8 @@ mod tests {
     fn performance_dominates_design() {
         let c = Corpus::generate(11);
         let t = keyword_presence(&c);
-        let perf = t.fraction("ICDCS", "performance").unwrap();
-        let design = t.fraction("ICDCS", "design").unwrap();
+        let perf = fraction(&t, "ICDCS", "performance").unwrap();
+        let design = fraction(&t, "ICDCS", "design").unwrap();
         assert!(perf > design);
     }
 
@@ -127,8 +127,8 @@ mod tests {
         let c = Corpus::generate(12);
         let early = keyword_presence_in_years(&c, 1980, 2005);
         let late = keyword_presence_in_years(&c, 2010, 2018);
-        assert_eq!(early.fraction("ICDCS", "elasticity").unwrap(), 0.0);
-        assert!(late.fraction("ICDCS", "elasticity").unwrap() > 0.05);
+        assert_eq!(fraction(&early, "ICDCS", "elasticity").unwrap(), 0.0);
+        assert!(fraction(&late, "ICDCS", "elasticity").unwrap() > 0.05);
     }
 
     #[test]
@@ -157,7 +157,7 @@ mod tests {
     fn unknown_lookup_is_none() {
         let c = Corpus::generate(15);
         let t = keyword_presence(&c);
-        assert!(t.fraction("NOPE", "design").is_none());
-        assert!(t.fraction("ICDCS", "nope").is_none());
+        assert!(fraction(&t, "NOPE", "design").is_none());
+        assert!(fraction(&t, "ICDCS", "nope").is_none());
     }
 }

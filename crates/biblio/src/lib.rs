@@ -35,4 +35,4 @@ pub mod keywords;
 pub mod reviews;
 pub mod trends;
 
-pub use corpus::{Article, Corpus, Venue};
+pub use corpus::{Article, Corpus};

@@ -156,40 +156,6 @@ pub fn violin_panel(articles: &[ReviewedArticle], criterion: Criterion) -> Violi
     }
 }
 
-/// The Figure-3 grouping the paper also plots: accepted vs rejected.
-/// Returns `(accepted_merit_summary, rejected_merit_summary)`.
-///
-/// # Panics
-///
-/// Panics if either group is empty (the model's acceptance threshold
-/// guarantees both exist at realistic sizes).
-pub fn acceptance_split(articles: &[ReviewedArticle]) -> (ViolinSummary, ViolinSummary) {
-    let accepted: Vec<f64> = articles
-        .iter()
-        .filter(|a| a.accepted)
-        .map(|a| f64::from(a.merit))
-        .collect();
-    let rejected: Vec<f64> = articles
-        .iter()
-        .filter(|a| !a.accepted)
-        .map(|a| f64::from(a.merit))
-        .collect();
-    (
-        ViolinSummary::from_samples(&accepted, 64),
-        ViolinSummary::from_samples(&rejected, 64),
-    )
-}
-
-/// Acceptance rates per group: `(design_rate, non_design_rate)`.
-pub fn acceptance_rates(articles: &[ReviewedArticle]) -> (f64, f64) {
-    let rate = |pred: fn(&ReviewedArticle) -> bool| {
-        let group: Vec<&ReviewedArticle> = articles.iter().filter(|a| pred(a)).collect();
-        let accepted = group.iter().filter(|a| a.accepted).count();
-        accepted as f64 / group.len().max(1) as f64
-    };
-    (rate(|a| a.is_design), rate(|a| !a.is_design))
-}
-
 /// The paper's two findings, as measured facts.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Findings {
@@ -224,6 +190,40 @@ pub fn extract_findings(articles: &[ReviewedArticle]) -> Findings {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Acceptance rates per group: `(design_rate, non_design_rate)`.
+    fn acceptance_rates(articles: &[ReviewedArticle]) -> (f64, f64) {
+        let rate = |pred: fn(&ReviewedArticle) -> bool| {
+            let group: Vec<&ReviewedArticle> = articles.iter().filter(|a| pred(a)).collect();
+            let accepted = group.iter().filter(|a| a.accepted).count();
+            accepted as f64 / group.len().max(1) as f64
+        };
+        (rate(|a| a.is_design), rate(|a| !a.is_design))
+    }
+
+    /// The Figure-3 grouping the paper also plots: accepted vs rejected.
+    /// Returns `(accepted_merit_summary, rejected_merit_summary)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either group is empty (the model's acceptance threshold
+    /// guarantees both exist at realistic sizes).
+    fn acceptance_split(articles: &[ReviewedArticle]) -> (ViolinSummary, ViolinSummary) {
+        let accepted: Vec<f64> = articles
+            .iter()
+            .filter(|a| a.accepted)
+            .map(|a| f64::from(a.merit))
+            .collect();
+        let rejected: Vec<f64> = articles
+            .iter()
+            .filter(|a| !a.accepted)
+            .map(|a| f64::from(a.merit))
+            .collect();
+        (
+            ViolinSummary::from_samples(&accepted, 64),
+            ViolinSummary::from_samples(&rejected, 64),
+        )
+    }
 
     fn articles() -> Vec<ReviewedArticle> {
         ReviewModel::default().simulate(77)

@@ -3,8 +3,7 @@
 //! Element (8) of the BDC expands into separate design processes for
 //! publishing articles, free open-source software (FOSS), and FAIR / free
 //! open-access data (FOAD). Each artifact kind here carries a checklist
-//! derived from the practices §3.6 names, and data artifacts get a FAIR
-//! compliance check.
+//! derived from the practices §3.6 names.
 
 use crate::process::{BasicDesignCycle, BdcStage, CycleReport, StoppingCriterion};
 
@@ -30,7 +29,7 @@ impl ArtifactKind {
     }
 
     /// The best-practice checklist §3.6 associates with this kind.
-    pub fn checklist(&self) -> Vec<&'static str> {
+    pub(crate) fn checklist(&self) -> Vec<&'static str> {
         match self {
             ArtifactKind::Article => vec![
                 "collaborative editing set up",
@@ -51,44 +50,6 @@ impl ArtifactKind {
                 "reusable: license and provenance",
             ],
         }
-    }
-}
-
-/// FAIR compliance of a data artifact (Wilkinson et al., cited in §3.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FairCheck {
-    /// Findable: persistent identifier plus rich metadata.
-    pub findable: bool,
-    /// Accessible: retrievable by an open protocol.
-    pub accessible: bool,
-    /// Interoperable: uses a documented, shared format.
-    pub interoperable: bool,
-    /// Reusable: clear license and provenance.
-    pub reusable: bool,
-}
-
-impl FairCheck {
-    /// Whether all four FAIR properties hold.
-    pub fn is_fair(&self) -> bool {
-        self.findable && self.accessible && self.interoperable && self.reusable
-    }
-
-    /// The failed properties, by letter.
-    pub fn failing(&self) -> Vec<char> {
-        let mut out = Vec::new();
-        if !self.findable {
-            out.push('F');
-        }
-        if !self.accessible {
-            out.push('A');
-        }
-        if !self.interoperable {
-            out.push('I');
-        }
-        if !self.reusable {
-            out.push('R');
-        }
-        out
     }
 }
 
@@ -162,25 +123,6 @@ mod tests {
         for kind in ArtifactKind::all() {
             assert_eq!(kind.checklist().len(), 4);
         }
-    }
-
-    #[test]
-    fn fair_check_reports_failures() {
-        let partial = FairCheck {
-            findable: true,
-            accessible: true,
-            interoperable: false,
-            reusable: false,
-        };
-        assert!(!partial.is_fair());
-        assert_eq!(partial.failing(), vec!['I', 'R']);
-        let full = FairCheck {
-            findable: true,
-            accessible: true,
-            interoperable: true,
-            reusable: true,
-        };
-        assert!(full.is_fair());
     }
 
     #[test]

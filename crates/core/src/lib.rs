@@ -29,7 +29,7 @@
 //! - [`provenance`] — a decision-log formalism for documenting designs
 //!   and tracing their evolution (challenge C8).
 //! - [`dissemination`] — §3.6's article/software/data dissemination
-//!   processes, including a FAIR checklist.
+//!   processes.
 //!
 //! # Examples
 //!

@@ -61,7 +61,7 @@ impl BdcStage {
     }
 
     /// Whether Figure 8 marks this stage as expandable into its own BDC.
-    pub fn expandable(&self) -> bool {
+    pub(crate) fn expandable(&self) -> bool {
         matches!(
             self,
             BdcStage::Implementation | BdcStage::ExperimentalAnalysis | BdcStage::Dissemination
@@ -167,17 +167,13 @@ impl CycleCtx {
     }
 
     /// Signals that the design space has been exhausted (criterion 4).
+    // #[allow_atlarge(dead-public-surface, reason = "the only way a stage action triggers stopping criterion 4 (space exhausted)")]
     pub fn report_exhausted(&mut self) {
         self.exhausted = true;
     }
 
-    /// Qualities of all designs reported so far.
-    pub fn qualities(&self) -> &[f64] {
-        &self.qualities
-    }
-
     /// Attaches a nested BDC's report (hierarchical Overall Process).
-    pub fn attach_nested(&mut self, report: CycleReport) {
+    pub(crate) fn attach_nested(&mut self, report: CycleReport) {
         self.nested_reports.push(report);
     }
 }
@@ -197,26 +193,11 @@ pub struct CycleReport {
     pub nested: Vec<CycleReport>,
 }
 
-impl CycleReport {
-    /// Designs at or above `threshold`.
-    pub fn satisficing_count(&self, threshold: f64) -> usize {
-        self.qualities.iter().filter(|&&q| q >= threshold).count()
-    }
-
-    /// Total stages skipped across iterations.
-    pub fn skipped(&self) -> usize {
-        self.stage_log
-            .iter()
-            .filter(|(_, _, o)| *o == StageOutcome::Skipped)
-            .count()
-    }
-}
-
 /// Type of a stage action over model `S`.
-pub type StageActionFn<'a, S> = Box<dyn FnMut(&mut S, &mut CycleCtx) + 'a>;
+pub(crate) type StageActionFn<'a, S> = Box<dyn FnMut(&mut S, &mut CycleCtx) + 'a>;
 
 /// Type of a stage-skip predicate: `(model, stage, iteration) -> skip?`.
-pub type SkipFn<'a, S> = Box<dyn FnMut(&S, BdcStage, usize) -> bool + 'a>;
+pub(crate) type SkipFn<'a, S> = Box<dyn FnMut(&S, BdcStage, usize) -> bool + 'a>;
 
 /// The Basic Design Cycle over a design model `S`.
 ///
@@ -282,6 +263,7 @@ impl<'a, S> BasicDesignCycle<'a, S> {
     }
 
     /// Installs a skip predicate: `skip(state, stage, iteration)`.
+    // #[allow_atlarge(dead-public-surface, reason = "Figure 8 lets a BDC skip stages per iteration; this installs that rule")]
     pub fn skip_when<F>(&mut self, predicate: F) -> &mut Self
     where
         F: FnMut(&S, BdcStage, usize) -> bool + 'a,
@@ -373,6 +355,7 @@ impl<'a, S> BasicDesignCycle<'a, S> {
 /// "once a practitioner has learned the BDC, they can apply it several
 /// times in the OP".
 #[derive(Debug)]
+// #[allow_atlarge(dead-public-surface, reason = "Figure 8's overall process: BDCs nested in the expandable stages")]
 pub struct OverallProcess {
     criteria: Vec<StoppingCriterion>,
     nested_budget: usize,
@@ -426,6 +409,20 @@ impl OverallProcess {
 mod tests {
     use super::*;
 
+    /// Total stages skipped across iterations.
+    fn skipped(report: &CycleReport) -> usize {
+        report
+            .stage_log
+            .iter()
+            .filter(|(_, _, o)| *o == StageOutcome::Skipped)
+            .count()
+    }
+
+    /// Designs at or above `threshold`.
+    fn satisficing_count(report: &CycleReport, threshold: f64) -> usize {
+        report.qualities.iter().filter(|&&q| q >= threshold).count()
+    }
+
     #[test]
     fn stage_numbers_match_paper() {
         assert_eq!(BdcStage::FormulateRequirements.number(), 1);
@@ -472,7 +469,7 @@ mod tests {
         let r = bdc.run(&mut ());
         assert_eq!(r.reason, StopReason::PortfolioComplete);
         assert_eq!(r.iterations, 3);
-        assert_eq!(r.satisficing_count(0.5), 3);
+        assert_eq!(satisficing_count(&r, 0.5), 3);
     }
 
     #[test]
@@ -501,7 +498,7 @@ mod tests {
         bdc.on(BdcStage::Design, |_: &mut (), ctx| ctx.report_design(0.1));
         let r = bdc.run(&mut ());
         assert_eq!(r.reason, StopReason::BudgetExhausted);
-        assert_eq!(r.satisficing_count(0.99), 0);
+        assert_eq!(satisficing_count(&r, 0.99), 0);
     }
 
     #[test]
@@ -513,7 +510,7 @@ mod tests {
         let mut impl_runs = 0u32;
         let r = bdc.run(&mut impl_runs);
         assert_eq!(impl_runs, 1);
-        assert_eq!(r.skipped(), 2);
+        assert_eq!(skipped(&r), 2);
     }
 
     #[test]

@@ -10,8 +10,6 @@
 //!   reads off the student design of Figure 4 (missing interconnections,
 //!   no layering, no component descriptions, …).
 
-use std::fmt;
-
 /// Altshuller's five levels of creativity, ordered by long-term impact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CreativityLevel {
@@ -61,11 +59,6 @@ impl CreativityLevel {
         } else {
             CreativityLevel::Trivial
         }
-    }
-
-    /// Conference rating systems roughly consider levels 1–4 (§5.1).
-    pub fn conference_rating_range() -> std::ops::RangeInclusive<u8> {
-        1..=4
     }
 }
 
@@ -117,44 +110,6 @@ impl PerformanceBaseline {
         }
         best
     }
-}
-
-/// An integer review score in 1–4, as used by the conference of Figure 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Score(u8);
-
-impl Score {
-    /// Creates a score.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `value` is within 1–4.
-    pub fn new(value: u8) -> Self {
-        assert!((1..=4).contains(&value), "scores are integers 1..=4");
-        Score(value)
-    }
-
-    /// The numeric value.
-    pub fn value(&self) -> u8 {
-        self.0
-    }
-}
-
-impl fmt::Display for Score {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-/// The three review criteria of Figure 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Review {
-    /// Overall merit of the work.
-    pub merit: Score,
-    /// Quality of the approach.
-    pub quality: Score,
-    /// Match with the conference topic.
-    pub topic: Score,
 }
 
 /// A design document, scored by the rubric of Figure 4's critique.
@@ -287,11 +242,6 @@ mod tests {
     }
 
     #[test]
-    fn conference_ratings_span_1_to_4() {
-        assert_eq!(CreativityLevel::conference_rating_range(), 1..=4);
-    }
-
-    #[test]
     fn performance_baseline_ladder() {
         // Beats practice but not near-optimal.
         let b = PerformanceBaseline::highest_cleared(0.8, 0.3, 0.5, 0.7, 1.0);
@@ -302,12 +252,6 @@ mod tests {
         // Worse than random.
         let b = PerformanceBaseline::highest_cleared(0.1, 0.3, 0.5, 0.7, 1.0);
         assert_eq!(b, None);
-    }
-
-    #[test]
-    #[should_panic(expected = "1..=4")]
-    fn scores_outside_range_rejected() {
-        Score::new(5);
     }
 
     #[test]

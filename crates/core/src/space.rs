@@ -7,15 +7,11 @@
 //! Figure 6, and can *evolve* into a new problem (the co-evolving
 //! problem-solution of Figure 7).
 //!
-//! Two concrete spaces are provided:
-//!
-//! - [`RuggedSpace`] — an NK-style rugged fitness landscape over bit
-//!   strings. Ruggedness (the `k` parameter) models the interaction between
-//!   design decisions; high `k` makes local search stall, which is what
-//!   makes the exploration-process comparison of Figure 6 non-trivial.
-//! - [`TechnologySpace`] — a factored concept × relationship space that
-//!   mirrors the reasoning universe of Figure 5: a design fixes one
-//!   technology ("what") and one pattern ("how").
+//! The concrete space is [`RuggedSpace`], an NK-style rugged fitness
+//! landscape over bit strings. Ruggedness (the `k` parameter) models the
+//! interaction between design decisions; high `k` makes local search
+//! stall, which is what makes the exploration-process comparison of
+//! Figure 6 non-trivial.
 
 use rand::Rng;
 
@@ -175,98 +171,6 @@ impl DesignSpace for RuggedSpace {
     }
 }
 
-/// A factored concept × relationship space mirroring Figure 5's universe.
-///
-/// A design is a `(what, how)` index pair; quality comes from a dense
-/// compatibility matrix. Fix-the-What freezes the first coordinate,
-/// Fix-the-How the second.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TechnologySpace {
-    concepts: Vec<String>,
-    relationships: Vec<String>,
-    /// `quality[w][h]` in `[0, 1]`.
-    quality: Vec<Vec<f64>>,
-}
-
-impl TechnologySpace {
-    /// Creates a space with a random but seeded compatibility matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either list is empty.
-    pub fn seeded(concepts: Vec<String>, relationships: Vec<String>, seed: u64) -> Self {
-        assert!(!concepts.is_empty() && !relationships.is_empty());
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let quality = (0..concepts.len())
-            .map(|_| (0..relationships.len()).map(|_| rng.gen()).collect())
-            .collect();
-        TechnologySpace {
-            concepts,
-            relationships,
-            quality,
-        }
-    }
-
-    /// The concept ("what") names.
-    pub fn concepts(&self) -> &[String] {
-        &self.concepts
-    }
-
-    /// The relationship ("how") names.
-    pub fn relationships(&self) -> &[String] {
-        &self.relationships
-    }
-
-    /// Human-readable name of a design.
-    pub fn describe(&self, d: &(usize, usize)) -> String {
-        format!("{} via {}", self.concepts[d.0], self.relationships[d.1])
-    }
-}
-
-impl DesignSpace for TechnologySpace {
-    type Design = (usize, usize);
-
-    fn random<R: Rng + ?Sized>(&self, rng: &mut R) -> (usize, usize) {
-        (
-            rng.gen_range(0..self.concepts.len()),
-            rng.gen_range(0..self.relationships.len()),
-        )
-    }
-
-    fn neighbors(&self, &(w, h): &(usize, usize), axis: Axis) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        if axis != Axis::HowOnly {
-            for nw in 0..self.concepts.len() {
-                if nw != w {
-                    out.push((nw, h));
-                }
-            }
-        }
-        if axis != Axis::WhatOnly {
-            for nh in 0..self.relationships.len() {
-                if nh != h {
-                    out.push((w, nh));
-                }
-            }
-        }
-        out
-    }
-
-    fn quality(&self, &(w, h): &(usize, usize)) -> f64 {
-        self.quality[w][h]
-    }
-
-    fn distance(&self, a: &(usize, usize), b: &(usize, usize)) -> f64 {
-        ((a.0 != b.0) as u8 + (a.1 != b.1) as u8) as f64 / 2.0
-    }
-
-    fn log2_size(&self) -> f64 {
-        ((self.concepts.len() * self.relationships.len()) as f64).log2()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,21 +246,6 @@ mod tests {
         let b = vec![false, true, true, false];
         assert_eq!(s.distance(&a, &b), 0.5);
         assert_eq!(s.distance(&a, &a), 0.0);
-    }
-
-    #[test]
-    fn technology_space_axes() {
-        let s = TechnologySpace::seeded(
-            vec!["cache".into(), "cdn".into(), "replica".into()],
-            vec!["lru".into(), "geo".into()],
-            7,
-        );
-        let d = (0, 0);
-        assert_eq!(s.neighbors(&d, Axis::All).len(), 3);
-        assert_eq!(s.neighbors(&d, Axis::WhatOnly).len(), 2);
-        assert_eq!(s.neighbors(&d, Axis::HowOnly).len(), 1);
-        assert_eq!(s.describe(&(1, 1)), "cdn via geo");
-        assert!((s.log2_size() - (6f64).log2()).abs() < 1e-12);
     }
 
     /// Quality stays in [0,1] for arbitrary designs and parameters.

@@ -9,7 +9,7 @@ pub struct HostId(pub usize);
 
 /// One physical or virtual host.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Host {
+pub(crate) struct Host {
     cores: u32,
     free: u32,
 }
@@ -90,7 +90,7 @@ impl Cluster {
     /// allocations count under `<name>.allocations` / `.releases` /
     /// `.alloc_failures`, and utilization mirrors into the
     /// `<name>.utilization` gauge.
-    pub fn attach_recorder(&mut self, recorder: &Recorder) {
+    pub(crate) fn attach_recorder(&mut self, recorder: &Recorder) {
         self.recorder = Some(recorder.clone());
     }
 
@@ -124,13 +124,8 @@ impl Cluster {
     }
 
     /// Cores in use.
-    pub fn used_cores(&self) -> u32 {
+    pub(crate) fn used_cores(&self) -> u32 {
         self.total_cores() - self.free_cores()
-    }
-
-    /// Largest single-host free block (what a rigid task can actually get).
-    pub fn largest_free_block(&self) -> u32 {
-        self.hosts.iter().map(Host::free).max().unwrap_or(0)
     }
 
     /// First-fit allocation of `cores` on one host at simulated time
@@ -168,33 +163,6 @@ impl Cluster {
         self.note_utilization(now);
     }
 
-    /// Adds `hosts` new hosts of `cores_per_host` each (elastic scale-out).
-    pub fn scale_out(&mut self, hosts: usize, cores_per_host: u32) {
-        for _ in 0..hosts {
-            self.hosts.push(Host::new(cores_per_host));
-        }
-    }
-
-    /// Removes up to `hosts` fully idle hosts (elastic scale-in); returns
-    /// how many were removed. Busy hosts are never removed.
-    pub fn scale_in(&mut self, hosts: usize) -> usize {
-        let mut removed = 0;
-        let mut i = self.hosts.len();
-        while i > 0 && removed < hosts && self.hosts.len() > 1 {
-            i -= 1;
-            if self.hosts[i].free == self.hosts[i].cores {
-                self.hosts.remove(i);
-                removed += 1;
-            }
-        }
-        removed
-    }
-
-    /// Number of hosts.
-    pub fn num_hosts(&self) -> usize {
-        self.hosts.len()
-    }
-
     /// Time-weighted utilization monitor.
     pub fn utilization(&self) -> &Gauge {
         &self.utilization
@@ -223,7 +191,6 @@ mod tests {
         c.try_allocate(3, 0.0).unwrap();
         // 2 cores free in total but max 1 per host: a 2-core task fails.
         assert_eq!(c.free_cores(), 2);
-        assert_eq!(c.largest_free_block(), 1);
         assert!(c.try_allocate(2, 0.0).is_none());
         assert!(c.try_allocate(1, 0.0).is_some());
     }
@@ -266,19 +233,5 @@ mod tests {
         assert!(twin.try_allocate(1, 1.0).is_none());
         twin.release(th, 4, 10.0);
         assert_eq!(c, twin);
-    }
-
-    #[test]
-    fn elastic_scaling() {
-        let mut c = Cluster::homogeneous("c", 2, 4);
-        c.scale_out(2, 8);
-        assert_eq!(c.num_hosts(), 4);
-        assert_eq!(c.total_cores(), 24);
-        let _ = c.try_allocate(8, 0.0).unwrap();
-        let removed = c.scale_in(10);
-        // All idle hosts go; the busy host survives.
-        assert_eq!(removed, 3);
-        assert_eq!(c.num_hosts(), 1);
-        assert_eq!(c.free_cores(), 0);
     }
 }

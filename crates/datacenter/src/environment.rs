@@ -76,27 +76,6 @@ impl Environment {
         matches!(self, Environment::GridPlusCloud | Environment::PublicCloud)
     }
 
-    /// Cost per core-hour in abstract currency units (0 for owned
-    /// capacity, positive for rented).
-    pub fn cost_per_core_hour(&self) -> f64 {
-        match self {
-            Environment::OwnCluster | Environment::MultiCluster => 0.0,
-            Environment::GridPlusCloud => 0.03,
-            Environment::GeoDistributed => 0.02,
-            Environment::PublicCloud => 0.05,
-        }
-    }
-
-    /// Mean inter-cluster latency in milliseconds (0 for single-cluster).
-    pub fn inter_cluster_latency_ms(&self) -> f64 {
-        match self {
-            Environment::OwnCluster | Environment::PublicCloud => 0.0,
-            Environment::MultiCluster => 0.5,
-            Environment::GridPlusCloud => 20.0,
-            Environment::GeoDistributed => 120.0,
-        }
-    }
-
     /// Total cores across the environment's clusters.
     pub fn total_cores(&self) -> u32 {
         self.build().iter().map(Cluster::total_cores).sum()
@@ -126,21 +105,6 @@ mod tests {
             assert!(!clusters.is_empty(), "{e} builds no clusters");
             assert!(e.total_cores() > 0);
         }
-    }
-
-    #[test]
-    fn geo_distribution_costs_latency() {
-        assert!(
-            Environment::GeoDistributed.inter_cluster_latency_ms()
-                > Environment::MultiCluster.inter_cluster_latency_ms()
-        );
-        assert_eq!(Environment::OwnCluster.inter_cluster_latency_ms(), 0.0);
-    }
-
-    #[test]
-    fn owned_capacity_is_free_clouds_cost() {
-        assert_eq!(Environment::OwnCluster.cost_per_core_hour(), 0.0);
-        assert!(Environment::PublicCloud.cost_per_core_hour() > 0.0);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::loadgen::{run_cluster, ClusterRunStats};
 use atlarge_exp::registry::{parse_param, run_replicated, CellOutput, CellScenario, ParamSpec};
-use atlarge_exp::{Campaign, CampaignResult, CancelToken, CellSummary};
+use atlarge_exp::{Campaign, CampaignResult, CancelToken};
 use atlarge_stats::descriptive::Summary;
 use atlarge_telemetry::tracer::Tracer;
 use std::collections::BTreeMap;
@@ -34,7 +34,7 @@ fn run_capacity(spec: &ClusterSpec, seed: u64) -> ClusterRunStats {
 /// Runs the capacity campaign: `hosts` × `cores-per-host` levels, the
 /// same `jobs`-job workload family per cell, `replications` derived
 /// seeds each.
-pub fn capacity_campaign(
+pub(crate) fn capacity_campaign(
     hosts: &[usize],
     cores: &[u32],
     jobs: usize,
@@ -59,13 +59,6 @@ pub fn default_capacity_campaign(
     replications: usize,
 ) -> CampaignResult<ClusterSpec, ClusterRunStats> {
     capacity_campaign(&[2, 4, 8], &[8, 16], 400, seed, replications)
-}
-
-/// Per-cell makespan summaries of a capacity campaign.
-pub fn makespan_summaries(
-    result: &CampaignResult<ClusterSpec, ClusterRunStats>,
-) -> Vec<CellSummary> {
-    result.summarize(|s| s.makespan)
 }
 
 /// Renders the campaign as a text table: one line per cell with
@@ -219,7 +212,6 @@ mod tests {
         for cell in &r.cells {
             assert!(s.contains(&cell.spec.label()));
         }
-        assert_eq!(makespan_summaries(&r).len(), 6);
     }
 
     #[test]

@@ -22,7 +22,7 @@ fn offered_load(lambda: f64, mu: f64) -> f64 {
 /// # Panics
 ///
 /// Panics unless `c > 0` and the rates are positive.
-pub fn erlang_c(c: usize, lambda: f64, mu: f64) -> f64 {
+pub(crate) fn erlang_c(c: usize, lambda: f64, mu: f64) -> f64 {
     assert!(c > 0, "at least one server");
     assert!(lambda > 0.0 && mu > 0.0, "rates must be positive");
     let a = offered_load(lambda, mu);
@@ -53,19 +53,9 @@ pub fn mmc_mean_wait(c: usize, lambda: f64, mu: f64) -> f64 {
     erlang_c(c, lambda, mu) / (c as f64 * mu - lambda)
 }
 
-/// Mean response time (wait + service) of an M/M/1 system.
-///
-/// Returns infinity when unstable.
-pub fn mm1_mean_response(lambda: f64, mu: f64) -> f64 {
-    if lambda >= mu {
-        return f64::INFINITY;
-    }
-    1.0 / (mu - lambda)
-}
-
 /// Events of the reference queue station.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum StationEvent {
+pub(crate) enum StationEvent {
     /// A new job arrives.
     Arrival,
     /// A server finishes the job it started at the carried time.
@@ -80,7 +70,7 @@ pub enum StationEvent {
 /// Jobs arrive Poisson(`lambda`), take Exp(`mu`) service, and `c` servers
 /// drain a FIFO queue. The station records per-job waiting times.
 #[derive(Debug)]
-pub struct QueueStation {
+pub(crate) struct QueueStation {
     arrival: Exponential,
     service: Exponential,
     servers: usize,
@@ -114,7 +104,7 @@ impl QueueStation {
     }
 
     /// Waiting times (queue only) of completed jobs.
-    pub fn waits(&self) -> &[f64] {
+    pub(crate) fn waits(&self) -> &[f64] {
         &self.waits
     }
 
@@ -178,6 +168,16 @@ pub fn simulate_mmc(lambda: f64, mu: f64, servers: usize, jobs: usize, seed: u64
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Mean response time (wait + service) of an M/M/1 system.
+    ///
+    /// Returns infinity when unstable.
+    fn mm1_mean_response(lambda: f64, mu: f64) -> f64 {
+        if lambda >= mu {
+            return f64::INFINITY;
+        }
+        1.0 / (mu - lambda)
+    }
 
     #[test]
     fn erlang_c_single_server_is_rho() {

@@ -66,6 +66,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::any::Any;
 use std::fmt;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use sync::{SyncPlane, Verdict};
@@ -78,7 +79,7 @@ const LANE_SHIFT: u32 = 32;
 /// Maximum number of entities a sharded simulation accepts. Lanes must
 /// stay below 2^20 so every id fits in 52 bits — ids survive any
 /// JSON consumer that routes integers through an f64.
-pub const MAX_ENTITIES: usize = (1 << 20) - 1;
+pub(crate) const MAX_ENTITIES: usize = (1 << 20) - 1;
 
 fn unlabeled<E>(_: &E) -> &'static str {
     "event"
@@ -232,7 +233,7 @@ impl Partition for StaticPartition {
 pub enum PartitionError {
     /// The partition declared zero shards.
     NoShards,
-    /// More entities than [`MAX_ENTITIES`].
+    /// More entities than `MAX_ENTITIES`.
     TooManyEntities {
         /// The offending entity count.
         entities: usize,
@@ -284,7 +285,7 @@ impl std::error::Error for PartitionError {}
 /// Unlike [`Model`](crate::sim::Model) — which owns the whole world —
 /// a logical process owns exactly one entity, so a run's outcome
 /// cannot depend on entity co-location. Events for other entities go
-/// through [`ShardCtx::send_at`]/[`ShardCtx::send_in`], which enforce
+/// through `ShardCtx::send_at`/[`ShardCtx::send_in`], which enforce
 /// the partition's lookahead on cross-shard edges. A model that wants
 /// to stay valid under *every* partition should respect the declared
 /// lookahead on all entity-to-entity sends.
@@ -504,7 +505,7 @@ impl<E> ShardCtx<'_, E> {
     }
 
     /// Schedules an event for this entity at absolute `time`.
-    pub fn schedule_at(&mut self, time: f64, event: E) -> u64 {
+    pub(crate) fn schedule_at(&mut self, time: f64, event: E) -> u64 {
         assert!(
             time.is_finite() && time >= self.now,
             "event time must be finite and not in the past"
@@ -521,7 +522,7 @@ impl<E> ShardCtx<'_, E> {
     /// Sends an event to `target` at absolute `time`. For a target on
     /// another shard, `time` must be at least `now + lookahead(edge)` —
     /// the contract the conservative horizons are derived from.
-    pub fn send_at(&mut self, time: f64, target: u32, event: E) -> u64 {
+    pub(crate) fn send_at(&mut self, time: f64, target: u32, event: E) -> u64 {
         assert!(
             time.is_finite() && time >= self.now,
             "event time must be finite and not in the past"
@@ -600,7 +601,8 @@ pub struct ShardedSimulation<P, L, F = CalendarQueue<Routed<<L as LogicalProcess
 where
     L: LogicalProcess,
 {
-    partition: P,
+    /// `new` reads the partition once; the engine keeps its type only.
+    partition: PhantomData<fn() -> P>,
     shards: Vec<Shard<L, F>>,
     index: Vec<EntitySlot>,
     lookahead: Vec<f64>,
@@ -676,7 +678,7 @@ where
             }
         }
         Ok(ShardedSimulation {
-            partition,
+            partition: PhantomData,
             shards,
             index,
             lookahead,
@@ -784,11 +786,6 @@ where
     /// Total pending events across all shards.
     pub fn pending(&self) -> usize {
         self.shards.iter().map(|s| s.fel.len()).sum()
-    }
-
-    /// The partition this simulation was built with.
-    pub fn partition(&self) -> &P {
-        &self.partition
     }
 
     /// Borrows entity `e`'s logical process.

@@ -76,7 +76,7 @@ impl<E> Ctx<E> {
     /// # Panics
     ///
     /// Panics if `time` precedes the current time.
-    pub fn schedule_at(&mut self, time: f64, event: E) {
+    pub(crate) fn schedule_at(&mut self, time: f64, event: E) {
         assert!(time >= self.now, "cannot schedule into the past");
         // One branch on the untraced hot path; the label is only built
         // when somebody is listening.
@@ -111,14 +111,8 @@ impl<E> Ctx<E> {
         self.queue.len()
     }
 
-    /// Whether a tracer is attached (e.g. to skip building expensive
-    /// labels when nobody is listening).
-    pub fn is_traced(&self) -> bool {
-        self.tracer.is_some()
-    }
-
     /// Opens an instrumented span named `name` at the current simulated
-    /// time. Pair with [`Ctx::span_exit`], or use [`Ctx::in_span`].
+    /// time. Pair with [`Ctx::span_exit`].
     pub fn span_enter(&mut self, name: &str) {
         if let Some(tracer) = &self.tracer {
             tracer.on_span_enter(self.now, name);
@@ -130,17 +124,6 @@ impl<E> Ctx<E> {
         if let Some(tracer) = &self.tracer {
             tracer.on_span_exit(self.now, name);
         }
-    }
-
-    /// Runs `f` inside a span named `name`: enter, run, exit. The span
-    /// brackets both simulated time (if `f` advances it by scheduling and
-    /// this context is re-entered — it is not — spans measure the handler
-    /// itself) and the tracer's wall clock.
-    pub fn in_span<R>(&mut self, name: &str, f: impl FnOnce(&mut Self) -> R) -> R {
-        self.span_enter(name);
-        let out = f(self);
-        self.span_exit(name);
-        out
     }
 }
 
@@ -283,11 +266,6 @@ impl<M: Model> Simulation<M> {
         self.ctx.now
     }
 
-    /// Whether the model requested a stop.
-    pub fn is_stopped(&self) -> bool {
-        self.ctx.stopped
-    }
-
     /// Shared view of the model.
     pub fn model(&self) -> &M {
         &self.model
@@ -362,7 +340,7 @@ mod tests {
         sim.schedule(0.0, Ev::Tick(1));
         sim.schedule(3.0, Ev::Stop);
         sim.run();
-        assert!(sim.is_stopped());
+        assert!(sim.ctx.stopped);
         // Ticks at 0 and 2 fire; the tick at 4 never runs.
         assert_eq!(sim.model().fired.len(), 2);
     }
@@ -519,7 +497,8 @@ mod tests {
         impl Model for Spanned {
             type Event = E;
             fn handle(&mut self, _: E, ctx: &mut Ctx<E>) {
-                ctx.in_span("work.body", |_ctx| ());
+                ctx.span_enter("work.body");
+                ctx.span_exit("work.body");
             }
         }
         let rec = Recorder::new();
@@ -530,39 +509,26 @@ mod tests {
     }
 
     #[test]
-    fn untraced_ctx_reports_untraced() {
-        struct Probe {
-            traced: Option<bool>,
-        }
-        enum E {
-            Ask,
-        }
+    fn null_tracer_is_dropped_not_installed() {
+        struct Idle;
+        enum E {}
         impl EventLabel for E {
             fn label(&self) -> &'static str {
-                "ask"
+                match *self {}
             }
         }
-        impl Model for Probe {
+        impl Model for Idle {
             type Event = E;
-            fn handle(&mut self, _: E, ctx: &mut Ctx<E>) {
-                self.traced = Some(ctx.is_traced());
+            fn handle(&mut self, e: E, _: &mut Ctx<E>) {
+                match e {}
             }
         }
-        let probe = |sim: Simulation<Probe>| {
-            let mut sim = sim;
-            sim.schedule(0.0, E::Ask);
-            sim.run();
-            sim.model().traced
-        };
-        assert_eq!(
-            probe(Simulation::new(Probe { traced: None }, 0)),
-            Some(false)
-        );
+        assert!(Simulation::new(Idle, 0).ctx.tracer.is_none());
         // A `NullTracer` is dropped, not installed: the run is untraced,
         // which is why attaching one costs nothing.
-        let null = Simulation::new(Probe { traced: None }, 0).with_tracer(NullTracer);
-        assert_eq!(probe(null), Some(false));
-        let rec = Simulation::new(Probe { traced: None }, 0).with_tracer(Recorder::new());
-        assert_eq!(probe(rec), Some(true));
+        let null = Simulation::new(Idle, 0).with_tracer(NullTracer);
+        assert!(null.ctx.tracer.is_none());
+        let rec = Simulation::new(Idle, 0).with_tracer(Recorder::new());
+        assert!(rec.ctx.tracer.is_some());
     }
 }

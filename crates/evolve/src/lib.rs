@@ -9,7 +9,7 @@
 //! interfaces:
 //!
 //! - [`capsule`] — the [`Capsule`] state container: a schema-versioned,
-//!   deterministically byte-encoded snapshot of a component's state.
+//!   ordered snapshot of a component's state.
 //! - [`Evolvable`] — the object-safe capture → resume contract a
 //!   live-swappable component implements.
 //! - [`swap`] — swap orchestration: [`SwapPlan`]s parsed from compact
@@ -79,7 +79,7 @@ pub use swap::{Live, SwapPlan, SwapRecord, SwapSpec, SwapTrigger};
 /// continuation of its predecessor.
 ///
 /// Implementations must be deterministic: capturing the same state twice
-/// yields byte-identical capsules ([`Capsule::to_bytes`]), and
+/// yields equal capsules, field order included, and
 /// `capture` → `resume` on a fresh instance reproduces the original
 /// behavior exactly.
 pub trait Evolvable {

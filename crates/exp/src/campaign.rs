@@ -23,7 +23,7 @@ use atlarge_telemetry::wall::Stopwatch;
 use std::io::{self, Write};
 
 /// Environment variable overriding the campaign thread count.
-pub const THREADS_ENV: &str = "ATLARGE_EXP_THREADS";
+pub(crate) const THREADS_ENV: &str = "ATLARGE_EXP_THREADS";
 
 /// How run seeds derive from the root seed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -142,7 +142,7 @@ impl<F> Campaign<F> {
     }
 
     /// The seed of `(cell, replication)` under the campaign's mode.
-    pub fn seed_of(&self, cell: usize, replication: usize) -> u64 {
+    pub(crate) fn seed_of(&self, cell: usize, replication: usize) -> u64 {
         match self.seed_mode {
             SeedMode::Independent => derive_seed(self.root_seed, cell as u64, replication as u64),
             SeedMode::CommonRandomNumbers => derive_seed(self.root_seed, 0, replication as u64),
@@ -171,7 +171,7 @@ impl<F> Campaign<F> {
     /// boundary once it fires. Returns `None` when cancelled — never a
     /// partial result, so a completed campaign remains byte-identical
     /// to any other completion of the same declaration.
-    pub fn run_cancellable<C, O, G>(
+    pub(crate) fn run_cancellable<C, O, G>(
         self,
         configure: G,
         cancel: &CancelToken,
@@ -252,7 +252,7 @@ impl<C, O> CellResult<C, O> {
     }
 
     /// Iterates outcomes in replication order.
-    pub fn outcomes(&self) -> impl Iterator<Item = &O> {
+    pub(crate) fn outcomes(&self) -> impl Iterator<Item = &O> {
         self.runs.iter().map(|r| &r.outcome)
     }
 

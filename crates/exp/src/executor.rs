@@ -18,22 +18,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// `threads <= 1` (or fewer than two jobs) short-circuits to a plain
 /// serial loop — the reference execution the parallel path must match.
-pub fn run_indexed<T, F>(jobs: usize, threads: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_indexed_cancellable(jobs, threads, &CancelToken::new(), job)
-        .expect("a fresh token is never cancelled")
-}
-
-/// [`run_indexed`] with cooperative cancellation: every worker checks
+///
+/// Cancellation is cooperative: every worker checks
 /// `cancel` before claiming its next job, so cancellation takes effect
 /// at the next job boundary. Returns `None` if the token fired before
 /// every job completed — a cancelled execution yields *no* results,
 /// never partial ones, so callers cannot mistake an aborted campaign
 /// for a finished one.
-pub fn run_indexed_cancellable<T, F>(
+pub(crate) fn run_indexed_cancellable<T, F>(
     jobs: usize,
     threads: usize,
     cancel: &CancelToken,
@@ -97,21 +89,27 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The executor under a fresh token, which never fires.
+    fn run<T: Send>(jobs: usize, threads: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        run_indexed_cancellable(jobs, threads, &CancelToken::new(), job)
+            .expect("a fresh token is never cancelled")
+    }
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn serial_and_parallel_agree() {
         let f = |i: usize| (i as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 3;
-        let serial = run_indexed(257, 1, f);
+        let serial = run(257, 1, f);
         for threads in [2, 3, 4, 8] {
-            assert_eq!(run_indexed(257, threads, f), serial, "threads={threads}");
+            assert_eq!(run(257, threads, f), serial, "threads={threads}");
         }
     }
 
     #[test]
     fn every_job_runs_exactly_once() {
         let count = AtomicUsize::new(0);
-        let out = run_indexed(1000, 4, |i| {
+        let out = run(1000, 4, |i| {
             count.fetch_add(1, Ordering::Relaxed);
             i
         });
@@ -121,13 +119,13 @@ mod tests {
 
     #[test]
     fn zero_and_one_job_edge_cases() {
-        assert_eq!(run_indexed(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(run_indexed(1, 4, |i| i * 7), vec![0]);
+        assert_eq!(run(0, 4, |i| i), Vec::<usize>::new());
+        assert_eq!(run(1, 4, |i| i * 7), vec![0]);
     }
 
     #[test]
     fn more_threads_than_jobs_is_fine() {
-        assert_eq!(run_indexed(3, 64, |i| i), vec![0, 1, 2]);
+        assert_eq!(run(3, 64, |i| i), vec![0, 1, 2]);
     }
 
     #[test]
@@ -160,14 +158,14 @@ mod tests {
         let f = |i: usize| i * 3 + 1;
         assert_eq!(
             run_indexed_cancellable(57, 4, &token, f),
-            Some(run_indexed(57, 1, f))
+            Some(run(57, 1, f))
         );
     }
 
     #[test]
     fn uneven_job_costs_still_order_results() {
         // Early jobs are slow: claiming reorders execution but not output.
-        let out = run_indexed(40, 4, |i| {
+        let out = run(40, 4, |i| {
             if i < 4 {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }

@@ -9,7 +9,7 @@
 /// One experimental factor and its levels, e.g. `workload ∈ {steady,
 /// bursty, chains, wide}`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Factor {
+pub(crate) struct Factor {
     /// Factor name.
     pub name: String,
     /// The levels swept, in declaration order.
@@ -75,7 +75,7 @@ impl FactorGrid {
     }
 
     /// The declared factors, in declaration order.
-    pub fn factors(&self) -> &[Factor] {
+    pub(crate) fn factors(&self) -> &[Factor] {
         &self.factors
     }
 

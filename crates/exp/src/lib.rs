@@ -55,7 +55,7 @@ pub use campaign::{
     Campaign, CampaignResult, CellResult, CellRun, CellSummary, NamedMetric, SeedMode,
 };
 pub use cancel::CancelToken;
-pub use grid::{CellSpec, Factor, FactorGrid};
+pub use grid::{CellSpec, FactorGrid};
 pub use registry::{CellOutput, CellScenario, ParamSpec, Registry};
 pub use seed::{derive_seed, split_labeled};
 pub use study::{StudyRow, StudyTable};

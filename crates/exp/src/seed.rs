@@ -18,14 +18,14 @@
 /// The SplitMix64 output permutation (Steele, Lea & Flood 2014): a
 /// bijective avalanche mix of a 64-bit word.
 #[inline]
-pub fn splitmix64_mix(mut z: u64) -> u64 {
+pub(crate) fn splitmix64_mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
 
 /// The SplitMix64 golden-gamma increment.
-pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Odd multiplier decorrelating the replication stream from the cell
 /// stream (an arbitrary odd constant ≠ [`GOLDEN_GAMMA`]).

@@ -75,12 +75,12 @@ impl Csr {
     }
 
     /// Number of vertices.
-    pub fn num_vertices(&self) -> usize {
+    pub(crate) fn num_vertices(&self) -> usize {
         self.n
     }
 
     /// Number of directed edges stored.
-    pub fn num_edges(&self) -> usize {
+    pub(crate) fn num_edges(&self) -> usize {
         self.out_targets.len()
     }
 
@@ -99,7 +99,7 @@ impl Csr {
     }
 
     /// Out-degree of `v`.
-    pub fn out_degree(&self, v: usize) -> usize {
+    pub(crate) fn out_degree(&self, v: usize) -> usize {
         self.out_offsets[v + 1] - self.out_offsets[v]
     }
 
@@ -111,11 +111,6 @@ impl Csr {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z ^= z >> 31;
         1.0 + (z >> 11) as f64 / (1u64 << 53) as f64 * 9.0 // in [1, 10)
-    }
-
-    /// Maximum out-degree (the skew statistic of the PAD analysis).
-    pub fn max_out_degree(&self) -> usize {
-        (0..self.n).map(|v| self.out_degree(v)).max().unwrap_or(0)
     }
 }
 

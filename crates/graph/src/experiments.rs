@@ -36,7 +36,7 @@ pub struct PadCell {
 /// One PAD cell's config: the factor levels plus the dataset's shared
 /// graph parameters.
 #[derive(Debug, Clone, Copy)]
-pub struct PadConfig {
+pub(crate) struct PadConfig {
     /// Platform under test.
     pub platform: Platform,
     /// Algorithm under test.
@@ -105,19 +105,19 @@ fn pad_campaign_with(
 /// The full-factorial PAD sweep as a campaign: every roster platform ×
 /// all six algorithms × all three datasets, graphs of roughly `n`
 /// vertices.
-pub fn pad_campaign(n: usize, seed: u64) -> CampaignResult<PadConfig, PadCell> {
+pub(crate) fn pad_campaign(n: usize, seed: u64) -> CampaignResult<PadConfig, PadCell> {
     pad_campaign_with("graph.pad", &Platform::roster(), n, seed)
 }
 
 /// The HPAD campaign: the PAD roster plus the heterogeneous
 /// accelerator as a fourth platform level.
-pub fn hpad_campaign(n: usize, seed: u64) -> CampaignResult<PadConfig, PadCell> {
+pub(crate) fn hpad_campaign(n: usize, seed: u64) -> CampaignResult<PadConfig, PadCell> {
     let mut platforms = Platform::roster().to_vec();
     platforms.push(Platform::Accelerator);
     pad_campaign_with("graph.hpad", &platforms, n, seed)
 }
 
-/// Runs the full-factorial PAD sweep (flat view of [`pad_campaign`]).
+/// Runs the full-factorial PAD sweep (flat view of `pad_campaign`).
 pub fn pad_sweep(n: usize, seed: u64) -> Vec<PadCell> {
     pad_campaign(n, seed)
         .first_outcomes()
@@ -127,7 +127,7 @@ pub fn pad_sweep(n: usize, seed: u64) -> Vec<PadCell> {
 }
 
 /// The HPAD sweep: the PAD roster plus the heterogeneous accelerator
-/// (flat view of [`hpad_campaign`]).
+/// (flat view of `hpad_campaign`).
 pub fn hpad_sweep(n: usize, seed: u64) -> Vec<PadCell> {
     hpad_campaign(n, seed)
         .first_outcomes()
@@ -173,27 +173,6 @@ pub fn winners(cells: &[PadCell]) -> Vec<((&'static str, &'static str), &'static
         .collect()
 }
 
-/// Renders the sweep as the Table-8-style text report.
-pub fn render_pad(cells: &[PadCell]) -> String {
-    let mut out = format!(
-        "{:<14}{:<10}{:<10}{:>16}{:>8}\n",
-        "platform", "algo", "dataset", "critical-path", "iters"
-    );
-    for c in cells {
-        out.push_str(&format!(
-            "{:<14}{:<10}{:<10}{:>16.0}{:>8}\n",
-            c.platform, c.algorithm, c.dataset, c.critical_path, c.iterations
-        ));
-    }
-    let d = pad_decomposition(cells);
-    out.push_str(&format!(
-        "interaction share of variance: {:.2} (max main effect {:.2})\n",
-        d.interaction_share(),
-        d.max_main_share()
-    ));
-    out
-}
-
 /// Every platform a query may name: the PAD roster plus the
 /// heterogeneous accelerator (the HPAD extension).
 fn platform_roster_hpad() -> Vec<Platform> {
@@ -205,7 +184,7 @@ fn platform_roster_hpad() -> Vec<Platform> {
 /// One PAD cell as a servable exploration query: platform × algorithm ×
 /// dataset choices plus a graph-size knob. Graph seeding follows the
 /// campaign convention (`split_labeled` on the dataset name), so served
-/// cells are directly comparable with [`pad_campaign`] sweeps.
+/// cells are directly comparable with `pad_campaign` sweeps.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PadExplorerCell;
 
@@ -334,13 +313,6 @@ mod tests {
             accel_wins < w.len(),
             "accelerator should not win everywhere"
         );
-    }
-
-    #[test]
-    fn render_contains_decomposition() {
-        let s = render_pad(&sweep());
-        assert!(s.contains("interaction share"));
-        assert!(s.contains("pagerank"));
     }
 
     #[test]

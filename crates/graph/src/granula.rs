@@ -2,36 +2,23 @@
 //!
 //! Granula moved Graphalytics from "low-depth analysis, which is typical
 //! of benchmarks" to *deep* results: per-phase breakdowns of where a run
-//! spends its time. Here a [`Breakdown`] decomposes a [`RunCost`] into
-//! load/compute/aggregate phases and per-iteration compute shares, and
-//! can diagnose the run's dominant cost — the kind of insight Grade10
-//! later automated.
+//! spends its time. Here a `Breakdown` decomposes a [`RunCost`] into
+//! load/compute/aggregate phases and per-iteration compute costs.
 //!
 //! The breakdown also lifts into Granula's *operation hierarchy*: an
-//! [`Operation`] is an `(actor, mission)` pair with a time interval and
-//! child operations, and [`Breakdown::operation_tree`] renders a run as
+//! `Operation` is an `(actor, mission)` pair with a time interval and
+//! child operations, and `Breakdown::operation_tree` renders a run as
 //! `job → {load, compute → iterations…, aggregate}`. The same tree
-//! [replays](Operation::replay) onto any telemetry [`Tracer`] as nested
+//! replays onto any telemetry [`Tracer`] as nested
 //! spans, which is how graph runs share one profiling pipeline with the
 //! DES-based domains.
 
 use crate::platforms::RunCost;
 use atlarge_telemetry::tracer::Tracer;
 
-/// The phases of a graph-processing job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Phase {
-    /// Graph loading and partitioning (modeled proportional to |V|+|E|).
-    Load,
-    /// The iterative computation.
-    Compute,
-    /// Result aggregation and write-back.
-    Aggregate,
-}
-
 /// A per-phase performance breakdown.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Breakdown {
+pub(crate) struct Breakdown {
     /// Critical-path cost of loading.
     pub load: f64,
     /// Critical-path cost of computing (sum of iterations).
@@ -63,33 +50,13 @@ impl Breakdown {
     pub fn total(&self) -> f64 {
         self.load + self.compute + self.aggregate
     }
-
-    /// The dominant phase.
-    pub fn bottleneck(&self) -> Phase {
-        if self.load >= self.compute && self.load >= self.aggregate {
-            Phase::Load
-        } else if self.compute >= self.aggregate {
-            Phase::Compute
-        } else {
-            Phase::Aggregate
-        }
-    }
-
-    /// Fraction of compute spent in the costliest single iteration —
-    /// a straggler-iteration diagnostic.
-    pub fn max_iteration_share(&self) -> f64 {
-        if self.compute <= 0.0 {
-            return 0.0;
-        }
-        self.iterations.iter().copied().fold(0.0, f64::max) / self.compute
-    }
 }
 
 /// A node of the Granula operation hierarchy: an *actor* performing a
 /// *mission* over `[start, end]` (in critical-path cost units for graph
 /// runs, simulated seconds for DES runs), with nested child operations.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Operation {
+pub(crate) struct Operation {
     /// Who performs the work (platform, phase, component).
     pub actor: String,
     /// What the work is ("job", "load", "iteration-3", …).
@@ -104,7 +71,7 @@ pub struct Operation {
 
 impl Operation {
     /// A leaf operation.
-    pub fn leaf(
+    pub(crate) fn leaf(
         actor: impl Into<String>,
         mission: impl Into<String>,
         start: f64,
@@ -123,23 +90,6 @@ impl Operation {
     /// The span name this operation replays under: `actor/mission`.
     pub fn span_name(&self) -> String {
         format!("{}/{}", self.actor, self.mission)
-    }
-
-    /// Duration of the interval.
-    pub fn duration(&self) -> f64 {
-        self.end - self.start
-    }
-
-    /// Duration not covered by children — the operation's own share, the
-    /// quantity a flamegraph's box widths encode.
-    pub fn self_time(&self) -> f64 {
-        let child: f64 = self.children.iter().map(Operation::duration).sum();
-        (self.duration() - child).max(0.0)
-    }
-
-    /// Total nodes in the tree, this one included.
-    pub fn size(&self) -> usize {
-        1 + self.children.iter().map(Operation::size).sum::<usize>()
     }
 
     /// Replays the tree onto `tracer` as properly nested span
@@ -162,7 +112,7 @@ impl Breakdown {
     /// a `job` root whose children are the load, compute (with one child
     /// per iteration), and aggregate phases laid end-to-end on the
     /// critical-path time axis.
-    pub fn operation_tree(&self, actor: &str) -> Operation {
+    pub(crate) fn operation_tree(&self, actor: &str) -> Operation {
         let load_end = self.load;
         let compute_end = load_end + self.compute;
         let mut compute = Operation::leaf(actor, "compute", load_end, compute_end);
@@ -213,12 +163,12 @@ mod tests {
         let grid_g = grid(24);
         let c = run(Platform::Sequential, Algorithm::Bfs, &grid_g, None);
         let b = Breakdown::of(&c, grid_g.num_vertices(), grid_g.num_edges());
-        assert_eq!(b.bottleneck(), Phase::Compute);
+        assert!(b.compute > b.load && b.compute > b.aggregate);
 
         let pl = preferential_attachment(20_000, 4, 3);
         let c2 = run(Platform::Parallel { threads: 8 }, Algorithm::Bfs, &pl, None);
         let b2 = Breakdown::of(&c2, pl.num_vertices(), pl.num_edges());
-        assert_eq!(b2.bottleneck(), Phase::Load);
+        assert!(b2.load >= b2.compute && b2.load >= b2.aggregate);
     }
 
     #[test]
@@ -229,11 +179,12 @@ mod tests {
         let tree = b.operation_tree("sequential");
         assert_eq!(tree.mission, "job");
         assert_eq!(tree.children.len(), 3);
-        assert!((tree.duration() - b.total()).abs() < 1e-9);
+        assert!((tree.end - tree.start - b.total()).abs() < 1e-9);
         let compute = &tree.children[1];
         assert_eq!(compute.children.len(), b.iterations.len());
         // Iterations tile the compute phase exactly: no self time left.
-        assert!(compute.self_time() < 1e-6 * b.compute.max(1.0));
+        let covered: f64 = compute.children.iter().map(|c| c.end - c.start).sum();
+        assert!(compute.end - compute.start - covered < 1e-6 * b.compute.max(1.0));
         // Children nest within their parents.
         for phase in &tree.children {
             assert!(phase.start >= tree.start && phase.end <= tree.end + 1e-9);
@@ -256,14 +207,5 @@ mod tests {
             "span sim-time mirrors the breakdown"
         );
         assert!(stats.keys().any(|k| k.starts_with("sequential/iteration-")));
-    }
-
-    #[test]
-    fn iteration_share_is_a_fraction() {
-        let g = grid(10);
-        let c = run(Platform::EdgeCentric, Algorithm::Wcc, &g, None);
-        let b = Breakdown::of(&c, g.num_vertices(), g.num_edges());
-        let s = b.max_iteration_share();
-        assert!(s > 0.0 && s <= 1.0, "share {s}");
     }
 }

@@ -37,12 +37,12 @@ pub struct AllowDirective {
 }
 
 /// The marker that opens a directive inside a comment.
-pub const MARKER: &str = "#[allow_atlarge(";
+pub(crate) const MARKER: &str = "#[allow_atlarge(";
 
 /// Parses a single directive body — the text between `#[allow_atlarge(`
 /// and `)]` — into lint ids and an optional reason. Returns `None` when
 /// the body is syntactically hopeless (unbalanced quotes).
-pub fn parse_body(body: &str) -> Option<(Vec<String>, Option<String>)> {
+pub(crate) fn parse_body(body: &str) -> Option<(Vec<String>, Option<String>)> {
     let mut lints = Vec::new();
     let mut reason = None;
     for item in split_top_level(body)? {
@@ -126,7 +126,7 @@ fn find_close(s: &str) -> Option<usize> {
 /// Extracts the directive from one comment, if it carries the marker.
 /// Doc comments (`///`, `//!`, `/**`, `/*!`) never carry directives —
 /// they are documentation *about* directives, like this sentence.
-pub fn from_comment(c: &Comment, lexed: &Lexed) -> Option<AllowDirective> {
+pub(crate) fn from_comment(c: &Comment, lexed: &Lexed) -> Option<AllowDirective> {
     if c.text.starts_with("///")
         || c.text.starts_with("//!")
         || c.text.starts_with("/**")
@@ -161,7 +161,7 @@ pub fn collect(lexed: &Lexed) -> Vec<AllowDirective> {
 }
 
 /// Renders a directive back to its canonical comment form — the
-/// round-trip partner of [`parse_body`], used by the property tests.
+/// round-trip partner of `parse_body`, used by the property tests.
 pub fn render(lints: &[String], reason: Option<&str>) -> String {
     let mut s = String::from("// #[allow_atlarge(");
     for (i, l) in lints.iter().enumerate() {

@@ -40,7 +40,7 @@ impl std::fmt::Display for ParseError {
 
 /// Parses the TOML subset into `section -> key -> value`. Keys before
 /// the first `[section]` land in the `""` section.
-pub fn parse_toml_subset(
+pub(crate) fn parse_toml_subset(
     text: &str,
 ) -> Result<BTreeMap<String, BTreeMap<String, Value>>, ParseError> {
     let mut sections: BTreeMap<String, BTreeMap<String, Value>> = BTreeMap::new();
@@ -162,7 +162,7 @@ pub struct LintSettings {
 impl LintSettings {
     /// Whether `rel_path` (workspace-relative, `/`-separated) falls
     /// under this lint.
-    pub fn applies_to(&self, rel_path: &str) -> bool {
+    pub(crate) fn applies_to(&self, rel_path: &str) -> bool {
         if !self.enabled {
             return false;
         }
@@ -175,7 +175,7 @@ impl LintSettings {
 
 /// Prefix match on whole path components: `crates/des` covers
 /// `crates/des/src/sim.rs` but not `crates/des2/...`.
-pub fn path_has_prefix(path: &str, prefix: &str) -> bool {
+pub(crate) fn path_has_prefix(path: &str, prefix: &str) -> bool {
     let prefix = prefix.trim_end_matches('/');
     path == prefix || (path.starts_with(prefix) && path.as_bytes().get(prefix.len()) == Some(&b'/'))
 }
@@ -203,7 +203,7 @@ pub struct LayerContract {
 impl LayerContract {
     /// Whether the contract covers `rel_path` (workspace-relative,
     /// `/`-separated).
-    pub fn applies_to(&self, rel_path: &str) -> bool {
+    pub(crate) fn applies_to(&self, rel_path: &str) -> bool {
         if !self.scope.is_empty() && !self.scope.iter().any(|p| path_has_prefix(rel_path, p)) {
             return false;
         }
@@ -261,6 +261,9 @@ pub struct LintConfig {
     /// Workspace-relative path prefixes never scanned (fixture corpora,
     /// build output).
     pub exclude: Vec<String>,
+    /// Workspace-relative directories read only for the names they use
+    /// (`dead-public-surface` consumers), never linted.
+    pub consumers: Vec<String>,
     /// Per-lint settings, keyed by lint id.
     pub lints: BTreeMap<String, LintSettings>,
     /// Layer dependency contracts for the `layer-boundary` lint.
@@ -291,6 +294,7 @@ impl LintConfig {
                 "tests".into(),
             ],
             exclude: vec!["crates/lint/tests/ui".into()],
+            consumers: Vec::new(),
             lints,
             layers: default_layers(),
         }
@@ -306,6 +310,9 @@ impl LintConfig {
             }
             if let Some(Value::List(exclude)) = ws.get("exclude") {
                 cfg.exclude = exclude.clone();
+            }
+            if let Some(Value::List(consumers)) = ws.get("consumers") {
+                cfg.consumers = consumers.clone();
             }
         }
         for (section, entries) in &table {
@@ -369,7 +376,7 @@ impl LintConfig {
     }
 
     /// Settings for `lint_id`; disabled settings when unknown.
-    pub fn settings(&self, lint_id: &str) -> LintSettings {
+    pub(crate) fn settings(&self, lint_id: &str) -> LintSettings {
         self.lints.get(lint_id).cloned().unwrap_or(LintSettings {
             enabled: true,
             include_tests: true,
@@ -379,8 +386,13 @@ impl LintConfig {
     }
 
     /// Whether `rel_path` is excluded from scanning entirely.
-    pub fn is_excluded(&self, rel_path: &str) -> bool {
+    pub(crate) fn is_excluded(&self, rel_path: &str) -> bool {
         self.exclude.iter().any(|p| path_has_prefix(rel_path, p))
+    }
+
+    /// Whether `rel_path` lies under a consumer-only root.
+    pub(crate) fn is_consumer_only(&self, rel_path: &str) -> bool {
+        self.consumers.iter().any(|p| path_has_prefix(rel_path, p))
     }
 }
 

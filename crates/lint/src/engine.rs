@@ -1,14 +1,16 @@
 //! The analysis engine: walks the workspace, lexes and parses every
-//! Rust file, runs the token and structural lint catalogues, applies
-//! allowlist directives, and produces a stable-ordered diagnostic
-//! report.
+//! Rust file, runs the token and structural lint catalogues and the
+//! workspace-wide [`crate::surface`] pass, applies allowlist
+//! directives, and produces a stable-ordered diagnostic report.
 
 use crate::allow::{self, AllowDirective};
 use crate::config::LintConfig;
-use crate::lexer::{self, Tok, TokKind};
-use crate::lints;
-use crate::parser;
+use crate::lexer::{self, Lexed, Tok, TokKind};
+use crate::lints::{self, Finding};
+use crate::parser::{self, Ast};
 use crate::structural;
+use crate::surface;
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -48,6 +50,9 @@ pub struct Report {
     pub suppressed: usize,
     /// Rust files scanned.
     pub files: usize,
+    /// Public items per library crate (the `dead-public-surface`
+    /// scope), filled by a workspace run.
+    pub public_items: BTreeMap<String, usize>,
 }
 
 impl Report {
@@ -57,11 +62,77 @@ impl Report {
     }
 }
 
-/// Lints one file's source text. `rel_path` must be workspace-relative
-/// with `/` separators (it drives scope/exempt matching).
+/// One source file, lexed and parsed.
+#[derive(Debug)]
+pub struct Parsed {
+    /// Workspace-relative, `/`-separated path.
+    pub path: String,
+    /// Tokens and comments.
+    pub lexed: Lexed,
+    /// The parse tree.
+    pub ast: Ast,
+    /// Per token: inside `#[cfg(test)]`/`#[test]`-gated code.
+    pub test_mask: Vec<bool>,
+}
+
+impl Parsed {
+    /// Lexes and parses `source`, which lives at `rel_path`.
+    pub fn new(rel_path: &str, source: &str) -> Self {
+        let lexed = lexer::lex(source);
+        let ast = parser::parse(&lexed.tokens);
+        let test_mask = test_region_mask(&lexed.tokens);
+        Parsed {
+            path: rel_path.to_string(),
+            lexed,
+            ast,
+            test_mask,
+        }
+    }
+}
+
+/// Lints one file's source text with the per-file lints. `rel_path`
+/// must be workspace-relative with `/` separators (it drives
+/// scope/exempt matching).
 pub fn lint_source(rel_path: &str, source: &str, cfg: &LintConfig) -> Report {
-    let lexed = lexer::lex(source);
-    let test_mask = test_region_mask(&lexed.tokens);
+    lint_parsed(&Parsed::new(rel_path, source), cfg, Vec::new())
+}
+
+/// Lints a set of files as one workspace: the per-file lints on each,
+/// plus `dead-public-surface` across all of them. `(path, source)`
+/// pairs under a `lint.toml` consumer-only root are read for names and
+/// not linted.
+pub fn lint_files(files: &[(String, String)], cfg: &LintConfig) -> Report {
+    let parsed: Vec<Parsed> = files.iter().map(|(p, s)| Parsed::new(p, s)).collect();
+    let directives: Vec<Vec<AllowDirective>> =
+        parsed.iter().map(|f| allow::collect(&f.lexed)).collect();
+    let surface = surface::run(&parsed, cfg, |fi, line| {
+        suppressing_directive(&directives[fi], surface::ID, line).is_some()
+    });
+    let mut extra: Vec<Vec<Finding>> = parsed.iter().map(|_| Vec::new()).collect();
+    for (fi, f) in surface.findings {
+        extra[fi].push(f);
+    }
+    let mut report = Report {
+        public_items: surface.counts,
+        ..Report::default()
+    };
+    for (f, extra) in parsed.iter().zip(extra) {
+        if cfg.is_consumer_only(&f.path) {
+            continue;
+        }
+        let file_report = lint_parsed(f, cfg, extra);
+        report.diagnostics.extend(file_report.diagnostics);
+        report.suppressed += file_report.suppressed;
+        report.files += 1;
+    }
+    report.diagnostics.sort();
+    report
+}
+
+/// Runs the per-file lints over `f`, adds the workspace findings
+/// `extra`, and applies the file's allowlist directives.
+fn lint_parsed(f: &Parsed, cfg: &LintConfig, extra: Vec<Finding>) -> Report {
+    let rel_path = f.path.as_str();
     let file_is_test = path_is_test(rel_path);
 
     let check = |lint_id: &'static str, tok_idx: usize| {
@@ -72,20 +143,20 @@ pub fn lint_source(rel_path: &str, source: &str, cfg: &LintConfig) -> Report {
         if settings.include_tests {
             return true;
         }
-        !(file_is_test || test_mask[tok_idx])
+        !(file_is_test || f.test_mask[tok_idx])
     };
 
-    let mut findings = lints::run(&lexed.tokens, check);
-    let ast = parser::parse(&lexed.tokens);
+    let mut findings = lints::run(&f.lexed.tokens, check);
     findings.extend(structural::run(
-        &ast,
-        &lexed.tokens,
+        &f.ast,
+        &f.lexed.tokens,
         rel_path,
         &cfg.layers,
         check,
     ));
+    findings.extend(extra);
 
-    let directives = allow::collect(&lexed);
+    let directives = allow::collect(&f.lexed);
     let mut diagnostics = Vec::new();
     let mut suppressed = 0usize;
     // Usage is tracked per (directive, lint id): a multi-id directive
@@ -157,6 +228,7 @@ pub fn lint_source(rel_path: &str, source: &str, cfg: &LintConfig) -> Report {
         diagnostics,
         suppressed,
         files: 1,
+        public_items: BTreeMap::new(),
     }
 }
 
@@ -182,7 +254,7 @@ fn suppressing_directive(
 
 /// Whether the path is test code wholesale: under a `tests/` or
 /// `benches/` directory.
-pub fn path_is_test(rel_path: &str) -> bool {
+pub(crate) fn path_is_test(rel_path: &str) -> bool {
     rel_path
         .split('/')
         .any(|seg| seg == "tests" || seg == "benches")
@@ -192,7 +264,7 @@ pub fn path_is_test(rel_path: &str) -> bool {
 /// items. Conservative: only brace-delimited bodies directly following
 /// the attribute (plus any stacked attributes and a visibility) are
 /// masked.
-pub fn test_region_mask(toks: &[Tok]) -> Vec<bool> {
+pub(crate) fn test_region_mask(toks: &[Tok]) -> Vec<bool> {
     let mut mask = vec![false; toks.len()];
     let mut i = 0usize;
     while i < toks.len() {
@@ -297,11 +369,11 @@ fn matching(toks: &[Tok], open_idx: usize, open: &str, close: &str) -> Option<us
     None
 }
 
-/// Recursively collects `.rs` files under `root/<roots>`, sorted by
-/// path, honoring the exclude list.
-pub fn collect_rust_files(root: &Path, cfg: &LintConfig) -> Vec<PathBuf> {
+/// Recursively collects `.rs` files under `root/<roots>` and the
+/// consumer-only roots, sorted by path, honoring the exclude list.
+pub(crate) fn collect_rust_files(root: &Path, cfg: &LintConfig) -> Vec<PathBuf> {
     let mut files = Vec::new();
-    for r in &cfg.roots {
+    for r in cfg.roots.iter().chain(&cfg.consumers) {
         walk(&root.join(r), root, cfg, &mut files);
     }
     files.sort();
@@ -333,7 +405,7 @@ fn walk(dir: &Path, root: &Path, cfg: &LintConfig, out: &mut Vec<PathBuf>) {
 }
 
 /// `path` relative to `root`, `/`-separated.
-pub fn relative(path: &Path, root: &Path) -> String {
+pub(crate) fn relative(path: &Path, root: &Path) -> String {
     path.strip_prefix(root)
         .unwrap_or(path)
         .components()
@@ -344,19 +416,11 @@ pub fn relative(path: &Path, root: &Path) -> String {
 
 /// Lints every Rust file in the workspace rooted at `root`.
 pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> Report {
-    let mut report = Report::default();
-    for path in collect_rust_files(root, cfg) {
-        let Ok(source) = fs::read_to_string(&path) else {
-            continue;
-        };
-        let rel = relative(&path, root);
-        let file_report = lint_source(&rel, &source, cfg);
-        report.diagnostics.extend(file_report.diagnostics);
-        report.suppressed += file_report.suppressed;
-        report.files += 1;
-    }
-    report.diagnostics.sort();
-    report
+    let files: Vec<(String, String)> = collect_rust_files(root, cfg)
+        .into_iter()
+        .filter_map(|path| Some((relative(&path, root), fs::read_to_string(&path).ok()?)))
+        .collect();
+    lint_files(&files, cfg)
 }
 
 #[cfg(test)]
@@ -464,6 +528,32 @@ mod tests {
         let src = "#[cfg(test)]\nmod tests {\n    fn t(s: u64) { let a = split_labeled(s, \"x\"); let b = split_labeled(s, \"x\"); }\n}\n";
         let r = lint_source("crates/exp/src/seed.rs", src, &cfg());
         assert!(r.is_clean(), "{:?}", r.diagnostics);
+    }
+
+    #[test]
+    fn consumer_only_files_are_read_not_linted() {
+        let mut cfg = cfg();
+        cfg.consumers = vec!["perfbench/src".into()];
+        let files = [
+            (
+                "crates/a/src/lib.rs",
+                "pub fn used() {}\npub fn unused() {}\n",
+            ),
+            (
+                "perfbench/src/main.rs",
+                "fn main() { a::used(); let _m: HashMap<u8, u8>; }\n",
+            ),
+        ]
+        .map(|(p, s)| (p.to_string(), s.to_string()));
+        let r = lint_files(&files, &cfg);
+        let found: Vec<(&str, u32, &str)> = r
+            .diagnostics
+            .iter()
+            .map(|d| (d.file.as_str(), d.line, d.code.as_str()))
+            .collect();
+        assert_eq!(found, vec![("crates/a/src/lib.rs", 2, "AL010")]);
+        assert_eq!(r.files, 1);
+        assert_eq!(r.public_items.get("a"), Some(&2));
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub struct Tok {
     /// Source text. For [`TokKind::Literal`] this is the raw literal
     /// including delimiters (`"abc"`, `r#"x"#`) — the token-sequence
     /// lints never match literals (they filter on kind), while the
-    /// structural lints read string contents via [`Tok::str_content`].
+    /// structural lints read string contents via `Tok::str_content`.
     pub text: String,
     /// 1-based source line.
     pub line: u32,
@@ -47,7 +47,7 @@ impl Tok {
     /// sequences left as written — both sides of a structural
     /// comparison see the same spelling). `None` for non-literals,
     /// char literals, and byte/C strings.
-    pub fn str_content(&self) -> Option<&str> {
+    pub(crate) fn str_content(&self) -> Option<&str> {
         if self.kind != TokKind::Literal {
             return None;
         }
@@ -89,12 +89,12 @@ pub struct Lexed {
 
 impl Lexed {
     /// The first token-bearing line strictly after `line`, if any.
-    pub fn next_code_line_after(&self, line: u32) -> Option<u32> {
+    pub(crate) fn next_code_line_after(&self, line: u32) -> Option<u32> {
         self.token_lines.iter().copied().find(|&l| l > line)
     }
 
     /// Whether any token sits on `line`.
-    pub fn has_tokens_on(&self, line: u32) -> bool {
+    pub(crate) fn has_tokens_on(&self, line: u32) -> bool {
         self.token_lines.binary_search(&line).is_ok()
     }
 }

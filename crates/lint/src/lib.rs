@@ -23,7 +23,10 @@
 //!    allowlist; reasons are mandatory, stale directives are flagged.
 //! 4. [`config`] — `lint.toml`: scan roots plus per-lint `scope` /
 //!    `exempt` path prefixes and `include_tests`.
-//! 5. [`engine`] — walks the workspace, masks `#[cfg(test)]` regions,
+//! 5. [`surface`] — `dead-public-surface`, the one workspace-wide
+//!    lint: every `pub` item of a library crate must be named by code
+//!    outside its library target.
+//! 6. [`engine`] — walks the workspace, masks `#[cfg(test)]` regions,
 //!    applies directives, and emits a stable-ordered [`engine::Report`].
 //!
 //! # Running
@@ -43,6 +46,7 @@ pub mod lexer;
 pub mod lints;
 pub mod parser;
 pub mod structural;
+pub mod surface;
 
 pub use config::LintConfig;
-pub use engine::{lint_source, lint_workspace, Diagnostic, Report};
+pub use engine::{lint_files, lint_source, lint_workspace, Diagnostic, Report};

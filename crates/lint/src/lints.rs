@@ -113,11 +113,20 @@ pub fn catalogue() -> &'static [LintSpec] {
             default_scope: &[],
             default_exempt: &[],
         },
+        LintSpec {
+            id: "dead-public-surface",
+            code: "AL010",
+            summary: "a library crate's pub items must be named by code outside its library target",
+            rationale: "A crate's public surface is its design record: every pub item is a promise to other code. An item nothing outside the crate names is a promise to no one, and it hides which entry points the workspace really uses. The lint reads the whole workspace at once: a pub item (fn, inherent method, struct, enum, trait, const, static, type alias) in a library crate's public module tree is live when code outside that crate's library target names it (other crates, the crate's own tests, benches and main.rs, the root src/, examples/ and tests/, lint.toml's consumer-only roots, and doc-test code), or when it is a type named by a live item's signature or public fields. The check is by name, so it can miss a dead item but never flags a live one. Fix a finding by narrowing the item to pub(crate) or private, by deleting it when only its own unit tests call it, or by allowlisting a deliberate API (an oracle, paper content) with a reason. The lint_summary line counts the public items per crate.",
+            default_include_tests: false,
+            default_scope: &[],
+            default_exempt: &[],
+        },
     ]
 }
 
 /// Looks up a lint id in the catalogue (meta-lints included).
-pub fn is_known(id: &str) -> bool {
+pub(crate) fn is_known(id: &str) -> bool {
     id == ALLOWLIST_INVALID || id == UNUSED_ALLOWLIST || catalogue().iter().any(|s| s.id == id)
 }
 

@@ -205,8 +205,13 @@ fn print_human(report: &Report) {
         println!("{}", d.headline());
         println!("    = help: {}", d.suggestion);
     }
+    let by_crate: Vec<String> = report
+        .public_items
+        .iter()
+        .map(|(krate, n)| format!("{krate} {n}"))
+        .collect();
     println!(
-        "atlarge-lint: {} diagnostic{} ({} suppressed by allowlist) across {} files",
+        "atlarge-lint: {} diagnostic{} ({} suppressed by allowlist) across {} files; {} public items ({})",
         report.diagnostics.len(),
         if report.diagnostics.len() == 1 {
             ""
@@ -214,13 +219,16 @@ fn print_human(report: &Report) {
             "s"
         },
         report.suppressed,
-        report.files
+        report.files,
+        report.public_items.values().sum::<usize>(),
+        by_crate.join(", ")
     );
 }
 
 /// JSONL: one diagnostic object per line in stable (file, line, lint)
-/// order, closed by a `lint_summary` line — every line is standalone
-/// JSON, the shape `trace_lens`'s reader ingests.
+/// order, closed by a `lint_summary` line that also carries the public
+/// item counts — every line is standalone JSON, the shape
+/// `trace_lens`'s reader ingests.
 fn print_json(report: &Report) {
     for d in &report.diagnostics {
         println!(
@@ -243,6 +251,20 @@ fn print_json(report: &Report) {
             ("diagnostics", report.diagnostics.len().to_string()),
             ("suppressed", report.suppressed.to_string()),
             ("files", report.files.to_string()),
+            (
+                "public_items",
+                report.public_items.values().sum::<usize>().to_string(),
+            ),
+            (
+                "public_items_by_crate",
+                json_object(
+                    &report
+                        .public_items
+                        .iter()
+                        .map(|(krate, n)| (krate.as_str(), n.to_string()))
+                        .collect::<Vec<_>>(),
+                ),
+            ),
         ])
     );
 }

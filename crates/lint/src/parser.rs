@@ -5,9 +5,11 @@
 //! is deliberately tolerant of everything else: `use` declarations
 //! (group trees flattened into full paths), `fn` items with their
 //! brace-delimited bodies as token spans, `impl` blocks (trait and self
-//! type) with their method children, and inline qualified paths
-//! (`atlarge_des::fel::Entry` appearing in expression or type
-//! position). Unrecognized constructs are skipped token by token — a
+//! type) with their method children, named items (`struct`, `enum`,
+//! `trait`, `const`, `static`, `type`, `mod`) with their visibility and
+//! span, and inline qualified paths (`atlarge_des::fel::Entry`
+//! appearing in expression or type position). Unrecognized constructs
+//! are skipped token by token — a
 //! file that rustc rejects still parses into *some* tree, so the
 //! linter never blocks on exotic syntax.
 
@@ -27,7 +29,30 @@ pub struct UsePath {
     pub tok_idx: usize,
 }
 
-/// A `fn` item: name plus the token span of its body.
+/// Declared visibility of an item.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Vis {
+    /// No visibility keyword.
+    Private,
+    /// Bare `pub`.
+    Pub,
+    /// `pub(crate)`, `pub(super)` or `pub(in …)`.
+    Restricted,
+}
+
+/// Where an item is declared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Owner {
+    /// At module level: the index into [`Ast::items`] of the enclosing
+    /// inline `mod`, or `None` at file level.
+    Module(Option<usize>),
+    /// Inside an `impl` block (index into [`Ast::impls`]).
+    Impl(usize),
+    /// Inside a trait body or a fn body.
+    Nested,
+}
+
+/// A `fn` item: name plus the token spans of its signature and body.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FnItem {
     /// Function name (raw identifiers arrive unescaped: `r#fn` → `fn`).
@@ -36,11 +61,55 @@ pub struct FnItem {
     pub line: u32,
     /// Index of the `fn` keyword token.
     pub tok_idx: usize,
+    /// Index of the token ending the signature: the body's `{`, or the
+    /// `;` of a bodyless signature.
+    pub sig_end: usize,
     /// Token-index span `(open_brace, close_brace)` of the body;
     /// `None` for bodyless signatures (trait methods, extern fns).
     pub body: Option<(usize, usize)>,
-    /// Index into [`Ast::impls`] of the enclosing impl block, if any.
-    pub impl_idx: Option<usize>,
+    /// Declared visibility.
+    pub vis: Vis,
+    /// Enclosing module, impl block or nested scope.
+    pub owner: Owner,
+}
+
+/// The item keywords recorded as [`Item`]s (`fn`, `impl` and `use`
+/// have their own records).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ItemKind {
+    /// `struct`
+    Struct,
+    /// `enum`
+    Enum,
+    /// `trait`
+    Trait,
+    /// `const` (not `const fn`)
+    Const,
+    /// `static`
+    Static,
+    /// `type`
+    Type,
+    /// `mod`
+    Mod,
+}
+
+/// A named item other than a `fn`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Item {
+    /// Which keyword declared it.
+    pub kind: ItemKind,
+    /// Item name.
+    pub name: String,
+    /// Declared visibility.
+    pub vis: Vis,
+    /// 1-based line of the keyword.
+    pub line: u32,
+    /// Index of the keyword token.
+    pub tok_idx: usize,
+    /// Index of the item's last token: its closing `}` or `;`.
+    pub end: usize,
+    /// Enclosing module, impl block or nested scope.
+    pub owner: Owner,
 }
 
 /// An `impl` block: optional trait, self type, and its methods.
@@ -82,18 +151,20 @@ pub struct Ast {
     pub fns: Vec<FnItem>,
     /// Every `impl` block, in source order.
     pub impls: Vec<ImplItem>,
+    /// Every named non-fn item, in source order.
+    pub items: Vec<Item>,
     /// Inline qualified paths, in source order.
     pub paths: Vec<PathRef>,
 }
 
 /// The last `::`-separated segment of a path.
-pub fn last_segment(path: &str) -> &str {
+pub(crate) fn last_segment(path: &str) -> &str {
     path.rsplit("::").next().unwrap_or(path)
 }
 
 /// Whether `path` equals `prefix` or begins with `prefix::` on a
 /// segment boundary (`a::b` covers `a::b::c`, not `a::bc`).
-pub fn path_has_seg_prefix(path: &str, prefix: &str) -> bool {
+pub(crate) fn path_has_seg_prefix(path: &str, prefix: &str) -> bool {
     path == prefix || (path.starts_with(prefix) && path[prefix.len()..].starts_with("::"))
 }
 
@@ -103,7 +174,7 @@ pub fn parse(toks: &[Tok]) -> Ast {
         toks,
         ast: Ast::default(),
     };
-    p.items(0, toks.len(), None);
+    p.items(0, toks.len(), Owner::Module(None));
     p.ast
 }
 
@@ -218,41 +289,129 @@ impl<'a> Parser<'a> {
         (segs.join("::"), i)
     }
 
-    /// Parses the item sequence in `toks[start..end]`. `impl_idx` is
-    /// set while inside an impl block so `fn` children are linked.
-    fn items(&mut self, start: usize, end: usize, impl_idx: Option<usize>) {
+    /// Index of the token closing the delimiter opened at `open`, or
+    /// `end` when unbalanced.
+    fn close_of(&self, open: usize, oc: &str, cc: &str, end: usize) -> usize {
+        self.matching(open, oc, cc).unwrap_or(end).min(end)
+    }
+
+    /// From `i`, the index of the item's last token: the `;` at bracket
+    /// depth zero, or the `}` closing its first brace block (a block
+    /// after `=` is part of a value and does not end the item).
+    fn item_end(&self, mut i: usize, end: usize) -> usize {
+        let mut after_eq = false;
+        while i < end {
+            if self.punct_at(i, "(") {
+                i = self.close_of(i, "(", ")", end) + 1;
+            } else if self.punct_at(i, "[") {
+                i = self.close_of(i, "[", "]", end) + 1;
+            } else if self.punct_at(i, "{") {
+                let close = self.close_of(i, "{", "}", end);
+                if !after_eq {
+                    return close;
+                }
+                i = close + 1;
+            } else if self.punct_at(i, ";") {
+                return i;
+            } else {
+                after_eq |= self.punct_at(i, "=");
+                i += 1;
+            }
+        }
+        end.saturating_sub(1)
+    }
+
+    /// Parses the item sequence in `toks[start..end]` declared under
+    /// `owner` (impl blocks link their `fn` children through it).
+    fn items(&mut self, start: usize, end: usize, owner: Owner) {
         let mut i = start;
+        let mut vis = Vis::Private;
         while i < end {
             let t = &self.toks[i];
             if t.kind == TokKind::Ident {
                 match t.text.as_str() {
+                    "pub" => {
+                        i += 1;
+                        vis = Vis::Pub;
+                        if self.punct_at(i, "(") {
+                            i = self.close_of(i, "(", ")", end) + 1;
+                            vis = Vis::Restricted;
+                        }
+                        continue;
+                    }
+                    // Qualifiers between a visibility and its item.
+                    "async" | "unsafe" | "extern" | "default" => {
+                        i += 1;
+                        if self.toks.get(i).is_some_and(|t| t.kind == TokKind::Literal) {
+                            i += 1;
+                        }
+                        continue;
+                    }
+                    "const"
+                        if ["fn", "unsafe", "async", "extern"]
+                            .iter()
+                            .any(|k| self.ident_at(i + 1, k)) =>
+                    {
+                        i += 1;
+                        continue;
+                    }
                     "use" => {
                         i = self.use_decl(i + 1, end);
+                        vis = Vis::Private;
                         continue;
                     }
                     "fn" => {
-                        i = self.fn_item(i, end, impl_idx);
+                        i = self.fn_item(i, end, vis, owner);
+                        vis = Vis::Private;
                         continue;
                     }
-                    "impl" if impl_idx.is_none() => {
+                    "impl" if !matches!(owner, Owner::Impl(_)) => {
                         i = self.impl_block(i, end);
+                        vis = Vis::Private;
                         continue;
                     }
-                    "mod" | "trait" => {
-                        // Recurse into the braces (same item grammar);
-                        // `mod name;` has none.
-                        let mut j = i + 1;
-                        while j < end && !self.punct_at(j, "{") && !self.punct_at(j, ";") {
-                            j += 1;
+                    kw @ ("struct" | "enum" | "trait" | "const" | "static" | "type" | "mod")
+                        if self.item_name(i + 1).is_some() =>
+                    {
+                        let kind = match kw {
+                            "struct" => ItemKind::Struct,
+                            "enum" => ItemKind::Enum,
+                            "trait" => ItemKind::Trait,
+                            "const" => ItemKind::Const,
+                            "static" => ItemKind::Static,
+                            "type" => ItemKind::Type,
+                            _ => ItemKind::Mod,
+                        };
+                        let name_idx = self.item_name(i + 1).unwrap_or(i + 1);
+                        let item_end = self.item_end(name_idx + 1, end);
+                        self.ast.items.push(Item {
+                            kind,
+                            name: self.toks[name_idx].text.clone(),
+                            vis,
+                            line: t.line,
+                            tok_idx: i,
+                            end: item_end,
+                            owner,
+                        });
+                        vis = Vis::Private;
+                        // Module and trait bodies hold items of their
+                        // own (same grammar); `mod name;` has none.
+                        if matches!(kind, ItemKind::Mod | ItemKind::Trait)
+                            && self.punct_at(item_end, "}")
+                        {
+                            let open = (name_idx..item_end)
+                                .find(|&j| self.punct_at(j, "{"))
+                                .unwrap_or(item_end);
+                            let inner = if kind == ItemKind::Mod {
+                                Owner::Module(Some(self.ast.items.len() - 1))
+                            } else {
+                                Owner::Nested
+                            };
+                            self.items(open + 1, item_end, inner);
+                            i = item_end + 1;
+                        } else {
+                            i = name_idx + 1;
                         }
-                        if self.punct_at(j, "{") {
-                            if let Some(close) = self.matching(j, "{", "}") {
-                                self.items(j + 1, close.min(end), impl_idx);
-                                i = close + 1;
-                                continue;
-                            }
-                        }
-                        i = j + 1;
                         continue;
                     }
                     _ => {
@@ -269,14 +428,26 @@ impl<'a> Parser<'a> {
                                     tok_idx: i,
                                 });
                                 i = next.max(i + 1);
+                                vis = Vis::Private;
                                 continue;
                             }
                         }
                     }
                 }
             }
+            vis = Vis::Private;
             i += 1;
         }
+    }
+
+    /// The index of an item's name after its keyword at `i - 1`
+    /// (`static mut NAME` skips the `mut`), if an identifier is there.
+    fn item_name(&self, i: usize) -> Option<usize> {
+        let i = if self.ident_at(i, "mut") { i + 1 } else { i };
+        self.toks
+            .get(i)
+            .filter(|t| t.kind == TokKind::Ident && t.text != "_")
+            .map(|_| i)
     }
 
     /// Parses one `use` declaration starting just past the `use`
@@ -382,7 +553,7 @@ impl<'a> Parser<'a> {
 
     /// Parses one `fn` item starting at the `fn` keyword; returns the
     /// index just past the body (or the `;`).
-    fn fn_item(&mut self, fn_idx: usize, end: usize, impl_idx: Option<usize>) -> usize {
+    fn fn_item(&mut self, fn_idx: usize, end: usize, vis: Vis, owner: Owner) -> usize {
         let name_idx = fn_idx + 1;
         let Some(name_tok) = self.toks.get(name_idx) else {
             return fn_idx + 1;
@@ -395,6 +566,7 @@ impl<'a> Parser<'a> {
         // like `Fn(u32)`, array types) are skipped via matching.
         let mut i = name_idx + 1;
         let mut body = None;
+        let mut sig_end = end.saturating_sub(1);
         while i < end {
             if self.punct_at(i, "(") {
                 i = self.matching(i, "(", ")").map_or(end, |c| c + 1);
@@ -407,10 +579,12 @@ impl<'a> Parser<'a> {
             if self.punct_at(i, "{") {
                 let close = self.matching(i, "{", "}").unwrap_or(end);
                 body = Some((i, close.min(end)));
+                sig_end = i;
                 i = close.min(end) + 1;
                 break;
             }
             if self.punct_at(i, ";") {
+                sig_end = i;
                 i += 1;
                 break;
             }
@@ -420,10 +594,12 @@ impl<'a> Parser<'a> {
             name: name_tok.text.clone(),
             line: self.toks[fn_idx].line,
             tok_idx: fn_idx,
+            sig_end,
             body,
-            impl_idx,
+            vis,
+            owner,
         });
-        if let Some(fi) = impl_idx {
+        if let Owner::Impl(fi) = owner {
             let fn_pos = self.ast.fns.len() - 1;
             self.ast.impls[fi].fns.push(fn_pos);
         }
@@ -431,7 +607,7 @@ impl<'a> Parser<'a> {
         // inline qualified paths inside it are collected. Nested fns
         // are free items, not methods of the enclosing impl.
         if let Some((open, close)) = body {
-            self.items(open + 1, close, None);
+            self.items(open + 1, close, Owner::Nested);
         }
         i
     }
@@ -481,7 +657,7 @@ impl<'a> Parser<'a> {
             fns: Vec::new(),
         });
         let idx = self.ast.impls.len() - 1;
-        self.items(i + 1, close, Some(idx));
+        self.items(i + 1, close, Owner::Impl(idx));
         close + 1
     }
 }
@@ -530,7 +706,7 @@ mod tests {
         );
         let names: Vec<&str> = ast.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["free", "capture", "resume", "sig"]);
-        assert!(ast.fns[0].body.is_some() && ast.fns[0].impl_idx.is_none());
+        assert!(ast.fns[0].body.is_some() && ast.fns[0].owner == Owner::Module(None));
         assert!(ast.fns[3].body.is_none());
         assert_eq!(ast.impls.len(), 1);
         assert_eq!(ast.impls[0].trait_path.as_deref(), Some("Evolvable"));
@@ -569,6 +745,38 @@ mod tests {
         let ast = parse_src("mod outer { mod inner { fn deep() {} } }\nmod decl;");
         assert_eq!(ast.fns.len(), 1);
         assert_eq!(ast.fns[0].name, "deep");
+    }
+
+    #[test]
+    fn items_carry_visibility_and_owner() {
+        let ast = parse_src(
+            "pub struct A { pub x: u32 }\npub(crate) const fn f() {}\npub mod m { pub const C: u8 = 1; }\nimpl A { pub fn g(&self) {} }",
+        );
+        let items: Vec<(&str, ItemKind, Vis, Owner)> = ast
+            .items
+            .iter()
+            .map(|i| (i.name.as_str(), i.kind, i.vis, i.owner))
+            .collect();
+        assert_eq!(
+            items,
+            vec![
+                ("A", ItemKind::Struct, Vis::Pub, Owner::Module(None)),
+                ("m", ItemKind::Mod, Vis::Pub, Owner::Module(None)),
+                ("C", ItemKind::Const, Vis::Pub, Owner::Module(Some(1))),
+            ]
+        );
+        let fns: Vec<(&str, Vis, Owner)> = ast
+            .fns
+            .iter()
+            .map(|f| (f.name.as_str(), f.vis, f.owner))
+            .collect();
+        assert_eq!(
+            fns,
+            vec![
+                ("f", Vis::Restricted, Owner::Module(None)),
+                ("g", Vis::Pub, Owner::Impl(0)),
+            ]
+        );
     }
 
     #[test]

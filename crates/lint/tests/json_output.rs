@@ -34,6 +34,18 @@ fn workspace_is_clean_and_json_is_valid() {
     assert_eq!(summary.u64_field("diagnostics"), Some(0));
     let scanned = summary.u64_field("files").expect("files count present");
     assert!(scanned > 100, "workspace scan saw only {scanned} files");
+    // The public surface is counted per library crate and in total.
+    let total = summary
+        .u64_field("public_items")
+        .expect("public item total");
+    let by_crate = summary
+        .get("public_items_by_crate")
+        .expect("per-crate public items");
+    let mut sum = 0;
+    for krate in ["des", "exp", "lint", "serve", "telemetry"] {
+        sum += by_crate.u64_field(krate).expect("library crate counted");
+    }
+    assert!(sum > 0 && sum <= total, "{sum} of {total}");
     for line in &lines[..lines.len() - 1] {
         assert_eq!(line.str_field("kind"), Some("diagnostic"));
     }

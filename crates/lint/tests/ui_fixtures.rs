@@ -4,12 +4,15 @@
 //!
 //! Each fixture's first line is a `//@ path: <virtual path>` header —
 //! the workspace-relative path the file pretends to live at, which is
-//! what drives per-lint scope and exemption matching.
+//! what drives per-lint scope and exemption matching. A fixture with
+//! several headers is a small workspace, one virtual file per header,
+//! linted as a whole (the workspace-wide `dead-public-surface` pass
+//! included).
 //!
 //! Set `ATLARGE_LINT_BLESS=1` to rewrite the `.expected` files from the
 //! current output instead of comparing (then review the diff).
 
-use atlarge_lint::{lint_source, LintConfig, Report};
+use atlarge_lint::{lint_files, lint_source, LintConfig, Report};
 use std::fs;
 use std::path::PathBuf;
 
@@ -25,6 +28,22 @@ fn render(report: &Report) -> String {
         out.push('\n');
     }
     out
+}
+
+/// Splits a fixture at its `//@ path:` headers into `(path, source)`
+/// pairs; each virtual file keeps its header line, so line numbers
+/// count from the header.
+fn virtual_files(source: &str) -> Vec<(String, String)> {
+    let mut files: Vec<(String, String)> = Vec::new();
+    for line in source.split_inclusive('\n') {
+        if let Some(virt) = line.strip_prefix("//@ path: ") {
+            files.push((virt.trim().to_string(), String::new()));
+        }
+        if let Some((_, text)) = files.last_mut() {
+            text.push_str(line);
+        }
+    }
+    files
 }
 
 #[test]
@@ -47,13 +66,16 @@ fn ui_fixtures_match_expected() {
     let bless = std::env::var_os("ATLARGE_LINT_BLESS").is_some();
     for path in entries {
         let source = fs::read_to_string(&path).expect("fixture readable");
-        let virt = source
-            .lines()
-            .next()
-            .and_then(|l| l.strip_prefix("//@ path: "))
-            .unwrap_or_else(|| panic!("{}: missing `//@ path:` header", path.display()))
-            .trim();
-        let actual = render(&lint_source(virt, &source, &cfg));
+        let files = virtual_files(&source);
+        assert!(
+            source.starts_with("//@ path: "),
+            "{}: missing `//@ path:` header",
+            path.display()
+        );
+        let actual = match files.as_slice() {
+            [(virt, _)] => render(&lint_source(virt, &source, &cfg)),
+            _ => render(&lint_files(&files, &cfg)),
+        };
         if bless {
             fs::write(path.with_extension("expected"), &actual).expect("bless writable");
             continue;

@@ -14,11 +14,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Events one analytics node processes per second.
-pub const NODE_RATE: f64 = 50.0;
+pub(crate) const NODE_RATE: f64 = 50.0;
 
 /// Capacity plan for the analytics cluster.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CapacityPlan {
+pub(crate) enum CapacityPlan {
     /// A fixed number of nodes.
     Fixed(u32),
     /// Nodes follow the event rate with a margin, re-planned per window.
@@ -30,7 +30,7 @@ pub enum CapacityPlan {
 
 /// The outcome of one analytics run.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AnalyticsResult {
+pub(crate) struct AnalyticsResult {
     /// Mean processing lag (seconds of backlog) across windows.
     pub mean_lag: f64,
     /// Peak backlog in events.
@@ -45,7 +45,7 @@ pub struct AnalyticsResult {
 
 /// Runs the analytics pipeline over `days` of diurnal player events at
 /// `mean_rate` events/s, with `window` seconds per aggregation window.
-pub fn run_analytics(
+pub(crate) fn run_analytics(
     plan: CapacityPlan,
     days: f64,
     mean_rate: f64,
@@ -104,7 +104,7 @@ pub fn run_analytics(
 
 /// The CAMEO comparison: an under-sized fixed cluster vs elastic
 /// capacity. Returns `(fixed, elastic)`.
-pub fn cameo_comparison(seed: u64) -> (AnalyticsResult, AnalyticsResult) {
+pub(crate) fn cameo_comparison(seed: u64) -> (AnalyticsResult, AnalyticsResult) {
     let days = 3.0;
     let mean_rate = 120.0;
     let window = 300.0;

@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 
 /// A linear peg puzzle: `true` = peg, `false` = empty.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Puzzle {
+pub(crate) struct Puzzle {
     cells: Vec<bool>,
 }
 
@@ -32,12 +32,12 @@ impl Puzzle {
     }
 
     /// Number of pegs remaining.
-    pub fn pegs(&self) -> usize {
+    pub(crate) fn pegs(&self) -> usize {
         self.cells.iter().filter(|&&c| c).count()
     }
 
     /// All legal successor states (jump left or right).
-    pub fn moves(&self) -> Vec<Puzzle> {
+    pub(crate) fn moves(&self) -> Vec<Puzzle> {
         let n = self.cells.len();
         let mut out = Vec::new();
         for i in 0..n {
@@ -67,7 +67,7 @@ impl Puzzle {
     /// Exact solvability check: can the puzzle reach a single-peg state?
     /// Returns `(solvable, states_explored)` — the explored count is the
     /// difficulty signal.
-    pub fn solve(&self) -> (bool, usize) {
+    pub(crate) fn solve(&self) -> (bool, usize) {
         let mut seen: BTreeSet<Puzzle> = BTreeSet::new();
         let mut stack = vec![self.clone()];
         let mut explored = 0;
@@ -87,7 +87,7 @@ impl Puzzle {
 
 /// A generated, validated content item.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GeneratedPuzzle {
+pub(crate) struct GeneratedPuzzle {
     /// The puzzle.
     pub puzzle: Puzzle,
     /// Search states explored to prove solvability (difficulty proxy).
@@ -129,7 +129,7 @@ impl Difficulty {
 /// The POGGI-style generator: one "worker" generating validated, fresh
 /// (deduplicated) puzzles of a requested band.
 #[derive(Debug)]
-pub struct Generator {
+pub(crate) struct Generator {
     rng: StdRng,
     cells: usize,
     produced: BTreeSet<Puzzle>,
@@ -179,7 +179,7 @@ impl Generator {
 /// The distributed-generation experiment: `workers` independent
 /// generators (distinct seeds) produce a batch each; the merge
 /// deduplicates. Returns `(total_unique, per_worker_counts)`.
-pub fn distributed_generation(
+pub(crate) fn distributed_generation(
     workers: usize,
     per_worker: usize,
     band: Difficulty,

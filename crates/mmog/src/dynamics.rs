@@ -41,7 +41,7 @@ impl Genre {
     }
 
     /// Mean session length in seconds.
-    pub fn mean_session(&self) -> f64 {
+    pub(crate) fn mean_session(&self) -> f64 {
         match self {
             Genre::Mmorpg => 2.5 * 3600.0,
             Genre::Moba => 40.0 * 60.0, // one match
@@ -50,7 +50,7 @@ impl Genre {
     }
 
     /// Diurnal amplitude of arrivals.
-    pub fn diurnal_amplitude(&self) -> f64 {
+    pub(crate) fn diurnal_amplitude(&self) -> f64 {
         match self {
             Genre::Mmorpg => 0.8,
             Genre::Moba => 0.7,
@@ -59,7 +59,7 @@ impl Genre {
     }
 
     /// Session-length coefficient of variation.
-    pub fn session_cv(&self) -> f64 {
+    pub(crate) fn session_cv(&self) -> f64 {
         match self {
             Genre::Mmorpg => 1.2,
             Genre::Moba => 0.3, // matches have bounded length
@@ -114,7 +114,7 @@ pub fn simulate_population(genre: Genre, days: f64, base_rate: f64, seed: u64) -
 
 /// Short-term dynamics statistic: daily peak-to-trough ratio of
 /// concurrency, averaged across full days.
-pub fn peak_trough_ratio(trace: &PopulationTrace) -> f64 {
+pub(crate) fn peak_trough_ratio(trace: &PopulationTrace) -> f64 {
     let full_days = trace.days.floor() as usize;
     if full_days == 0 {
         return 1.0;
@@ -141,7 +141,7 @@ pub fn peak_trough_ratio(trace: &PopulationTrace) -> f64 {
 }
 
 /// Mean session duration of a trace.
-pub fn mean_session(trace: &PopulationTrace) -> f64 {
+pub(crate) fn mean_session(trace: &PopulationTrace) -> f64 {
     trace.sessions.iter().map(|&(_, d)| d).sum::<f64>() / trace.sessions.len().max(1) as f64
 }
 

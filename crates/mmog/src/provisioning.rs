@@ -13,11 +13,11 @@ use atlarge_telemetry::tracer::Tracer;
 use atlarge_telemetry::Recorder;
 
 /// Players one game server supports.
-pub const PLAYERS_PER_SERVER: f64 = 200.0;
+pub(crate) const PLAYERS_PER_SERVER: f64 = 200.0;
 
 /// A provisioning policy for MMOG capacity.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ProvisioningPolicy {
+pub(crate) enum ProvisioningPolicy {
     /// Provision the all-time peak at all times.
     StaticPeak,
     /// Follow current demand with a safety margin, re-evaluated every
@@ -66,7 +66,7 @@ pub struct ProvisioningResult {
 /// bracketing the policy's evaluation window, and tallies of the
 /// headline metrics. Instrumentation is observational — the returned
 /// result is identical to an untraced run's.
-pub fn provision(
+pub(crate) fn provision(
     trace: &PopulationTrace,
     policy: ProvisioningPolicy,
     interval: f64,

@@ -46,11 +46,6 @@ impl Scenario {
         }
         Scenario { points }
     }
-
-    /// Total entities.
-    pub fn total_entities(&self) -> u32 {
-        self.points.iter().map(|p| p.entities).sum()
-    }
 }
 
 /// Simulation architectures compared by the AoS study.
@@ -88,9 +83,9 @@ impl Architecture {
 }
 
 /// Full-fidelity tick rate (Hz) and the casual AoS rate.
-pub const FULL_RATE: f64 = 20.0;
+pub(crate) const FULL_RATE: f64 = 20.0;
 /// Casual simulation rate used by AoS outside areas of interest.
-pub const CASUAL_RATE: f64 = 2.0;
+pub(crate) const CASUAL_RATE: f64 = 2.0;
 
 /// Per-tick cost of simulating one point: interactions are quadratic in
 /// co-located entities (unit collision/targeting), the game-design fact
@@ -132,7 +127,7 @@ pub fn load(scenario: &Scenario, arch: Architecture) -> f64 {
 
 /// Maximum `scale` (see [`Scenario::replay_shaped`]) an architecture
 /// sustains within a compute `budget`.
-pub fn max_scale(arch: Architecture, budget: f64) -> u32 {
+pub(crate) fn max_scale(arch: Architecture, budget: f64) -> u32 {
     let mut scale = 1;
     loop {
         let s = Scenario::replay_shaped(3, 4, scale);
@@ -149,7 +144,7 @@ pub fn max_scale(arch: Architecture, budget: f64) -> u32 {
 /// Mirror (\[82\]): offloads a fraction of simulation computation from a
 /// mobile client to a cloud mirror. Returns `(client_load, cloud_load,
 /// added_latency_ms)`.
-pub fn mirror_offload(
+pub(crate) fn mirror_offload(
     scenario: &Scenario,
     offload_fraction: f64,
     network_rtt_ms: f64,
@@ -193,7 +188,8 @@ mod tests {
                 },
             ],
         };
-        assert_eq!(packed.total_entities(), split.total_entities());
+        let total = |s: &Scenario| s.points.iter().map(|p| p.entities).sum::<u32>();
+        assert_eq!(total(&packed), total(&split));
         assert!(
             load(&packed, Architecture::FullFidelity)
                 > 1.4 * load(&split, Architecture::FullFidelity),

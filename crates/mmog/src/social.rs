@@ -5,9 +5,9 @@
 //! co-play are socially linked even if the game has no friend system. The
 //! studies used these graphs for matchmaking and best-practice sharing,
 //! and for detecting toxicity. Here: graph construction from co-play
-//! events, degree/clustering analyses, a matchmaking policy that prefers
-//! linked players, and a report-plus-lexicon toxicity detector scored
-//! against synthetic ground truth.
+//! events, degree/clustering analyses, the social-match rate of rosters,
+//! and a report-plus-lexicon toxicity detector scored against synthetic
+//! ground truth.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -15,7 +15,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// An undirected weighted interaction graph over players.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct SocialGraph {
+pub(crate) struct SocialGraph {
     edges: BTreeMap<(u32, u32), u32>,
 }
 
@@ -26,7 +26,7 @@ impl SocialGraph {
     }
 
     /// Records a co-play event between two players.
-    pub fn record_coplay(&mut self, a: u32, b: u32) {
+    pub(crate) fn record_coplay(&mut self, a: u32, b: u32) {
         if a == b {
             return;
         }
@@ -36,7 +36,7 @@ impl SocialGraph {
 
     /// Builds the graph from match rosters: every pair in a match
     /// co-plays.
-    pub fn from_matches(matches: &[Vec<u32>]) -> Self {
+    pub(crate) fn from_matches(matches: &[Vec<u32>]) -> Self {
         let mut g = SocialGraph::new();
         for m in matches {
             for i in 0..m.len() {
@@ -48,11 +48,6 @@ impl SocialGraph {
         g
     }
 
-    /// Number of distinct edges.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Edge weight between two players (0 if absent).
     pub fn weight(&self, a: u32, b: u32) -> u32 {
         self.edges.get(&(a.min(b), a.max(b))).copied().unwrap_or(0)
@@ -60,7 +55,7 @@ impl SocialGraph {
 
     /// The *social* subgraph: edges with weight ≥ `threshold` (repeated
     /// co-play implies a tie, single co-occurrence does not).
-    pub fn social_ties(&self, threshold: u32) -> Vec<(u32, u32)> {
+    pub(crate) fn social_ties(&self, threshold: u32) -> Vec<(u32, u32)> {
         self.edges
             .iter()
             .filter(|(_, &w)| w >= threshold)
@@ -68,18 +63,9 @@ impl SocialGraph {
             .collect()
     }
 
-    /// Neighbors of a player under a tie threshold.
-    pub fn neighbors(&self, player: u32, threshold: u32) -> BTreeSet<u32> {
-        self.edges
-            .iter()
-            .filter(|(&(a, b), &w)| w >= threshold && (a == player || b == player))
-            .map(|(&(a, b), _)| if a == player { b } else { a })
-            .collect()
-    }
-
     /// Global clustering coefficient of the tie graph: closed triplets /
     /// all triplets.
-    pub fn clustering_coefficient(&self, threshold: u32) -> f64 {
+    pub(crate) fn clustering_coefficient(&self, threshold: u32) -> f64 {
         let ties = self.social_ties(threshold);
         let mut adj: BTreeMap<u32, BTreeSet<u32>> = BTreeMap::new();
         for (a, b) in ties {
@@ -109,7 +95,7 @@ impl SocialGraph {
 
 /// Generates match rosters with embedded friend groups: friends queue
 /// together with probability `group_play`, strangers fill the rest.
-pub fn generate_matches(
+pub(crate) fn generate_matches(
     players: u32,
     group_size: u32,
     matches: usize,
@@ -142,7 +128,7 @@ pub fn generate_matches(
 
 /// Matchmaking (\[74\], \[91\]): prefers rosters with existing social ties.
 /// Returns the fraction of matches containing at least one tie.
-pub fn social_match_rate(matches: &[Vec<u32>], graph: &SocialGraph, threshold: u32) -> f64 {
+pub(crate) fn social_match_rate(matches: &[Vec<u32>], graph: &SocialGraph, threshold: u32) -> f64 {
     if matches.is_empty() {
         return 0.0;
     }
@@ -157,45 +143,9 @@ pub fn social_match_rate(matches: &[Vec<u32>], graph: &SocialGraph, threshold: u
     with_tie as f64 / matches.len() as f64
 }
 
-/// Social-aware matchmaking (\[74\], \[91\]): builds rosters of `roster`
-/// players from a queue, preferring to co-place players with existing
-/// ties. Returns the rosters; unmatched leftovers are dropped.
-pub fn matchmake(
-    queue: &[u32],
-    graph: &SocialGraph,
-    threshold: u32,
-    roster: usize,
-) -> Vec<Vec<u32>> {
-    assert!(roster > 0, "rosters need players");
-    let mut remaining: Vec<u32> = queue.to_vec();
-    let mut rosters = Vec::new();
-    while remaining.len() >= roster {
-        // Seed with the first waiting player, then greedily add their
-        // social neighbors before filling with strangers (FIFO).
-        let seed = remaining.remove(0);
-        let mut m = vec![seed];
-        let neighbors = graph.neighbors(seed, threshold);
-        let mut i = 0;
-        while i < remaining.len() && m.len() < roster {
-            if neighbors.contains(&remaining[i]) {
-                m.push(remaining.remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        while m.len() < roster && !remaining.is_empty() {
-            m.push(remaining.remove(0));
-        }
-        if m.len() == roster {
-            rosters.push(m);
-        }
-    }
-    rosters
-}
-
 /// A chat message with ground-truth toxicity (for detector scoring).
 #[derive(Debug, Clone, PartialEq)]
-pub struct ChatMessage {
+pub(crate) struct ChatMessage {
     /// Author.
     pub player: u32,
     /// Lexicon hits in the message (the detector's signal).
@@ -208,7 +158,7 @@ pub struct ChatMessage {
 
 /// Generates a chat log where toxic messages carry more flagged terms and
 /// attract more reports — with noise on both signals.
-pub fn generate_chat(messages: usize, toxic_rate: f64, seed: u64) -> Vec<ChatMessage> {
+pub(crate) fn generate_chat(messages: usize, toxic_rate: f64, seed: u64) -> Vec<ChatMessage> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..messages)
         .map(|i| {
@@ -235,12 +185,12 @@ pub fn generate_chat(messages: usize, toxic_rate: f64, seed: u64) -> Vec<ChatMes
 
 /// The \[77\]-style detector: a message is toxic if its lexicon score plus
 /// weighted reports crosses a threshold.
-pub fn detect_toxicity(msg: &ChatMessage, threshold: f64) -> bool {
+pub(crate) fn detect_toxicity(msg: &ChatMessage, threshold: f64) -> bool {
     f64::from(msg.flagged_terms) + 0.8 * f64::from(msg.reports) >= threshold
 }
 
 /// Precision and recall of the detector on a log.
-pub fn detector_quality(log: &[ChatMessage], threshold: f64) -> (f64, f64) {
+pub(crate) fn detector_quality(log: &[ChatMessage], threshold: f64) -> (f64, f64) {
     let mut tp = 0usize;
     let mut fp = 0usize;
     let mut fn_ = 0usize;
@@ -269,7 +219,7 @@ mod tests {
         g.record_coplay(2, 1);
         g.record_coplay(1, 1); // ignored
         assert_eq!(g.weight(1, 2), 2);
-        assert_eq!(g.edge_count(), 1);
+        assert_eq!(g.edges.len(), 1);
     }
 
     #[test]
@@ -311,39 +261,6 @@ mod tests {
             grouped > random_rate + 0.2,
             "grouped {grouped} vs random {random_rate}"
         );
-    }
-
-    #[test]
-    fn social_matchmaker_beats_fifo_on_tie_rate() {
-        // Build a tie graph from grouped play, then matchmake a mixed
-        // queue: the social-aware matcher should co-place more friends
-        // than plain FIFO rosters.
-        let history = generate_matches(1_000, 4, 3_000, 8, 0.6, 11);
-        let graph = SocialGraph::from_matches(&history);
-        let mut rng = StdRng::seed_from_u64(12);
-        let queue: Vec<u32> = (0..400).map(|_| rng.gen_range(0..1_000)).collect();
-        let social_rosters = matchmake(&queue, &graph, 3, 8);
-        let fifo_rosters: Vec<Vec<u32>> = queue.chunks(8).map(|c| c.to_vec()).collect();
-        let social_rate = social_match_rate(&social_rosters, &graph, 3);
-        let fifo_rate = social_match_rate(&fifo_rosters, &graph, 3);
-        assert!(
-            social_rate > fifo_rate,
-            "social {social_rate} vs fifo {fifo_rate}"
-        );
-    }
-
-    #[test]
-    fn matchmaker_respects_roster_size() {
-        let graph = SocialGraph::new();
-        let queue: Vec<u32> = (0..21).collect();
-        let rosters = matchmake(&queue, &graph, 1, 5);
-        assert_eq!(rosters.len(), 4);
-        for m in &rosters {
-            assert_eq!(m.len(), 5);
-            // No duplicate players within a roster.
-            let set: std::collections::BTreeSet<u32> = m.iter().copied().collect();
-            assert_eq!(set.len(), 5);
-        }
     }
 
     #[test]

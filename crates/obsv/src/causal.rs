@@ -145,7 +145,7 @@ pub fn critical_path(trace: &Trace) -> Option<CriticalPath> {
 
 /// A span tree node used by the fallback path.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpanNode {
+pub(crate) struct SpanNode {
     /// Span name.
     pub name: String,
     /// Start time.
@@ -172,7 +172,7 @@ impl SpanNode {
 /// Rebuilds the span forest from enter/exit records. Exits match the
 /// innermost open span with the same name (the tracer contract);
 /// unclosed spans are closed at the trace's final time.
-pub fn span_forest(trace: &Trace) -> Vec<SpanNode> {
+pub(crate) fn span_forest(trace: &Trace) -> Vec<SpanNode> {
     let mut roots: Vec<SpanNode> = Vec::new();
     let mut stack: Vec<SpanNode> = Vec::new();
     for line in &trace.lines {

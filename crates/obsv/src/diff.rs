@@ -25,7 +25,7 @@ pub struct MetricsDump {
 }
 
 /// Parses a metrics export into a flat `name.field → value` map.
-pub fn parse_metrics(text: &str) -> Result<MetricsDump, ParseError> {
+pub(crate) fn parse_metrics(text: &str) -> Result<MetricsDump, ParseError> {
     let mut values = BTreeMap::new();
     let mut manifest = None;
     for v in parse_lines(text)? {

@@ -27,7 +27,7 @@ use atlarge_telemetry::RunManifest;
 
 /// Version tag of the canonical encoding. Bump when the format changes
 /// so persisted keys from older encodings can never alias new ones.
-pub const KEY_SCHEMA: &str = "ak1";
+pub(crate) const KEY_SCHEMA: &str = "ak1";
 
 /// Longest rendering of every key field but the model: the schema (a
 /// u32, 10 digits), seven u64s and the model's length (at most 20

@@ -5,7 +5,10 @@
 //! recursive-descent parser over the full JSON grammar, plus the
 //! accessors the analyzers need. Being a *reader of our own writer* it
 //! favors clear errors over leniency — any malformed line aborts the
-//! analysis rather than silently skewing it.
+//! analysis rather than silently skewing it. Whatever file it is given,
+//! it returns `Ok` or a typed [`ParseError`]: nesting deeper than 128
+//! levels is refused rather than recursed into, and strings are scanned
+//! in one pass.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -38,7 +41,7 @@ impl Json {
     }
 
     /// This value as a float, if numeric.
-    pub fn as_f64(&self) -> Option<f64> {
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(x) => Some(*x),
             _ => None,
@@ -46,7 +49,7 @@ impl Json {
     }
 
     /// This value as a non-negative integer, if numeric and integral.
-    pub fn as_u64(&self) -> Option<u64> {
+    pub(crate) fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as u64),
             _ => None,
@@ -70,7 +73,7 @@ impl Json {
     }
 
     /// This value as a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Json::Bool(b) => Some(*b),
             _ => None,
@@ -115,11 +118,18 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest array/object nesting the reader accepts. The export
+/// dialect nests a few levels; the bound keeps a hostile line from
+/// exhausting the stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one complete JSON value; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -139,8 +149,11 @@ pub fn parse_lines(text: &str) -> Result<Vec<Json>, ParseError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -181,8 +194,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -287,12 +311,14 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Advance over one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let ch = s.chars().next().expect("non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Copy the run up to the next quote or escape in one
+                    // step: the input is already UTF-8, and every byte
+                    // the scan stops at is ASCII, so `pos` stays on a
+                    // character boundary.
+                    let rest = self.input.get(self.pos..).unwrap_or_default();
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -317,6 +343,8 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atlarge_check::check;
+    use rand::Rng;
 
     #[test]
     fn parses_a_trace_line() {
@@ -361,5 +389,68 @@ mod tests {
     fn parse_lines_skips_blank_lines() {
         let lines = parse_lines("{\"a\":1}\n\n{\"b\":2}\n").unwrap();
         assert_eq!(lines.len(), 2);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let line = "[".repeat(1 << 20);
+        let err = parse(&line).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        assert!(parse(&format!("[{ok}]")).is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_one_pass() {
+        let body = "é".repeat(128 * 1024);
+        let v = parse(&format!(r#"{{"label":"{body}\n"}}"#)).unwrap();
+        let label = v.str_field("label").unwrap();
+        assert_eq!(label.len(), 256 * 1024 + 1);
+        assert!(label.ends_with("é\n"));
+    }
+
+    /// Real lines of the three dialects the reader meets: a kernel
+    /// trace, a metrics export and a `/watch` pulse.
+    const REAL_LINES: [&str; 6] = [
+        r#"{"t":0.0,"kind":"schedule","label":"join","fire_at":108.26739201943644,"id":0}"#,
+        r#"{"t":0.0,"kind":"span_enter","label":"sequential/job"}"#,
+        r#"{"kind":"manifest","schema":1,"model":"p2p.swarm","seed":"15310819316158845671","config_digest":"022b59fc85f90803","events_scheduled":9882,"events_dispatched":9881,"sim_time":80000.0,"trace_records":19763,"trace_dropped":0,"fingerprint":"25abcb9e315dee00","wall_ms":18.762291}"#,
+        r#"{"kind":"counter","name":"swarm.completions","value":940}"#,
+        r#"{"kind":"tally","name":"scale.task_wait_s","count":96,"mean":23.267349137955637,"min":0.0,"p50":9.291804796186113,"p95":70.28801382905333,"p99":72.85785551377506,"max":77.71046806173479}"#,
+        r#"{"kind":"pulse","t_ms":1500.0,"window_ms":1000.0,"requests":42,"rps":42.0,"hit_rate":0.5,"shed_rate":0.0,"errors":0,"queue_depth":3,"p50_ms":1.2,"p99_ms":9.5,"stages":{"run":{"p50_us":12.5}},"slo":{"state":"ok","healthy":true},"slowest":null,"note":"caf\u00e9 \"x\""}"#,
+    ];
+
+    /// Truncated, spliced and bracket-flooded real lines only ever
+    /// return `Ok` or `Err`.
+    #[test]
+    fn prop_mangled_lines_never_panic() {
+        for line in REAL_LINES {
+            assert!(parse(line).is_ok(), "{line}");
+        }
+        const SPLICE: [&str; 10] = ["[", "{", "]", "}", "\"", "\\", "\\u", ":", ",", "é"];
+        check("prop_mangled_lines_never_panic", 512, |rng| {
+            let mut line: Vec<char> = REAL_LINES[rng.gen_range(0..REAL_LINES.len())]
+                .chars()
+                .collect();
+            for _ in 0..rng.gen_range(0..4) {
+                let at = rng.gen_range(0..=line.len());
+                match rng.gen_range(0..3) {
+                    0 => line.truncate(at),
+                    1 => {
+                        let piece = SPLICE[rng.gen_range(0..SPLICE.len())];
+                        line.splice(at..at, piece.chars());
+                    }
+                    _ => {
+                        let bracket = if rng.gen_range(0..2) == 0 { '[' } else { '{' };
+                        let n = rng.gen_range(1..400);
+                        line.splice(at..at, std::iter::repeat_n(bracket, n));
+                    }
+                }
+            }
+            let text: String = line.into_iter().collect();
+            let _typed: Result<Json, ParseError> = parse(&text);
+            let _lines = parse_lines(&format!("{text}\n{text}"));
+        });
     }
 }

@@ -39,8 +39,8 @@ pub mod series;
 pub mod trace;
 
 pub use causal::{critical_path, CriticalPath, PathSource, PathStep};
-pub use diff::{diff_exports, parse_metrics, MetricDelta, RunDiff};
+pub use diff::{diff_exports, MetricDelta, RunDiff};
 pub use fingerprint::canonical_key;
 pub use profile::{flamegraph_text, self_times, to_chrome_json};
-pub use series::{windowed, HistogramLine, PulseLine, SeriesLine, Window};
+pub use series::{HistogramLine, PulseLine, SeriesLine};
 pub use trace::{parse_trace, ManifestInfo, Trace, TraceLine};

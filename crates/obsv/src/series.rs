@@ -100,15 +100,6 @@ impl HistogramLine {
         }
         unreachable!("cumulative count reaches total")
     }
-
-    /// The standard latency triple: (p50, p95, p99).
-    pub fn percentiles(&self) -> Option<(f64, f64, f64)> {
-        Some((
-            self.quantile(0.50)?,
-            self.quantile(0.95)?,
-            self.quantile(0.99)?,
-        ))
-    }
 }
 
 /// A `kind:"pulse"` line from the exploration server's `/watch`
@@ -165,55 +156,6 @@ impl PulseLine {
     }
 }
 
-/// One aggregation window of a timed stream.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Window {
-    /// Window start time (inclusive).
-    pub start: f64,
-    /// Samples in the window.
-    pub count: u64,
-    /// Mean value, 0 when empty.
-    pub mean: f64,
-    /// Max value, 0 when empty.
-    pub max: f64,
-}
-
-/// Aggregates `(t, value)` points into fixed `width` windows starting
-/// at t=0. Empty leading/inner windows are emitted (zeroed) so plots
-/// keep their time axis; trailing windows stop at the last sample.
-///
-/// # Panics
-///
-/// Panics unless `width > 0`.
-pub fn windowed(points: &[(f64, f64)], width: f64) -> Vec<Window> {
-    assert!(width > 0.0, "window width must be positive");
-    let Some(last_t) = points
-        .iter()
-        .map(|&(t, _)| t)
-        .fold(None, |m: Option<f64>, t| Some(m.map_or(t, |m| m.max(t))))
-    else {
-        return Vec::new();
-    };
-    let n = (last_t / width).floor() as usize + 1;
-    let mut sums = vec![(0u64, 0.0f64, 0.0f64); n];
-    for &(t, v) in points {
-        let i = ((t / width).floor() as usize).min(n - 1);
-        let w = &mut sums[i];
-        w.0 += 1;
-        w.1 += v;
-        w.2 = if w.0 == 1 { v } else { w.2.max(v) };
-    }
-    sums.into_iter()
-        .enumerate()
-        .map(|(i, (count, sum, max))| Window {
-            start: i as f64 * width,
-            count,
-            mean: if count > 0 { sum / count as f64 } else { 0.0 },
-            max,
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,19 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn windows_aggregate_and_keep_empty_slots() {
-        let pts = [(0.5, 2.0), (0.9, 4.0), (2.5, 10.0)];
-        let w = windowed(&pts, 1.0);
-        assert_eq!(w.len(), 3);
-        assert_eq!(w[0].count, 2);
-        assert!((w[0].mean - 3.0).abs() < 1e-12);
-        assert!((w[0].max - 4.0).abs() < 1e-12);
-        assert_eq!(w[1].count, 0);
-        assert_eq!(w[2].count, 1);
-        assert!((w[2].start - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn empty_histogram_has_no_quantiles() {
         let h = HistogramLine {
             name: "x".into(),
@@ -287,6 +216,5 @@ mod tests {
             bins: vec![0, 0],
         };
         assert_eq!(h.quantile(0.5), None);
-        assert!(h.percentiles().is_none());
     }
 }

@@ -34,7 +34,7 @@ pub struct FlashcrowdWindow {
 /// # Panics
 ///
 /// Panics unless `window > 0` and `threshold > 1`.
-pub fn detect_flashcrowds(
+pub(crate) fn detect_flashcrowds(
     arrivals: &[f64],
     horizon: f64,
     window: f64,

@@ -50,7 +50,7 @@ impl GroundTruth {
     }
 
     /// Histogram of the true size distribution (log10 bins).
-    pub fn true_histogram(&self) -> Histogram {
+    pub(crate) fn true_histogram(&self) -> Histogram {
         self.histogram_of(self.sizes.iter().copied())
     }
 }

@@ -55,7 +55,7 @@ impl Default for RegionalConfig {
 
 /// Events of one regional sub-swarm.
 #[derive(Debug, Clone)]
-pub enum RegionEvent {
+pub(crate) enum RegionEvent {
     /// A peer joins this region's sub-swarm.
     Join {
         /// Region-local peer id.
@@ -146,7 +146,7 @@ impl RegionalResult {
 /// One regional sub-swarm: the fluid model of [`crate::swarm`] scoped to
 /// the region's own peers, plus the transit capacity its neighbours
 /// gossiped last window.
-pub struct RegionSwarm {
+pub(crate) struct RegionSwarm {
     config: RegionalConfig,
     horizon: f64,
     peers: BTreeMap<u64, Peer>,

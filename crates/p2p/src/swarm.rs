@@ -28,7 +28,7 @@ pub struct Bandwidth {
 
 impl Bandwidth {
     /// A symmetric link.
-    pub fn symmetric(rate: f64) -> Self {
+    pub(crate) fn symmetric(rate: f64) -> Self {
         Bandwidth {
             up: rate,
             down: rate,
@@ -125,7 +125,7 @@ impl Evolvable for TitForTat {
 /// contribution (pure optimistic unchoke) — kind to asymmetric links,
 /// vulnerable to free-riding.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Egalitarian;
+pub(crate) struct Egalitarian;
 
 impl SharingPolicy for Egalitarian {
     fn name(&self) -> &'static str {
@@ -152,7 +152,7 @@ impl Evolvable for Egalitarian {
 }
 
 /// Builds a sharing policy by its swap-plan name.
-pub fn sharing_by_name(name: &str) -> Option<Box<dyn SharingPolicy>> {
+pub(crate) fn sharing_by_name(name: &str) -> Option<Box<dyn SharingPolicy>> {
     match name {
         "tit-for-tat" => Some(Box::new(TitForTat)),
         "egalitarian" => Some(Box::new(Egalitarian)),
@@ -178,7 +178,7 @@ impl SwarmResult {
     }
 
     /// Mean download duration of peers joining within a window.
-    pub fn mean_download_time_in(&self, from: f64, to: f64) -> f64 {
+    pub(crate) fn mean_download_time_in(&self, from: f64, to: f64) -> f64 {
         let v: Vec<f64> = self
             .downloads
             .iter()

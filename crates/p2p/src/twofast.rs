@@ -25,7 +25,7 @@ pub struct Group {
 
 impl Group {
     /// Creates a group of a collector and `n` identical helpers.
-    pub fn uniform(link: Bandwidth, n: usize) -> Self {
+    pub(crate) fn uniform(link: Bandwidth, n: usize) -> Self {
         Group {
             collector: link,
             helpers: vec![link; n],
@@ -45,20 +45,20 @@ pub struct SwarmSide {
 }
 
 /// Tit-for-tat share a single peer with upload `up` earns from the swarm.
-pub fn tit_for_tat_share(up: f64, swarm: &SwarmSide) -> f64 {
+pub(crate) fn tit_for_tat_share(up: f64, swarm: &SwarmSide) -> f64 {
     let w = up + swarm.optimistic_floor;
     swarm.total_upload * w / (swarm.competing_weight + w)
 }
 
 /// Effective download rate of a standalone leecher.
-pub fn standalone_rate(link: Bandwidth, swarm: &SwarmSide) -> f64 {
+pub(crate) fn standalone_rate(link: Bandwidth, swarm: &SwarmSide) -> f64 {
     tit_for_tat_share(link.up, swarm).min(link.down)
 }
 
 /// Effective download rate of a 2fast collector: the group's earned
 /// shares (helpers relay at up to their upload capacity), capped by the
 /// collector's download link.
-pub fn group_rate(group: &Group, swarm: &SwarmSide) -> f64 {
+pub(crate) fn group_rate(group: &Group, swarm: &SwarmSide) -> f64 {
     let own = tit_for_tat_share(group.collector.up, swarm);
     let helped: f64 = group
         .helpers

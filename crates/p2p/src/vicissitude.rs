@@ -63,7 +63,7 @@ pub struct ChunkResult {
 }
 
 /// Deterministic stage-cost model for one chunk.
-pub fn process_chunk(p: &ChunkProfile) -> ChunkResult {
+pub(crate) fn process_chunk(p: &ChunkProfile) -> ChunkResult {
     let stage_times = [
         10.0 * p.size,                // ingest scales with size
         6.0 * p.size * p.skew,        // shuffle suffers under skew
@@ -97,7 +97,7 @@ pub trait ChunkPolicy: Evolvable + std::fmt::Debug {
 
 /// The historical pipeline: [`process_chunk`] verbatim, counting chunks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Baseline {
+pub(crate) struct Baseline {
     /// Chunks processed so far.
     pub chunks_seen: u64,
 }
@@ -134,7 +134,7 @@ impl Evolvable for Baseline {
 /// chunk, dividing that stage's time by `factor` (and re-deriving the
 /// bottleneck from the adjusted times).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Rebalance {
+pub(crate) struct Rebalance {
     /// Speedup applied to the bottleneck stage (must be ≥ 1).
     pub factor: f64,
     /// Chunks rebalanced so far.
@@ -202,7 +202,7 @@ impl Evolvable for Rebalance {
 }
 
 /// Builds a chunk policy by its swap-plan name.
-pub fn chunk_policy_by_name(name: &str) -> Option<Box<dyn ChunkPolicy>> {
+pub(crate) fn chunk_policy_by_name(name: &str) -> Option<Box<dyn ChunkPolicy>> {
     match name {
         "baseline" => Some(Box::new(Baseline::default())),
         "rebalance" => Some(Box::new(Rebalance::default())),

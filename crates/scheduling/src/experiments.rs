@@ -11,7 +11,7 @@
 
 use crate::policy::Policy;
 use crate::portfolio::PortfolioScheduler;
-use crate::simulator::{simulate, FailureEvent, SimConfig, SimMetrics};
+use crate::simulator::{simulate, SimConfig, SimMetrics};
 use atlarge_datacenter::environment::Environment;
 use atlarge_exp::registry::{run_replicated, CellOutput, CellScenario, ParamSpec};
 use atlarge_exp::CancelToken;
@@ -112,17 +112,8 @@ impl Table9Row {
             .expect("non-empty singles")
     }
 
-    /// The single policy with the lowest makespan.
-    pub fn best_single_makespan(&self) -> (Policy, f64) {
-        self.singles
-            .iter()
-            .map(|(p, m)| (*p, m.makespan))
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
-            .expect("non-empty singles")
-    }
-
     /// The single policy with the highest mean bounded slowdown.
-    pub fn worst_single_slowdown(&self) -> (Policy, f64) {
+    pub(crate) fn worst_single_slowdown(&self) -> (Policy, f64) {
         self.singles
             .iter()
             .map(|(p, m)| (*p, m.mean_bounded_slowdown))
@@ -147,7 +138,7 @@ impl Table9Row {
 }
 
 /// The seven rows of Table 9: `(study tag, workload, environment)`.
-pub fn table9_matrix() -> Vec<(&'static str, Mix, Environment)> {
+pub(crate) fn table9_matrix() -> Vec<(&'static str, Mix, Environment)> {
     vec![
         ("[114] ('13)", Mix::Synthetic, Environment::OwnCluster),
         ("[115] ('13)", Mix::Scientific, Environment::GridPlusCloud),
@@ -337,66 +328,6 @@ pub fn prediction_sensitivity(scale: Scale, seed: u64, replications: usize) -> V
         .collect()
 }
 
-/// Generates Weibull machine failures for every pool over the horizon:
-/// shape > 1 models wear-out, as the datacenter dependability literature
-/// assumes. Each failure takes a fixed share of the pool's cores down for
-/// an exponential repair time.
-pub fn generate_failures(
-    pool_cores: &[u32],
-    horizon: f64,
-    mean_time_between_failures: f64,
-    mean_repair: f64,
-    seed: u64,
-) -> Vec<FailureEvent> {
-    use atlarge_stats::dist::{Exponential, Sample, Weibull};
-    let mut rng = StdRng::seed_from_u64(seed);
-    // Weibull with shape 1.5 and matching mean: scale = mean / Γ(1+1/k).
-    // Γ(1 + 2/3) ≈ 0.9027.
-    let scale = mean_time_between_failures / 0.9027;
-    let tbf = Weibull::new(scale, 1.5);
-    let repair = Exponential::with_mean(mean_repair);
-    let mut out = Vec::new();
-    for (pool, &cores) in pool_cores.iter().enumerate() {
-        let mut t = 0.0;
-        loop {
-            t += tbf.sample(&mut rng);
-            if t >= horizon {
-                break;
-            }
-            out.push(FailureEvent {
-                time: t,
-                pool,
-                cores: (cores / 2).max(1),
-                duration: repair.sample(&mut rng).max(1.0),
-            });
-        }
-    }
-    out.sort_by(|a, b| a.time.partial_cmp(&b.time).expect("finite times"));
-    out
-}
-
-/// Runs one Table-9 row under injected machine failures; returns
-/// `(healthy metrics, failing metrics, failures injected)`.
-pub fn row_under_failures(
-    mix: Mix,
-    env: Environment,
-    scale: Scale,
-    seed: u64,
-) -> (SimMetrics, SimMetrics, usize) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let jobs = mix.generate(&mut rng, scale.horizon(), rate_scale(mix, env, scale));
-    let pools = pool_cores(env);
-    let config = SimConfig {
-        estimate_sigma: estimate_sigma(mix),
-        seed,
-    };
-    let failures = generate_failures(&pools, scale.horizon(), scale.horizon() / 6.0, 600.0, seed);
-    let policy = Policy::EasyBackfilling;
-    let healthy = simulate(&jobs, &pools, policy, &config, &[], None);
-    let failing = simulate(&jobs, &pools, policy, &config, &failures, None);
-    (healthy, failing, failures.len())
-}
-
 /// One active-set run: the scientific workload under a portfolio
 /// restricted to the best `k` policies, as `(lookahead events, mean
 /// bounded slowdown)`. All cells of one replication share a seed
@@ -547,6 +478,77 @@ impl CellScenario for Table9Cell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulator::FailureEvent;
+
+    /// Generates Weibull machine failures for every pool over the horizon:
+    /// shape > 1 models wear-out, as the datacenter dependability literature
+    /// assumes. Each failure takes a fixed share of the pool's cores down for
+    /// an exponential repair time.
+    fn generate_failures(
+        pool_cores: &[u32],
+        horizon: f64,
+        mean_time_between_failures: f64,
+        mean_repair: f64,
+        seed: u64,
+    ) -> Vec<FailureEvent> {
+        use atlarge_stats::dist::{Exponential, Sample, Weibull};
+        let mut rng = StdRng::seed_from_u64(seed);
+        // Weibull with shape 1.5 and matching mean: scale = mean / Γ(1+1/k).
+        // Γ(1 + 2/3) ≈ 0.9027.
+        let scale = mean_time_between_failures / 0.9027;
+        let tbf = Weibull::new(scale, 1.5);
+        let repair = Exponential::with_mean(mean_repair);
+        let mut out = Vec::new();
+        for (pool, &cores) in pool_cores.iter().enumerate() {
+            let mut t = 0.0;
+            loop {
+                t += tbf.sample(&mut rng);
+                if t >= horizon {
+                    break;
+                }
+                out.push(FailureEvent {
+                    time: t,
+                    pool,
+                    cores: (cores / 2).max(1),
+                    duration: repair.sample(&mut rng).max(1.0),
+                });
+            }
+        }
+        out.sort_by(|a, b| a.time.partial_cmp(&b.time).expect("finite times"));
+        out
+    }
+
+    /// Runs one Table-9 row under injected machine failures; returns
+    /// `(healthy metrics, failing metrics, failures injected)`.
+    fn row_under_failures(
+        mix: Mix,
+        env: Environment,
+        scale: Scale,
+        seed: u64,
+    ) -> (SimMetrics, SimMetrics, usize) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let jobs = mix.generate(&mut rng, scale.horizon(), rate_scale(mix, env, scale));
+        let pools = pool_cores(env);
+        let config = SimConfig {
+            estimate_sigma: estimate_sigma(mix),
+            seed,
+        };
+        let failures =
+            generate_failures(&pools, scale.horizon(), scale.horizon() / 6.0, 600.0, seed);
+        let policy = Policy::EasyBackfilling;
+        let healthy = simulate(&jobs, &pools, policy, &config, &[], None);
+        let failing = simulate(&jobs, &pools, policy, &config, &failures, None);
+        (healthy, failing, failures.len())
+    }
+
+    /// The single policy with the lowest makespan.
+    fn best_single_makespan(row: &Table9Row) -> (Policy, f64) {
+        row.singles
+            .iter()
+            .map(|(p, m)| (*p, m.makespan))
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
+            .expect("non-empty singles")
+    }
 
     fn rows() -> Vec<Table9Row> {
         table9(Scale::Quick, 7)
@@ -646,7 +648,7 @@ mod tests {
         let mut makespan_winners: std::collections::BTreeSet<&str> = Default::default();
         for r in &rows {
             slowdown_winners.insert(r.best_single_slowdown().0.name());
-            makespan_winners.insert(r.best_single_makespan().0.name());
+            makespan_winners.insert(best_single_makespan(r).0.name());
         }
         let distinct: std::collections::BTreeSet<&str> =
             slowdown_winners.union(&makespan_winners).copied().collect();

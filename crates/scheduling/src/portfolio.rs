@@ -89,7 +89,7 @@ impl PortfolioScheduler {
 
     /// How often (in reflections) the full portfolio is re-explored
     /// instead of only the active set (default 5).
-    pub fn explore_every(mut self, n: u64) -> Self {
+    pub(crate) fn explore_every(mut self, n: u64) -> Self {
         assert!(n > 0, "exploration period must be positive");
         self.explore_every = n;
         self

@@ -111,19 +111,6 @@ impl<C: Chooser + ?Sized> Chooser for &mut C {
     }
 }
 
-/// A chooser that always returns the same policy object — the handle may
-/// point at a custom [`SchedulingPolicy`] from another crate.
-///
-/// [`SchedulingPolicy`]: crate::policy::SchedulingPolicy
-#[derive(Debug, Clone)]
-pub struct FixedPolicy(pub PolicyRef);
-
-impl Chooser for FixedPolicy {
-    fn choose(&mut self, _: f64, _: &[QueuedTask], _: u32, _: &[RunningTask]) -> PolicyRef {
-        self.0.clone()
-    }
-}
-
 /// Simulation configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
@@ -596,6 +583,17 @@ pub fn simulate<C: Chooser>(
 mod tests {
     use super::*;
     use atlarge_workload::job::{Job, JobId, Task};
+
+    /// A chooser that always returns the same policy object — the handle may
+    /// point at a custom `SchedulingPolicy`.
+    #[derive(Debug, Clone)]
+    struct FixedPolicy(PolicyRef);
+
+    impl Chooser for FixedPolicy {
+        fn choose(&mut self, _: f64, _: &[QueuedTask], _: u32, _: &[RunningTask]) -> PolicyRef {
+            self.0.clone()
+        }
+    }
 
     fn perfect() -> SimConfig {
         SimConfig {

@@ -3,7 +3,7 @@
 //!
 //! Requests are `GET` with a path and query string; responses are
 //! either fixed bodies (`Content-Length`) or live streams
-//! (`Transfer-Encoding: chunked`, via [`ChunkedWriter`]). Parsing is
+//! (`Transfer-Encoding: chunked`, via `ChunkedWriter`). Parsing is
 //! deliberately strict: a malformed request line or an oversized
 //! header block is a `400`, never a guess — the server's determinism
 //! story starts with refusing ambiguous input.
@@ -162,7 +162,7 @@ fn decode_pairs(q: &str) -> impl Iterator<Item = (Cow<'_, str>, Cow<'_, str>)> {
 /// Decodes `%XX` escapes and `+`-as-space; invalid escapes pass
 /// through literally, which keeps decoding total (no error path).
 /// Text with neither is returned as it is, uncopied.
-pub fn percent_decode(s: &str) -> Cow<'_, str> {
+pub(crate) fn percent_decode(s: &str) -> Cow<'_, str> {
     if !s.bytes().any(|b| b == b'%' || b == b'+') {
         return Cow::Borrowed(s);
     }
@@ -216,7 +216,7 @@ fn reason(status: u16) -> &'static str {
 
 /// Writes a complete fixed-length response. `extra_headers` are
 /// emitted verbatim after the standard ones.
-pub fn write_response<W: Write>(
+pub(crate) fn write_response<W: Write>(
     w: &mut W,
     status: u16,
     content_type: &str,
@@ -247,7 +247,7 @@ fn write_headers<W: Write>(w: &mut W, extra_headers: &[(&str, &str)]) -> std::io
 
 /// Writes the head of a chunked streaming response in one write; follow
 /// with a [`ChunkedWriter`] over the same stream.
-pub fn write_chunked_head<W: Write>(
+pub(crate) fn write_chunked_head<W: Write>(
     w: &mut W,
     status: u16,
     content_type: &str,
@@ -268,7 +268,7 @@ pub fn write_chunked_head<W: Write>(
 /// one chunk, framed in one buffer and passed to the inner writer in
 /// one `write_all`, so each flushed trace line reaches the client
 /// framed and parseable immediately, in one send on a raw socket.
-pub struct ChunkedWriter<W: Write> {
+pub(crate) struct ChunkedWriter<W: Write> {
     inner: W,
     /// The chunk being framed, reused from write to write.
     frame: Vec<u8>,

@@ -37,11 +37,11 @@ use std::hash::Hasher;
 
 /// Hard ceiling on per-query replications, so one query cannot
 /// monopolize a run slot indefinitely.
-pub const MAX_REPLICATIONS: usize = 64;
+pub(crate) const MAX_REPLICATIONS: usize = 64;
 
 /// Default seed when a query omits one — fixed, so the cacheable
 /// common case ("just show me this cell") is shared across clients.
-pub const DEFAULT_SEED: u64 = 42;
+pub(crate) const DEFAULT_SEED: u64 = 42;
 
 /// A validated, canonical what-if query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,7 +59,7 @@ pub struct RunQuery {
 /// A validated, canonical what-if query that borrows its strings from
 /// the request and from the registry's stored defaults: everything a
 /// cache hit needs — the domain and the key — with nothing copied.
-/// [`QueryRef::to_run_query`] builds the owned [`RunQuery`] a run needs.
+/// `QueryRef::to_run_query` builds the owned [`RunQuery`] a run needs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryRef<'a> {
     /// Registered domain name.
@@ -74,7 +74,7 @@ pub struct QueryRef<'a> {
 
 impl QueryRef<'_> {
     /// The cache key; equal to [`cache_key`] of
-    /// [`QueryRef::to_run_query`].
+    /// `QueryRef::to_run_query`.
     pub fn cache_key(&self) -> String {
         canonical_key(&manifest_of(
             self.domain,
@@ -85,7 +85,7 @@ impl QueryRef<'_> {
     }
 
     /// The owned query.
-    pub fn to_run_query(&self) -> RunQuery {
+    pub(crate) fn to_run_query(&self) -> RunQuery {
         RunQuery {
             domain: self.domain.to_string(),
             seed: self.seed,
@@ -156,7 +156,7 @@ fn parse_reserved<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, Str
 }
 
 /// Parses and validates raw query pairs against `registry` into an
-/// owned query: [`validate_query`], then [`QueryRef::to_run_query`].
+/// owned query: [`validate_query`], then `QueryRef::to_run_query`.
 pub fn parse_run_query(
     registry: &Registry,
     pairs: &[(String, String)],
@@ -267,7 +267,7 @@ pub fn render_body(query: &RunQuery, key: &str, output: &CellOutput) -> String {
 
 /// Renders the `/domains` directory: every registered domain with its
 /// declared parameters, for clients discovering the query schema.
-pub fn render_domains(registry: &Registry) -> String {
+pub(crate) fn render_domains(registry: &Registry) -> String {
     let domains: Vec<String> = registry
         .domains()
         .iter()
@@ -307,7 +307,7 @@ pub fn render_domains(registry: &Registry) -> String {
 }
 
 /// The `{"error": ...}` body of a refused request.
-pub fn error_body(message: &str) -> String {
+pub(crate) fn error_body(message: &str) -> String {
     let mut body = json_object(&[("error", json_str(message))]);
     body.push('\n');
     body

@@ -10,7 +10,7 @@
 
 /// A technology node on the evolution graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Technology {
+pub(crate) struct Technology {
     /// Name.
     pub name: &'static str,
     /// Year the technology became production-mature.
@@ -20,7 +20,7 @@ pub struct Technology {
 }
 
 /// The serverless evolution timeline (a condensation of \[60\]'s graph).
-pub fn timeline() -> Vec<Technology> {
+pub(crate) fn timeline() -> Vec<Technology> {
     vec![
         Technology {
             name: "virtualization",
@@ -78,7 +78,7 @@ pub fn timeline() -> Vec<Technology> {
 /// any dependency path (including its own).
 ///
 /// Returns `None` for unknown technologies.
-pub fn earliest_feasible(timeline: &[Technology], name: &str) -> Option<u32> {
+pub(crate) fn earliest_feasible(timeline: &[Technology], name: &str) -> Option<u32> {
     let tech = timeline.iter().find(|t| t.name == name)?;
     let dep_years: Vec<u32> = tech
         .depends_on
@@ -88,18 +88,18 @@ pub fn earliest_feasible(timeline: &[Technology], name: &str) -> Option<u32> {
     Some(dep_years.into_iter().fold(tech.matured, u32::max))
 }
 
-/// Checks the timeline's dependency references all resolve.
-pub fn is_well_formed(timeline: &[Technology]) -> bool {
-    timeline.iter().all(|t| {
-        t.depends_on
-            .iter()
-            .all(|d| timeline.iter().any(|x| x.name == *d))
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Checks the timeline's dependency references all resolve.
+    fn is_well_formed(timeline: &[Technology]) -> bool {
+        timeline.iter().all(|t| {
+            t.depends_on
+                .iter()
+                .all(|d| timeline.iter().any(|x| x.name == *d))
+        })
+    }
 
     #[test]
     fn timeline_is_well_formed() {

@@ -28,4 +28,4 @@ pub mod sharded;
 pub mod storage;
 pub mod workflow;
 
-pub use platform::{FaasConfig, FaasPlatform};
+pub use platform::FaasConfig;

@@ -13,7 +13,6 @@ use atlarge_stats::descriptive::Summary;
 use atlarge_telemetry::manifest::config_digest;
 use atlarge_telemetry::recorder::Recorder;
 use atlarge_telemetry::tracer::EventLabel;
-use std::collections::BTreeMap;
 
 /// A registered function.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,7 +78,7 @@ impl FaasMetrics {
 
 /// The platform's event alphabet.
 #[derive(Debug)]
-pub enum FaasEvent {
+pub(crate) enum FaasEvent {
     /// An invocation request arrives at the router.
     Invoke {
         /// Target function index.
@@ -123,7 +122,7 @@ struct Pool {
 
 /// The FaaS platform model.
 #[derive(Debug)]
-pub struct FaasPlatform {
+pub(crate) struct FaasPlatform {
     functions: Vec<FunctionSpec>,
     config: FaasConfig,
     pools: Vec<Pool>,
@@ -286,7 +285,7 @@ pub fn run_platform(
 /// mostly-idle workload on (a) the FaaS platform, billed per use, and
 /// (b) an always-on reserved VM fleet sized for the peak. Returns
 /// `(faas_cost, reserved_cost, faas_p50_latency)`.
-pub fn faas_vs_reserved(
+pub(crate) fn faas_vs_reserved(
     invocations: &[(f64, usize)],
     spec: FunctionSpec,
     horizon: f64,
@@ -312,16 +311,6 @@ pub fn faas_vs_reserved(
     let reserved_cost = peak.max(1) as f64 * vm_price_per_hour * horizon / 3600.0;
     let p50 = metrics.latency_summary().median();
     (faas_cost, reserved_cost, p50)
-}
-
-/// Per-function invocation counts grouped from a schedule (registry
-/// sanity-checks in tests).
-pub fn invocation_histogram(invocations: &[(f64, usize)]) -> BTreeMap<usize, usize> {
-    let mut h = BTreeMap::new();
-    for &(_, f) in invocations {
-        *h.entry(f).or_insert(0) += 1;
-    }
-    h
 }
 
 #[cfg(test)]
@@ -433,13 +422,5 @@ mod tests {
         let m = rec.manifest();
         assert_eq!(m.model, "serverless.faas");
         assert!(m.events_dispatched >= 60, "invokes + finishes at least");
-    }
-
-    #[test]
-    fn histogram_counts_by_function() {
-        let invs = vec![(0.0, 0), (1.0, 1), (2.0, 0)];
-        let h = invocation_histogram(&invs);
-        assert_eq!(h[&0], 2);
-        assert_eq!(h[&1], 1);
     }
 }

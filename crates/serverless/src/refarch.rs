@@ -81,7 +81,7 @@ impl FaasComponent {
 
 /// A surveyed platform and the components it realizes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlatformMapping {
+pub(crate) struct PlatformMapping {
     /// Platform name.
     pub name: &'static str,
     /// Components present.
@@ -89,7 +89,7 @@ pub struct PlatformMapping {
 }
 
 /// Representative platform mappings from the survey.
-pub fn surveyed_platforms() -> Vec<PlatformMapping> {
+pub(crate) fn surveyed_platforms() -> Vec<PlatformMapping> {
     use FaasComponent::*;
     vec![
         PlatformMapping {
@@ -148,7 +148,7 @@ pub fn surveyed_platforms() -> Vec<PlatformMapping> {
 impl PlatformMapping {
     /// Core components this platform is missing (should be empty for a
     /// true FaaS platform — the reference architecture's claim).
-    pub fn missing_core(&self) -> Vec<FaasComponent> {
+    pub(crate) fn missing_core(&self) -> Vec<FaasComponent> {
         FaasComponent::all()
             .into_iter()
             .filter(|c| c.core() && !self.components.contains(c))

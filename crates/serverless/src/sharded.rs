@@ -1,7 +1,7 @@
 //! Function pools on the parallel-in-time kernel.
 //!
 //! The sealed [`platform`](crate::platform) model routes every
-//! invocation through one global [`FaasPlatform`] state — exact, but
+//! invocation through one global `FaasPlatform` state — exact, but
 //! serial. This module decomposes the platform the way real FaaS
 //! deployments shard it: each *function's pool* (warm instances, busy
 //! count, billing meter) is an independent [`LogicalProcess`], and
@@ -16,7 +16,7 @@
 //! `cold_start` when no warm instance is idle, then `exec_time`; idle
 //! instances are reclaimed `keep_alive` seconds after going idle.
 //!
-//! [`FaasPlatform`]: crate::FaasPlatform
+//! `FaasPlatform`: crate::FaasPlatform
 
 use crate::platform::{FaasConfig, FunctionSpec};
 use atlarge_des::shard::{
@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 /// Events of one function pool.
 #[derive(Debug, Clone)]
-pub enum PoolEvent {
+pub(crate) enum PoolEvent {
     /// A request arrives at this function's pool (router overhead
     /// already paid in transit).
     Invoke {
@@ -108,19 +108,11 @@ impl ShardedFaasResult {
     pub fn mean_latency(&self) -> f64 {
         self.requests.iter().map(|r| r.latency).sum::<f64>() / self.requests.len().max(1) as f64
     }
-
-    /// End-to-end latencies sorted ascending (for percentile reads and
-    /// order-insensitive comparisons).
-    pub fn sorted_latencies(&self) -> Vec<f64> {
-        let mut v: Vec<f64> = self.requests.iter().map(|r| r.latency).collect();
-        v.sort_by(f64::total_cmp);
-        v
-    }
 }
 
 /// One function's pool: the per-function slice of the sealed platform's
 /// state, plus the routing table of the workflow chains.
-pub struct FunctionPool {
+pub(crate) struct FunctionPool {
     spec: FunctionSpec,
     config: FaasConfig,
     chains: Arc<Vec<Vec<usize>>>,
@@ -250,7 +242,7 @@ impl LogicalProcess for FunctionPool {
 /// # Panics
 ///
 /// Panics if a chain is empty or names an unknown function, mirroring
-/// [`FaasPlatform::new`](crate::platform::FaasPlatform::new)'s
+/// `FaasPlatform::new`'s
 /// up-front registry validation.
 pub fn run_sharded_platform(
     functions: Vec<FunctionSpec>,
@@ -319,6 +311,14 @@ mod tests {
     use super::*;
     use crate::platform::run_platform;
 
+    /// End-to-end latencies sorted ascending (for percentile reads and
+    /// order-insensitive comparisons).
+    fn sorted_latencies(result: &ShardedFaasResult) -> Vec<f64> {
+        let mut v: Vec<f64> = result.requests.iter().map(|r| r.latency).collect();
+        v.sort_by(f64::total_cmp);
+        v
+    }
+
     fn specs(n: usize) -> Vec<FunctionSpec> {
         (0..n)
             .map(|i| FunctionSpec {
@@ -378,7 +378,7 @@ mod tests {
         let sealed = run_platform(specs(3), FaasConfig::default(), &invocations, 9, None);
         let mut sealed_lat = sealed.latencies.clone();
         sealed_lat.sort_by(f64::total_cmp);
-        let got = sharded.sorted_latencies();
+        let got = sorted_latencies(&sharded);
         assert_eq!(got.len(), sealed_lat.len());
         for (g, s) in got.iter().zip(&sealed_lat) {
             // The sealed engine sums router + exec (+ cold) in one

@@ -11,7 +11,7 @@
 
 /// A storage tier with capacity economics.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Tier {
+pub(crate) struct Tier {
     /// Tier name.
     pub name: &'static str,
     /// Throughput per provisioned node, MB/s.
@@ -23,7 +23,7 @@ pub struct Tier {
 }
 
 /// The three tiers of the Pocket analysis.
-pub fn tiers() -> [Tier; 3] {
+pub(crate) fn tiers() -> [Tier; 3] {
     [
         Tier {
             name: "dram",
@@ -48,7 +48,7 @@ pub fn tiers() -> [Tier; 3] {
 
 /// A serverless analytics job's ephemeral-storage requirements.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JobRequirements {
+pub(crate) struct JobRequirements {
     /// Aggregate throughput needed, MB/s.
     pub throughput: f64,
     /// Peak intermediate-data capacity, GB.
@@ -59,7 +59,7 @@ pub struct JobRequirements {
 
 /// A provisioning decision: nodes per tier.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Allocation {
+pub(crate) struct Allocation {
     /// `(tier, nodes)` pairs.
     pub nodes: Vec<(Tier, u32)>,
 }
@@ -74,7 +74,7 @@ impl Allocation {
     }
 
     /// Aggregate throughput.
-    pub fn throughput(&self) -> f64 {
+    pub(crate) fn throughput(&self) -> f64 {
         self.nodes
             .iter()
             .map(|(t, n)| t.throughput_per_node * f64::from(*n))
@@ -90,14 +90,14 @@ impl Allocation {
     }
 
     /// Whether the allocation meets a job's requirements.
-    pub fn satisfies(&self, job: &JobRequirements) -> bool {
+    pub(crate) fn satisfies(&self, job: &JobRequirements) -> bool {
         self.throughput() >= job.throughput && self.capacity() >= job.capacity
     }
 }
 
 /// Single-tier sizing: enough nodes of one tier for both throughput and
 /// capacity.
-pub fn single_tier(tier: Tier, job: &JobRequirements) -> Allocation {
+pub(crate) fn single_tier(tier: Tier, job: &JobRequirements) -> Allocation {
     let for_tp = (job.throughput / tier.throughput_per_node).ceil() as u32;
     let for_cap = (job.capacity / tier.capacity_per_node).ceil() as u32;
     Allocation {
@@ -109,7 +109,7 @@ pub fn single_tier(tier: Tier, job: &JobRequirements) -> Allocation {
 /// mixed allocation (throughput served by the cheapest per-MB/s tier,
 /// residual capacity by the cheapest per-GB tier) and returns the
 /// cheapest that satisfies the job.
-pub fn right_size(job: &JobRequirements) -> Allocation {
+pub(crate) fn right_size(job: &JobRequirements) -> Allocation {
     let mut candidates: Vec<Allocation> = tiers().iter().map(|&t| single_tier(t, job)).collect();
     candidates.push(mixed_allocation(job));
     candidates

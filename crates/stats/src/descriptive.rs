@@ -28,7 +28,7 @@ pub struct Summary {
 impl Summary {
     /// Builds a summary from any iterator of samples.
     ///
-    /// Non-finite samples (NaN, ±inf) are rejected by [`Summary::try_from_iter`];
+    /// Non-finite samples (NaN, ±inf) are rejected by `Summary::try_from_iter`;
     /// this constructor panics on them.
     ///
     /// # Panics
@@ -51,7 +51,7 @@ impl Summary {
     }
 
     /// Fallible constructor: returns `None` if any sample is not finite.
-    pub fn try_from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Option<Self> {
+    pub(crate) fn try_from_iter<I: IntoIterator<Item = f64>>(iter: I) -> Option<Self> {
         let mut sorted: Vec<f64> = Vec::new();
         // Welford's online algorithm for numerically stable mean/variance.
         let mut mean = 0.0;
@@ -103,7 +103,7 @@ impl Summary {
     }
 
     /// Standard error of the mean (`sd / sqrt(n)`). Zero when n < 2.
-    pub fn std_error(&self) -> f64 {
+    pub(crate) fn std_error(&self) -> f64 {
         if self.len() < 2 {
             0.0
         } else {
@@ -181,7 +181,7 @@ impl Summary {
     }
 
     /// Interquartile range: `Q3 − Q1`.
-    pub fn iqr(&self) -> f64 {
+    pub(crate) fn iqr(&self) -> f64 {
         self.quantile(0.75) - self.quantile(0.25)
     }
 
@@ -198,20 +198,6 @@ impl Summary {
     /// Read-only view of the sorted samples.
     pub fn sorted(&self) -> &[f64] {
         &self.sorted
-    }
-
-    /// Fraction of samples strictly below `threshold`.
-    pub fn fraction_below(&self, threshold: f64) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let n = self.sorted.partition_point(|&x| x < threshold);
-        n as f64 / self.len() as f64
-    }
-
-    /// Fraction of samples greater than or equal to `threshold`.
-    pub fn fraction_at_least(&self, threshold: f64) -> f64 {
-        1.0 - self.fraction_below(threshold)
     }
 }
 
@@ -268,19 +254,11 @@ mod tests {
     }
 
     #[test]
-    fn fraction_below_counts_strictly() {
-        let s = Summary::from_slice(&[1.0, 2.0, 2.0, 3.0]);
-        assert_eq!(s.fraction_below(2.0), 0.25);
-        assert_eq!(s.fraction_at_least(2.0), 0.75);
-    }
-
-    #[test]
     fn empty_summary_is_benign() {
         let s = Summary::from_slice(&[]);
         assert!(s.is_empty());
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.fraction_below(1.0), 0.0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The workspace deliberately implements its own inversion/transform samplers
 //! on top of `rand`'s uniform source instead of adding `rand_distr`: the
-//! experiments only need a handful of distributions (exponential, Pareto,
+//! experiments only need a handful of distributions (exponential,
 //! log-normal, Weibull, Zipf, normal) and owning the code keeps the
 //! dependency set within the approved list while making sampling behaviour
 //! auditable and stable across `rand` upgrades.
@@ -56,35 +56,6 @@ impl Sample for Exponential {
         // Inversion: -ln(1-U)/lambda; 1-U avoids ln(0).
         let u: f64 = rng.gen::<f64>();
         -(1.0 - u).ln() / self.lambda
-    }
-}
-
-/// Pareto (power-law) distribution with scale `x_min` and shape `alpha`.
-///
-/// Heavy-tailed sizes (file sizes, session lengths, swarm sizes) across the
-/// P2P and MMOG experiments use this family.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pareto {
-    x_min: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `x_min > 0` and `alpha > 0`.
-    pub fn new(x_min: f64, alpha: f64) -> Self {
-        assert!(x_min > 0.0 && alpha > 0.0, "pareto parameters must be > 0");
-        Pareto { x_min, alpha }
-    }
-}
-
-impl Sample for Pareto {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        let u: f64 = rng.gen::<f64>();
-        self.x_min / (1.0 - u).powf(1.0 / self.alpha)
     }
 }
 
@@ -215,7 +186,7 @@ impl Zipf {
     }
 
     /// Draws a rank in `1..=n` (1 is the most popular).
-    pub fn sample_rank<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample_rank<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen::<f64>();
         self.cdf.partition_point(|&c| c < u) + 1
     }
@@ -237,31 +208,6 @@ impl Sample for Zipf {
     }
 }
 
-/// Uniform distribution over `[lo, hi)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Uniform {
-    lo: f64,
-    hi: f64,
-}
-
-impl Uniform {
-    /// Creates a uniform distribution over `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `lo < hi`.
-    pub fn new(lo: f64, hi: f64) -> Self {
-        assert!(lo < hi, "uniform range must be non-empty");
-        Uniform { lo, hi }
-    }
-}
-
-impl Sample for Uniform {
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        rng.gen_range(self.lo..self.hi)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,14 +224,6 @@ mod tests {
         let d = Exponential::with_mean(3.0);
         let s = Summary::from_iter(d.sample_n(&mut rng(), 20_000));
         assert!((s.mean() - 3.0).abs() < 0.1, "mean {}", s.mean());
-    }
-
-    #[test]
-    fn pareto_respects_minimum() {
-        let d = Pareto::new(2.0, 1.5);
-        for x in d.sample_n(&mut rng(), 1000) {
-            assert!(x >= 2.0);
-        }
     }
 
     #[test]
@@ -334,14 +272,6 @@ mod tests {
         for (k, &count) in counts.iter().enumerate().skip(1) {
             let frac = count as f64 / 40_000.0;
             assert!((frac - 0.25).abs() < 0.02, "rank {k} frac {frac}");
-        }
-    }
-
-    #[test]
-    fn uniform_stays_in_range() {
-        let d = Uniform::new(-1.0, 1.0);
-        for x in d.sample_n(&mut rng(), 1000) {
-            assert!((-1.0..1.0).contains(&x));
         }
     }
 

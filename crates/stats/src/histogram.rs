@@ -58,7 +58,7 @@ impl Histogram {
     }
 
     /// The bin a sample falls into (clamped).
-    pub fn bin_index(&self, x: f64) -> usize {
+    pub(crate) fn bin_index(&self, x: f64) -> usize {
         if x < self.lo {
             return 0;
         }
@@ -77,7 +77,7 @@ impl Histogram {
     }
 
     /// Lower edge of bin `i`.
-    pub fn bin_lo(&self, i: usize) -> f64 {
+    pub(crate) fn bin_lo(&self, i: usize) -> f64 {
         let width = (self.hi - self.lo) / self.bins.len() as f64;
         self.lo + width * i as f64
     }
@@ -93,25 +93,12 @@ impl Histogram {
     }
 
     /// Normalized bin frequencies (sum to 1 when non-empty).
-    pub fn frequencies(&self) -> Vec<f64> {
+    pub(crate) fn frequencies(&self) -> Vec<f64> {
         let total = self.count();
         if total == 0 {
             return vec![0.0; self.bins.len()];
         }
         self.bins.iter().map(|&c| c as f64 / total as f64).collect()
-    }
-
-    /// Empirical CDF evaluated at the upper edge of each bin.
-    pub fn cdf(&self) -> Vec<f64> {
-        let total = self.count().max(1) as f64;
-        let mut acc = 0u64;
-        self.bins
-            .iter()
-            .map(|&c| {
-                acc += c;
-                acc as f64 / total
-            })
-            .collect()
     }
 
     /// Nearest-rank quantile estimate: the upper edge of the bin holding
@@ -205,17 +192,6 @@ mod tests {
         h.record_all([0.1, 0.3, 0.6, 0.9, 0.95]);
         let sum: f64 = h.frequencies().iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cdf_monotone_ends_at_one() {
-        let mut h = Histogram::new(0.0, 1.0, 5);
-        h.record_all([0.05, 0.25, 0.45, 0.65, 0.85]);
-        let cdf = h.cdf();
-        for w in cdf.windows(2) {
-            assert!(w[0] <= w[1]);
-        }
-        assert!((cdf.last().unwrap() - 1.0).abs() < 1e-12);
     }
 
     #[test]

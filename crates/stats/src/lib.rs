@@ -3,7 +3,7 @@
 //! Every experiment in the workspace reports through the types in this crate:
 //! descriptive summaries ([`descriptive::Summary`]), histograms
 //! ([`histogram::Histogram`]), violin-plot statistics for Figure 3
-//! ([`violin::ViolinSummary`]), regression and correlation
+//! ([`violin::ViolinSummary`]), linear regression
 //! ([`regression`]), rank aggregation for the autoscaling head-to-head
 //! comparisons of §6.7 ([`ranking`]), factorial effect analysis for the
 //! PAD law of §6.5 ([`factorial`]), and reproducible random-variate

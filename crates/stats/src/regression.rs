@@ -1,8 +1,8 @@
-//! Correlation and simple regression.
+//! Simple linear regression.
 //!
 //! The trend analyses behind Figures 1–2 (is the presence of design articles
 //! increasing?) and the predictive components of the portfolio scheduler use
-//! ordinary least squares and rank correlation from this module.
+//! ordinary least squares from this module.
 
 /// Result of an ordinary-least-squares fit `y = slope * x + intercept`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,60 +63,6 @@ pub fn linear_fit(xs: &[f64], ys: &[f64]) -> Option<LinearFit> {
     })
 }
 
-/// Pearson product-moment correlation coefficient.
-///
-/// Returns `None` if either series has zero variance or fewer than two
-/// points.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
-    assert_eq!(xs.len(), ys.len(), "x/y length mismatch");
-    let n = xs.len();
-    if n < 2 {
-        return None;
-    }
-    let nf = n as f64;
-    let mx = xs.iter().sum::<f64>() / nf;
-    let my = ys.iter().sum::<f64>() / nf;
-    let sxx: f64 = xs.iter().map(|x| (x - mx) * (x - mx)).sum();
-    let syy: f64 = ys.iter().map(|y| (y - my) * (y - my)).sum();
-    if sxx == 0.0 || syy == 0.0 {
-        return None;
-    }
-    let sxy: f64 = xs.iter().zip(ys).map(|(x, y)| (x - mx) * (y - my)).sum();
-    Some(sxy / (sxx * syy).sqrt())
-}
-
-/// Spearman rank correlation (Pearson on fractional ranks).
-///
-/// Returns `None` under the same conditions as [`pearson`].
-pub fn spearman(xs: &[f64], ys: &[f64]) -> Option<f64> {
-    let rx = fractional_ranks(xs);
-    let ry = fractional_ranks(ys);
-    pearson(&rx, &ry)
-}
-
-/// Fractional (mid) ranks: ties receive the average of their positions.
-///
-/// Ranks are 1-based, matching the convention in rank-correlation formulas.
-pub fn fractional_ranks(xs: &[f64]) -> Vec<f64> {
-    let n = xs.len();
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).expect("finite values"));
-    let mut ranks = vec![0.0; n];
-    let mut i = 0;
-    while i < n {
-        let mut j = i;
-        while j + 1 < n && xs[idx[j + 1]] == xs[idx[i]] {
-            j += 1;
-        }
-        let avg = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &idx[i..=j] {
-            ranks[k] = avg;
-        }
-        i = j + 1;
-    }
-    ranks
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,30 +91,5 @@ mod tests {
     fn degenerate_x_yields_none() {
         assert!(linear_fit(&[1.0, 1.0], &[2.0, 3.0]).is_none());
         assert!(linear_fit(&[1.0], &[2.0]).is_none());
-    }
-
-    #[test]
-    fn pearson_signs() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let up = [2.0, 4.0, 6.0, 8.0];
-        let down = [8.0, 6.0, 4.0, 2.0];
-        assert!((pearson(&xs, &up).unwrap() - 1.0).abs() < 1e-12);
-        assert!((pearson(&xs, &down).unwrap() + 1.0).abs() < 1e-12);
-        assert!(pearson(&xs, &[5.0; 4]).is_none());
-    }
-
-    #[test]
-    fn spearman_is_rank_invariant() {
-        // Monotone but nonlinear relation: Spearman 1, Pearson < 1.
-        let xs = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let ys = [1.0, 8.0, 27.0, 64.0, 125.0];
-        assert!((spearman(&xs, &ys).unwrap() - 1.0).abs() < 1e-12);
-        assert!(pearson(&xs, &ys).unwrap() < 1.0);
-    }
-
-    #[test]
-    fn fractional_ranks_average_ties() {
-        let r = fractional_ranks(&[10.0, 20.0, 20.0, 30.0]);
-        assert_eq!(r, vec![1.0, 2.5, 2.5, 4.0]);
     }
 }

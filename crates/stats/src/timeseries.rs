@@ -103,7 +103,7 @@ impl StepSeries {
     /// # Panics
     ///
     /// Panics if `from > to`.
-    pub fn integrate_with<F: Fn(f64) -> f64>(&self, from: f64, to: f64, f: F) -> f64 {
+    pub(crate) fn integrate_with<F: Fn(f64) -> f64>(&self, from: f64, to: f64, f: F) -> f64 {
         assert!(from <= to, "integration bounds reversed");
         let mut acc = 0.0;
         let mut t = from;

@@ -6,7 +6,7 @@
 //! This module provides the workspace's wall-latency recorder built for
 //! that path:
 //!
-//! - [`AtomicHistogram`] — fixed log-scale buckets over nanosecond
+//! - `AtomicHistogram` — fixed log-scale buckets over nanosecond
 //!   durations, every bucket an `AtomicU64`; recording is three relaxed
 //!   `fetch_add`s, no allocation, no lock, no fences.
 //! - [`ShardedHistogram`] — N independent `AtomicHistogram`s; each
@@ -18,10 +18,10 @@
 //!   second's histogram), and Prometheus-style cumulative bucket
 //!   iteration.
 //!
-//! Bucket layout: HDR-style log₂ octaves with [`SUB`] linear
-//! sub-buckets per octave, covering [`OCTAVE_MIN`]..=[`OCTAVE_MAX`]
+//! Bucket layout: HDR-style log₂ octaves with `SUB` linear
+//! sub-buckets per octave, covering `OCTAVE_MIN`..=`OCTAVE_MAX`
 //! (≈1 µs to ≈69 s) plus one overflow bucket. Relative error of a
-//! reported quantile is bounded by one sub-bucket, i.e. ≤ 1/[`SUB`]
+//! reported quantile is bounded by one sub-bucket, i.e. ≤ 1/`SUB`
 //! (25%) of the value — ample for latency percentiles spanning five
 //! orders of magnitude.
 //!
@@ -35,16 +35,16 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Smallest resolved octave: durations below `2^OCTAVE_MIN` ns (≈1 µs)
 /// merge into the first bucket.
-pub const OCTAVE_MIN: u32 = 10;
+pub(crate) const OCTAVE_MIN: u32 = 10;
 /// Largest resolved octave: durations of `2^(OCTAVE_MAX+1)` ns (≈137 s)
 /// and beyond land in the overflow bucket.
-pub const OCTAVE_MAX: u32 = 36;
+pub(crate) const OCTAVE_MAX: u32 = 36;
 /// Linear sub-buckets per octave (`2^SUB_BITS`).
-pub const SUB_BITS: u32 = 2;
+pub(crate) const SUB_BITS: u32 = 2;
 /// Sub-bucket count per octave.
-pub const SUB: usize = 1 << SUB_BITS;
+pub(crate) const SUB: usize = 1 << SUB_BITS;
 /// Total bucket count, including the final overflow bucket.
-pub const NUM_BUCKETS: usize = (OCTAVE_MAX - OCTAVE_MIN + 1) as usize * SUB + 1;
+pub(crate) const NUM_BUCKETS: usize = (OCTAVE_MAX - OCTAVE_MIN + 1) as usize * SUB + 1;
 
 /// The bucket a duration of `ns` nanoseconds falls into.
 pub fn bucket_index(ns: u64) -> usize {
@@ -61,7 +61,7 @@ pub fn bucket_index(ns: u64) -> usize {
 
 /// Exclusive upper bound of bucket `index`, in nanoseconds; `None` for
 /// the overflow bucket (conceptually `+Inf`).
-pub fn bucket_upper_ns(index: usize) -> Option<u64> {
+pub(crate) fn bucket_upper_ns(index: usize) -> Option<u64> {
     assert!(index < NUM_BUCKETS, "bucket index out of range");
     if index == NUM_BUCKETS - 1 {
         return None;
@@ -73,7 +73,7 @@ pub fn bucket_upper_ns(index: usize) -> Option<u64> {
 
 /// A fixed-bucket log-scale histogram of nanosecond durations with
 /// atomic counters. Recording never blocks; reading merges by copy.
-pub struct AtomicHistogram {
+pub(crate) struct AtomicHistogram {
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
     sum_ns: AtomicU64,
@@ -122,7 +122,7 @@ thread_local! {
     static THREAD_SLOT: usize = NEXT_THREAD_SLOT.fetch_add(1, Ordering::Relaxed);
 }
 
-/// A set of per-thread-sharded [`AtomicHistogram`]s behind one
+/// A set of per-thread-sharded `AtomicHistogram`s behind one
 /// recording API. Writers touch only their own shard; readers merge
 /// all shards into a snapshot.
 pub struct ShardedHistogram {
@@ -158,7 +158,7 @@ impl ShardedHistogram {
 /// An owned, mergeable copy of histogram state at one instant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Per-bucket counts (length [`NUM_BUCKETS`]).
+    /// Per-bucket counts (length `NUM_BUCKETS`).
     pub buckets: Vec<u64>,
     /// Total recorded samples.
     pub count: u64,
@@ -210,7 +210,7 @@ impl HistogramSnapshot {
     /// # Panics
     ///
     /// Panics unless `0.0 <= q <= 1.0`.
-    pub fn quantile_ns(&self, q: f64) -> Option<u64> {
+    pub(crate) fn quantile_ns(&self, q: f64) -> Option<u64> {
         assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
         if self.count == 0 {
             return None;
@@ -226,18 +226,9 @@ impl HistogramSnapshot {
         None // unreachable: cumulative count reaches self.count
     }
 
-    /// [`HistogramSnapshot::quantile_ns`] converted to milliseconds.
+    /// `HistogramSnapshot::quantile_ns` converted to milliseconds.
     pub fn quantile_ms(&self, q: f64) -> Option<f64> {
         self.quantile_ns(q).map(|ns| ns as f64 / 1e6)
-    }
-
-    /// Mean recorded duration in milliseconds, `0` when empty.
-    pub fn mean_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64 / 1e6
-        }
     }
 
     /// Cumulative `(upper_bound_ns, count_le)` pairs in bucket order —
@@ -295,7 +286,6 @@ mod tests {
         // Upper-edge convention: estimate ∈ [value, value * (1 + 1/SUB)].
         assert!((1.0..=1.3).contains(&p50), "p50 {p50}");
         assert!((80.0..=100.1).contains(&p99), "p99 {p99}");
-        assert!(snap.mean_ms() > 0.9 && snap.mean_ms() < 10.0);
     }
 
     #[test]

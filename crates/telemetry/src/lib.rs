@@ -41,9 +41,9 @@ pub mod sink;
 pub mod tracer;
 pub mod wall;
 
-pub use hist::{AtomicHistogram, HistogramSnapshot, ShardedHistogram};
+pub use hist::{HistogramSnapshot, ShardedHistogram};
 pub use manifest::RunManifest;
-pub use metrics::{Counter, Gauge, Tally};
+pub use metrics::{Gauge, Tally};
 pub use recorder::{Recorder, SpanStats, TraceKind, TraceRecord};
 pub use sink::JsonlSink;
 pub use tracer::{EventLabel, NullTracer, Tracer};

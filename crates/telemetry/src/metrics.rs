@@ -1,4 +1,4 @@
-//! The metric vocabulary: counters, time-weighted gauges, tallies.
+//! The metric vocabulary: time-weighted gauges and tallies.
 //!
 //! These types originated as `atlarge_des::monitor`; they now live here so
 //! every layer (kernel, domain simulators, the [`crate::recorder::Recorder`]
@@ -13,34 +13,6 @@
 use atlarge_stats::descriptive::Summary;
 use atlarge_stats::histogram::Histogram;
 use atlarge_stats::timeseries::StepSeries;
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Counter {
-    value: u64,
-}
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current count.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-}
 
 /// A time-weighted gauge: records a level over simulated time and reports
 /// time-averaged statistics (e.g. utilization, queue length, swarm size).
@@ -109,7 +81,7 @@ impl Gauge {
 
     /// Smallest level ever set (including the initial level when the gauge
     /// was never updated).
-    pub fn min_level(&self) -> f64 {
+    pub(crate) fn min_level(&self) -> f64 {
         self.levels().fold(f64::INFINITY, f64::min)
     }
 
@@ -210,14 +182,6 @@ impl Tally {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.value(), 5);
-    }
 
     #[test]
     fn gauge_time_average() {

@@ -15,14 +15,14 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Default bound of the event-trace ring buffer.
-pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
+pub(crate) const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 
 /// Bins of the per-tally quantile histograms in the metrics export.
-pub const HISTOGRAM_BINS: usize = 32;
+pub(crate) const HISTOGRAM_BINS: usize = 32;
 
 /// Maximum `(t, value)` points exported per timed metric stream; the
 /// remainder is counted in the line's `omitted` field.
-pub const SERIES_EXPORT_CAP: usize = 4096;
+pub(crate) const SERIES_EXPORT_CAP: usize = 4096;
 
 /// What a [`TraceRecord`] describes.
 #[derive(Debug, Clone, PartialEq)]
@@ -348,12 +348,6 @@ impl Recorder {
         st.timed.entry(name.to_string()).or_default().push((now, x));
     }
 
-    /// The timed stream of metric `name` (points recorded through
-    /// [`Recorder::observe_at`]), in recording order.
-    pub fn timed(&self, name: &str) -> Option<Vec<(f64, f64)>> {
-        self.lock().timed.get(name).cloned()
-    }
-
     // -- Trace and kernel-derived state ------------------------------------
 
     /// Events scheduled so far (as seen through [`Tracer::on_schedule`]).
@@ -373,11 +367,6 @@ impl Recorder {
             .get(label)
             .copied()
             .unwrap_or(0)
-    }
-
-    /// Dispatch counts per event label.
-    pub fn dispatches_by_label(&self) -> BTreeMap<String, u64> {
-        self.lock().dispatches_by_label.clone()
     }
 
     /// Latest simulated time observed through any hook.
@@ -814,11 +803,11 @@ mod tests {
         rec.observe_at("lat", 3.0, 0.4);
         assert_eq!(rec.tally("lat").expect("tally exists").len(), 2);
         assert_eq!(
-            rec.timed("lat").expect("stream exists"),
-            vec![(1.0, 0.2), (3.0, 0.4)]
+            rec.lock().timed.get("lat").expect("stream exists"),
+            &vec![(1.0, 0.2), (3.0, 0.4)]
         );
         assert_eq!(rec.sim_time(), 3.0);
-        assert!(rec.timed("missing").is_none());
+        assert!(!rec.lock().timed.contains_key("missing"));
     }
 
     #[test]

@@ -62,7 +62,7 @@ impl<W: Write + Send> JsonlSink<W> {
     }
 
     /// Lines successfully written so far (excluding the manifest line).
-    pub fn records_written(&self) -> u64 {
+    pub(crate) fn records_written(&self) -> u64 {
         self.state.lock().expect("sink lock").records
     }
 

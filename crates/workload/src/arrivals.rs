@@ -254,35 +254,36 @@ impl ArrivalProcess for Diurnal {
     }
 }
 
-/// Index of dispersion for counts (IDC) over fixed windows: 1 for Poisson,
-/// substantially above 1 for bursty/flashcrowd processes. This is the
-/// statistic the P2P studies used to debunk the Poisson assumption.
-pub fn index_of_dispersion(arrivals: &[f64], window: f64, from: f64, to: f64) -> f64 {
-    assert!(window > 0.0, "window must be positive");
-    assert!(from < to, "range must be non-empty");
-    let n_windows = ((to - from) / window).floor() as usize;
-    if n_windows < 2 {
-        return 1.0;
-    }
-    let mut counts = vec![0.0f64; n_windows];
-    for &a in arrivals {
-        if a >= from && a < from + n_windows as f64 * window {
-            counts[((a - from) / window) as usize] += 1.0;
-        }
-    }
-    let mean = counts.iter().sum::<f64>() / n_windows as f64;
-    if mean == 0.0 {
-        return 1.0;
-    }
-    let var = counts.iter().map(|c| (c - mean) * (c - mean)).sum::<f64>() / (n_windows - 1) as f64;
-    var / mean
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Index of dispersion for counts (IDC) over fixed windows: 1 for Poisson,
+    /// substantially above 1 for bursty/flashcrowd processes. This is the
+    /// statistic the P2P studies used to debunk the Poisson assumption.
+    fn index_of_dispersion(arrivals: &[f64], window: f64, from: f64, to: f64) -> f64 {
+        assert!(window > 0.0, "window must be positive");
+        assert!(from < to, "range must be non-empty");
+        let n_windows = ((to - from) / window).floor() as usize;
+        if n_windows < 2 {
+            return 1.0;
+        }
+        let mut counts = vec![0.0f64; n_windows];
+        for &a in arrivals {
+            if a >= from && a < from + n_windows as f64 * window {
+                counts[((a - from) / window) as usize] += 1.0;
+            }
+        }
+        let mean = counts.iter().sum::<f64>() / n_windows as f64;
+        if mean == 0.0 {
+            return 1.0;
+        }
+        let var =
+            counts.iter().map(|c| (c - mean) * (c - mean)).sum::<f64>() / (n_windows - 1) as f64;
+        var / mean
+    }
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(5)

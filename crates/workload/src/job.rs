@@ -88,7 +88,7 @@ impl Job {
 
 /// Generator for bags-of-tasks with log-normal runtimes.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BagOfTasksGen {
+pub(crate) struct BagOfTasksGen {
     /// Mean number of tasks per bag.
     pub mean_tasks: f64,
     /// Mean task runtime in seconds.

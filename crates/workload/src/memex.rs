@@ -148,16 +148,8 @@ impl Memex {
     }
 
     /// All entries of a system kind.
-    pub fn by_kind(&self, kind: SystemKind) -> Vec<&MemexEntry> {
+    pub(crate) fn by_kind(&self, kind: SystemKind) -> Vec<&MemexEntry> {
         self.entries.iter().filter(|e| e.kind == kind).collect()
-    }
-
-    /// All entries collected within `[from, to]` (inclusive years).
-    pub fn by_period(&self, from: u32, to: u32) -> Vec<&MemexEntry> {
-        self.entries
-            .iter()
-            .filter(|e| e.collected_in >= from && e.collected_in <= to)
-            .collect()
     }
 
     /// Finds an entry by trace name.
@@ -217,7 +209,6 @@ mod tests {
         .unwrap();
         assert_eq!(m.len(), 3);
         assert_eq!(m.by_kind(SystemKind::PeerToPeer).len(), 2);
-        assert_eq!(m.by_period(2006, 2010).len(), 2);
         assert!(m.find("rs-2008").is_some());
         assert_eq!(m.total_jobs(), 3);
     }

@@ -85,7 +85,7 @@ impl Workflow {
     }
 
     /// Kahn topological order; `None` if cyclic.
-    pub fn topological_order(&self) -> Option<Vec<NodeId>> {
+    pub(crate) fn topological_order(&self) -> Option<Vec<NodeId>> {
         let mut deg = self.in_degrees();
         let mut q: VecDeque<NodeId> = deg
             .iter()
@@ -122,26 +122,6 @@ impl Workflow {
     /// Total work in core-seconds.
     pub fn total_work(&self) -> f64 {
         self.tasks.iter().map(Task::work).sum()
-    }
-
-    /// Maximum width: the largest antichain approximated as the maximum
-    /// number of tasks eligible together under list order (exact for
-    /// layered DAGs, which all our generators produce).
-    pub fn max_parallelism(&self) -> usize {
-        // Longest-path layering: level(v) = 1 + max level(pred).
-        let order = self.topological_order().expect("constructed acyclic");
-        let mut level = vec![0usize; self.len()];
-        for &u in &order {
-            for &v in &self.edges[u] {
-                level[v] = level[v].max(level[u] + 1);
-            }
-        }
-        let max_level = level.iter().copied().max().unwrap_or(0);
-        let mut widths = vec![0usize; max_level + 1];
-        for &l in &level {
-            widths[l] += 1;
-        }
-        widths.into_iter().max().unwrap_or(1)
     }
 }
 
@@ -222,6 +202,26 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// Maximum width: the largest antichain approximated as the maximum
+    /// number of tasks eligible together under list order (exact for
+    /// layered DAGs, which all our generators produce).
+    fn max_parallelism(wf: &Workflow) -> usize {
+        // Longest-path layering: level(v) = 1 + max level(pred).
+        let order = wf.topological_order().expect("constructed acyclic");
+        let mut level = vec![0usize; wf.len()];
+        for &u in &order {
+            for &v in &wf.edges[u] {
+                level[v] = level[v].max(level[u] + 1);
+            }
+        }
+        let max_level = level.iter().copied().max().unwrap_or(0);
+        let mut widths = vec![0usize; max_level + 1];
+        for &l in &level {
+            widths[l] += 1;
+        }
+        widths.into_iter().max().unwrap_or(1)
+    }
+
     fn rng() -> StdRng {
         StdRng::seed_from_u64(2)
     }
@@ -234,7 +234,7 @@ mod tests {
     fn chain_critical_path_is_total_runtime() {
         let wf = Workflow::new(unit_tasks(5), &[(0, 1), (1, 2), (2, 3), (3, 4)], 0.0);
         assert_eq!(wf.critical_path(), 5.0);
-        assert_eq!(wf.max_parallelism(), 1);
+        assert_eq!(max_parallelism(&wf), 1);
     }
 
     #[test]
@@ -254,7 +254,7 @@ mod tests {
             0.0,
         );
         assert_eq!(wf.critical_path(), 3.0);
-        assert_eq!(wf.max_parallelism(), 4);
+        assert_eq!(max_parallelism(&wf), 4);
     }
 
     #[test]
@@ -277,11 +277,11 @@ mod tests {
     fn generators_produce_expected_shapes() {
         let c = generate(&mut rng(), Shape::Chain(7), 10.0, 0.5, 0.0);
         assert_eq!(c.len(), 7);
-        assert_eq!(c.max_parallelism(), 1);
+        assert_eq!(max_parallelism(&c), 1);
 
         let fj = generate(&mut rng(), Shape::ForkJoin(8), 10.0, 0.5, 0.0);
         assert_eq!(fj.len(), 10);
-        assert_eq!(fj.max_parallelism(), 8);
+        assert_eq!(max_parallelism(&fj), 8);
 
         let l = generate(
             &mut rng(),
