@@ -87,6 +87,6 @@ pub use calendar::CalendarQueue;
 pub use fel::{BinaryHeapFel, FutureEventList};
 pub use queue::EventQueue;
 pub use shard::{
-    LogicalProcess, Partition, PartitionError, Routed, ShardCtx, ShardedSimulation, StaticPartition,
+    LogicalProcess, PartitionError, Routed, ShardCtx, ShardedSimulation, StaticPartition,
 };
 pub use sim::{Ctx, Model, Simulation};

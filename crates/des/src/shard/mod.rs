@@ -6,10 +6,11 @@
 //! entities are partitioned into *logical processes* grouped onto
 //! shards, each shard owns a sealed FEL of its own, and shards advance
 //! in windowed rounds bounded by conservative horizons derived from the
-//! [`Partition`]'s declared per-edge lookahead (the minimum cross-shard
+//! [`StaticPartition`]'s declared lookahead (the minimum cross-shard
 //! latency of the domain model: a link delay, a router overhead, a tick
-//! period). Cross-shard events are posted to per-shard mailboxes and
-//! merged between rounds; see `sync` for the protocol.
+//! period), one value for every pair of shards. Cross-shard events are
+//! posted to per-shard mailboxes and merged between rounds; see `sync`
+//! for the protocol.
 //!
 //! # Determinism
 //!
@@ -132,126 +133,70 @@ pub struct EventRecord {
 }
 
 /// How entities map onto shards, and how much cross-shard latency the
-/// model guarantees per directed shard pair.
+/// model guarantees: an entity→shard map and one lookahead `la` for
+/// every pair of shards.
 ///
-/// `lookahead(from, to)` must return either a strictly positive finite
-/// minimum delay (every event shard `from` sends to shard `to` fires at
-/// least that far in the future) or `INFINITY` to declare "no edge".
-/// Zero, negative, and NaN lookaheads are rejected up front by
-/// [`ShardedSimulation::new`] — a zero-lookahead edge would allow
-/// cycles of simultaneous cross-shard events, which no conservative
-/// schedule can order without global knowledge.
-pub trait Partition {
-    /// Number of shards (logical-process groups).
-    fn shards(&self) -> usize;
-    /// The shard owning `entity`.
-    fn shard_of(&self, entity: u32) -> usize;
-    /// Minimum cross-shard event latency from shard `from` to shard
-    /// `to` (`from != to`), or `INFINITY` for "no edge".
-    fn lookahead(&self, from: usize, to: usize) -> f64;
-}
-
-/// A table-driven [`Partition`]: an explicit entity→shard assignment
-/// plus a dense lookahead matrix. The common constructors cover block
-/// and round-robin placement with a uniform all-to-all lookahead.
+/// `la` must be a strictly positive minimum delay (every event one
+/// shard sends another fires at least that far in the future), or
+/// `INFINITY` to declare that no event crosses shards. Zero, negative,
+/// and NaN lookaheads are rejected up front by
+/// [`ShardedSimulation::new`], at every shard count — a zero lookahead
+/// would allow cycles of simultaneous cross-shard events, which no
+/// conservative schedule can order without global knowledge.
 #[derive(Debug, Clone)]
 pub struct StaticPartition {
     shards: usize,
     assign: Vec<usize>,
-    lookahead: Vec<f64>,
+    lookahead: f64,
 }
 
 impl StaticPartition {
-    fn with_uniform(shards: usize, assign: Vec<usize>, la: f64) -> Self {
-        let shards = shards.max(1);
-        let lookahead = (0..shards * shards)
-            .map(|i| {
-                if i / shards == i % shards {
-                    f64::INFINITY
-                } else {
-                    la
-                }
-            })
-            .collect();
-        StaticPartition {
-            shards,
-            assign,
-            lookahead,
-        }
-    }
-
-    /// Contiguous blocks of entities per shard, uniform lookahead `la`
-    /// on every directed edge.
+    /// Contiguous blocks of entities per shard.
     pub fn block(entities: usize, shards: usize, la: f64) -> Self {
         let shards = shards.max(1);
-        let per = entities.div_ceil(shards.max(1)).max(1);
+        let per = entities.div_ceil(shards).max(1);
         let assign = (0..entities).map(|e| (e / per).min(shards - 1)).collect();
-        Self::with_uniform(shards, assign, la)
+        Self::from_assignment(assign, shards, la)
     }
 
-    /// Entities dealt round-robin across shards, uniform lookahead.
+    /// Entities dealt round-robin across shards.
     pub fn round_robin(entities: usize, shards: usize, la: f64) -> Self {
         let shards = shards.max(1);
         let assign = (0..entities).map(|e| e % shards).collect();
-        Self::with_uniform(shards, assign, la)
+        Self::from_assignment(assign, shards, la)
     }
 
-    /// An explicit entity→shard map with uniform lookahead. Entity `e`
-    /// lives on shard `assign[e]`; an entity past the end of the map has
-    /// no shard, so [`ShardedSimulation::new`] rejects a map shorter
-    /// than its process list.
+    /// An explicit entity→shard map. Entity `e` lives on shard
+    /// `assign[e]`; an entity past the end of the map has no shard, so
+    /// [`ShardedSimulation::new`] rejects a map shorter than its
+    /// process list.
     pub fn from_assignment(assign: Vec<usize>, shards: usize, la: f64) -> Self {
-        Self::with_uniform(shards, assign, la)
-    }
-}
-
-impl Partition for StaticPartition {
-    fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// An entity the map does not cover reports shard `shards()`, one
-    /// past the last, so construction fails with
-    /// [`PartitionError::ShardOutOfRange`] instead of placing it.
-    fn shard_of(&self, entity: u32) -> usize {
-        self.assign
-            .get(entity as usize)
-            .copied()
-            .unwrap_or(self.shards)
-    }
-
-    fn lookahead(&self, from: usize, to: usize) -> f64 {
-        self.lookahead
-            .get(from * self.shards + to)
-            .copied()
-            .unwrap_or(f64::INFINITY)
+        StaticPartition {
+            shards: shards.max(1),
+            assign,
+            lookahead: la,
+        }
     }
 }
 
 /// Why a [`ShardedSimulation`] could not be constructed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PartitionError {
-    /// The partition declared zero shards.
-    NoShards,
     /// More entities than `MAX_ENTITIES`.
     TooManyEntities {
         /// The offending entity count.
         entities: usize,
     },
-    /// `shard_of` returned a shard outside `0..shards()`, or the
-    /// entity is past the end of a [`StaticPartition`]'s map.
+    /// The entity is assigned a shard past the partition's last, or
+    /// sits past the end of its map.
     ShardOutOfRange {
         /// The entity with the bad assignment.
         entity: u32,
         /// The out-of-range shard index.
         shard: usize,
     },
-    /// A declared lookahead was zero, negative, or NaN.
+    /// The declared lookahead was zero, negative, or NaN.
     BadLookahead {
-        /// Source shard of the edge.
-        from: usize,
-        /// Destination shard of the edge.
-        to: usize,
         /// The rejected value.
         value: f64,
     },
@@ -260,7 +205,6 @@ pub enum PartitionError {
 impl fmt::Display for PartitionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PartitionError::NoShards => write!(f, "partition declares zero shards"),
             PartitionError::TooManyEntities { entities } => write!(
                 f,
                 "{entities} entities exceed the sharded kernel's limit of {MAX_ENTITIES}"
@@ -268,10 +212,10 @@ impl fmt::Display for PartitionError {
             PartitionError::ShardOutOfRange { entity, shard } => {
                 write!(f, "entity {entity} assigned to out-of-range shard {shard}")
             }
-            PartitionError::BadLookahead { from, to, value } => write!(
+            PartitionError::BadLookahead { value } => write!(
                 f,
-                "lookahead {value} on edge {from}->{to} must be strictly positive \
-                 (use INFINITY for no edge)"
+                "lookahead {value} must be strictly positive \
+                 (use INFINITY if no event crosses shards)"
             ),
         }
     }
@@ -285,10 +229,10 @@ impl std::error::Error for PartitionError {}
 /// Unlike [`Model`](crate::sim::Model) — which owns the whole world —
 /// a logical process owns exactly one entity, so a run's outcome
 /// cannot depend on entity co-location. Events for other entities go
-/// through `ShardCtx::send_at`/[`ShardCtx::send_in`], which enforce
-/// the partition's lookahead on cross-shard edges. A model that wants
-/// to stay valid under *every* partition should respect the declared
-/// lookahead on all entity-to-entity sends.
+/// through [`ShardCtx::send_in`], which enforces the partition's
+/// lookahead on cross-shard sends. A model that wants to stay valid
+/// under *every* partition should respect the declared lookahead on all
+/// entity-to-entity sends.
 pub trait LogicalProcess {
     /// The event alphabet of this process.
     type Event;
@@ -307,8 +251,7 @@ struct EntitySlot {
 /// Read-only per-round environment shared by every shard.
 struct RoundEnv<'a, E> {
     index: &'a [EntitySlot],
-    lookahead: &'a [f64],
-    nshards: usize,
+    la: f64,
     seed: u64,
     labeler: fn(&E) -> &'static str,
     log_events: bool,
@@ -395,7 +338,6 @@ pub struct ShardCtx<'a, E> {
     cur_id: u64,
     cur_parent: Option<u64>,
     shard: usize,
-    nshards: usize,
     seed: u64,
     /// Where same-shard events go: the shard's FEL when they fire
     /// inside the current round's window (they must interleave with the
@@ -409,7 +351,7 @@ pub struct ShardCtx<'a, E> {
     rngs: &'a mut Vec<Option<StdRng>>,
     spare_rng: &'a mut Option<StdRng>,
     index: &'a [EntitySlot],
-    la_row: &'a [f64],
+    la: f64,
     trace: Option<&'a mut TraceBuf>,
     labeler: fn(&E) -> &'static str,
 }
@@ -433,17 +375,6 @@ impl<E> ShardCtx<'_, E> {
     /// Id of the event whose handler scheduled the current one.
     pub fn parent(&self) -> Option<u64> {
         self.cur_parent
-    }
-
-    /// The shard this entity lives on (informational — model behavior
-    /// must never depend on it).
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// Total shard count of the partition.
-    pub fn shards(&self) -> usize {
-        self.nshards
     }
 
     fn next_seq(&mut self) -> u64 {
@@ -520,8 +451,8 @@ impl<E> ShardCtx<'_, E> {
     }
 
     /// Sends an event to `target` at absolute `time`. For a target on
-    /// another shard, `time` must be at least `now + lookahead(edge)` —
-    /// the contract the conservative horizons are derived from.
+    /// another shard, `time` must be at least `now + la` — the contract
+    /// the conservative horizons are derived from.
     pub(crate) fn send_at(&mut self, time: f64, target: u32, event: E) -> u64 {
         assert!(
             time.is_finite() && time >= self.now,
@@ -530,14 +461,11 @@ impl<E> ShardCtx<'_, E> {
         let EntitySlot { shard, slot } = locate(self.index, target);
         let target_shard = shard as usize;
         if target_shard != self.shard {
-            let la = self
-                .la_row
-                .get(target_shard)
-                .copied()
-                .unwrap_or(f64::INFINITY);
+            let la = self.la;
             assert!(
                 la.is_finite(),
-                "no lookahead edge declared from shard {} to shard {target_shard}",
+                "cross-shard send from shard {} to shard {target_shard} under an infinite \
+                 lookahead (no event may cross shards)",
                 self.shard
             );
             assert!(
@@ -601,12 +529,12 @@ pub struct ShardedSimulation<P, L, F = CalendarQueue<Routed<<L as LogicalProcess
 where
     L: LogicalProcess,
 {
-    /// `new` reads the partition once; the engine keeps its type only.
+    /// Always `StaticPartition`, which `new` reads once; the engine
+    /// keeps only its type.
     partition: PhantomData<fn() -> P>,
     shards: Vec<Shard<L, F>>,
     index: Vec<EntitySlot>,
-    lookahead: Vec<f64>,
-    nshards: usize,
+    lookahead: f64,
     seed: u64,
     threads: usize,
     root_seq: u64,
@@ -619,48 +547,36 @@ where
     event_log: Vec<EventRecord>,
 }
 
-impl<P, L, F> ShardedSimulation<P, L, F>
+impl<L, F> ShardedSimulation<StaticPartition, L, F>
 where
-    P: Partition,
     L: LogicalProcess,
     F: FutureEventList<Routed<L::Event>>,
 {
     /// Validates `partition` and distributes `lps` (entity `e` is
-    /// `lps[e]`) onto shards. Rejects non-positive / NaN lookaheads and
-    /// out-of-range shard assignments up front.
-    pub fn new(partition: P, lps: Vec<L>, seed: u64) -> Result<Self, PartitionError> {
-        let nshards = partition.shards();
-        if nshards == 0 {
-            return Err(PartitionError::NoShards);
-        }
+    /// `lps[e]`) onto shards. Rejects a non-positive or NaN lookahead,
+    /// at every shard count, and out-of-range shard assignments up
+    /// front.
+    pub fn new(partition: StaticPartition, lps: Vec<L>, seed: u64) -> Result<Self, PartitionError> {
+        let StaticPartition {
+            shards: nshards,
+            assign,
+            lookahead,
+        } = partition;
         if lps.len() > MAX_ENTITIES {
             return Err(PartitionError::TooManyEntities {
                 entities: lps.len(),
             });
         }
-        let mut lookahead = Vec::with_capacity(nshards * nshards);
-        for from in 0..nshards {
-            for to in 0..nshards {
-                if from == to {
-                    lookahead.push(f64::INFINITY);
-                    continue;
-                }
-                let la = partition.lookahead(from, to);
-                if la.is_nan() || la <= 0.0 {
-                    return Err(PartitionError::BadLookahead {
-                        from,
-                        to,
-                        value: la,
-                    });
-                }
-                lookahead.push(la);
-            }
+        if lookahead.is_nan() || lookahead <= 0.0 {
+            return Err(PartitionError::BadLookahead { value: lookahead });
         }
         // Place every entity first, so each shard's arrays are sized once.
         let mut sizes = vec![0usize; nshards];
         let mut index = Vec::with_capacity(lps.len());
         for entity in 0..lps.len() as u32 {
-            let s = partition.shard_of(entity);
+            // An entity past the end of the map reports shard `nshards`,
+            // one past the last, and is refused below.
+            let s = assign.get(entity as usize).copied().unwrap_or(nshards);
             let Some(size) = sizes.get_mut(s) else {
                 return Err(PartitionError::ShardOutOfRange { entity, shard: s });
             };
@@ -682,7 +598,6 @@ where
             shards,
             index,
             lookahead,
-            nshards,
             seed,
             threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             root_seq: 0,
@@ -731,7 +646,7 @@ where
     /// Pre-reserves room for about `events` pending events across all
     /// shards.
     pub fn with_pending_capacity(mut self, events: usize) -> Self {
-        let per = events / self.nshards.max(1);
+        let per = events / self.shards.len().max(1);
         for shard in &mut self.shards {
             shard.fel.reserve(per);
         }
@@ -893,13 +808,13 @@ where
         L::Event: Send,
         F: Send,
     {
-        let per = self.nshards.div_ceil(self.threads.min(self.nshards).max(1));
-        let workers = self.nshards.div_ceil(per);
+        let nshards = self.shards.len();
+        let per = nshards.div_ceil(self.threads.min(nshards).max(1));
+        let workers = nshards.div_ceil(per);
         let plane = SyncPlane::new(self.shards.iter().map(Shard::lower_bound), workers);
         let env = RoundEnv {
             index: &self.index,
-            lookahead: &self.lookahead,
-            nshards: self.nshards,
+            la: self.lookahead,
             seed: self.seed,
             labeler: self.labeler,
             log_events: self.log_events,
@@ -956,11 +871,6 @@ fn run_round<L, F>(
     L: LogicalProcess,
     F: FutureEventList<Routed<L::Event>>,
 {
-    let row_start = s * env.nshards;
-    let la_row = env
-        .lookahead
-        .get(row_start..row_start + env.nshards)
-        .unwrap_or(&[]);
     loop {
         let Some(entry) = shard.fel.pop_min_until(run_horizon) else {
             break;
@@ -1035,7 +945,6 @@ fn run_round<L, F>(
             cur_id: seq,
             cur_parent: parent,
             shard: s,
-            nshards: env.nshards,
             seed: env.seed,
             local: &mut local,
             outbox: &mut shard.outbox,
@@ -1043,7 +952,7 @@ fn run_round<L, F>(
             rngs: &mut shard.rngs,
             spare_rng: &mut shard.spare_rng,
             index: env.index,
-            la_row,
+            la: env.la,
             trace: shard.trace.as_mut(),
             labeler: env.labeler,
         };
@@ -1073,7 +982,7 @@ where
     let mut horizons = Vec::new();
     let mut payload = None;
     let verdict = loop {
-        match plane.verdict(env.lookahead, run_horizon, &mut lbs, &mut horizons) {
+        match plane.verdict(env.la, run_horizon, &mut lbs, &mut horizons) {
             Verdict::Run => {}
             end => break end,
         }
@@ -1222,13 +1131,15 @@ mod tests {
 
     #[test]
     fn zero_lookahead_edges_are_rejected_up_front() {
-        let part = StaticPartition::round_robin(4, 2, 0.0);
-        let res: Result<ShardedSimulation<_, RingNode>, _> =
-            ShardedSimulation::new(part, ring(4, 1), 1);
-        assert!(matches!(
-            res,
-            Err(PartitionError::BadLookahead { value, .. }) if value == 0.0
-        ));
+        for shards in [1, 2] {
+            let part = StaticPartition::round_robin(4, shards, 0.0);
+            let res: Result<ShardedSimulation<_, RingNode>, _> =
+                ShardedSimulation::new(part, ring(4, 1), 1);
+            assert!(
+                matches!(res, Err(PartitionError::BadLookahead { value }) if value == 0.0),
+                "zero lookahead accepted with shards = {shards}"
+            );
+        }
     }
 
     #[test]

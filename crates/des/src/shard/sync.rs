@@ -2,7 +2,7 @@
 //!
 //! This module is the *machinery* side of the `shard-boundary` layer
 //! contract (lint.toml `[layer.shard-boundary]`, enforced by AL008):
-//! domain crates program against [`Partition`](super::Partition) /
+//! domain crates program against [`StaticPartition`](super::StaticPartition) /
 //! [`ShardedSimulation`](super::ShardedSimulation) and must never name
 //! the mailboxes, lower-bound announcements, or horizon math in here —
 //! those are free to change as the protocol evolves.
@@ -16,29 +16,25 @@
 //! of its outgoing edges at once. The raw LB vector is not yet safe to
 //! window on: a shard whose own queue is empty (LB = ∞) can still
 //! *receive* an event this round and relay a consequence of it early
-//! the next — a multi-hop path the single-hop bound misses. So the LBs
-//! are first relaxed through the lookahead graph to earliest-execution
-//! bounds (the fixpoint of)
+//! the next. So each shard's earliest possible execution is
+//! `exec(s) = min(LB(s), exec(r) + la)` over every other shard `r`, and
+//! its horizon is `min(exec(r) + la)` over every other shard `r`.
+//!
+//! Every pair of shards shares the one lookahead `la`, so that fixpoint
+//! has a closed form. Let `m` be the smallest LB, `s*` the first shard
+//! holding it, and `m2` the smallest LB of the other shards. Then
 //!
 //! ```text
-//! exec(s) = min( LB(s), min over r != s of exec(r) + lookahead(r, s) )
+//! horizon(s)  = m + la                     for s != s*
+//! horizon(s*) = min(m2, m + la) + la
 //! ```
 //!
-//! — each shard's earliest time it could possibly execute *any* event,
-//! pending or yet to arrive over any path — and then turned into
-//! horizons:
-//!
-//! ```text
-//! horizon(s) = min over r != s of  exec(r) + lookahead(r, s)
-//! ```
-//!
-//! A shard may safely dispatch every event strictly below its horizon:
-//! any event that could still reach it fires no earlier than that.
-//! Because every declared lookahead is strictly positive, the shard
-//! holding the globally earliest event has `exec` equal to its LB and a
-//! horizon strictly above it, so every round makes progress — in exact
-//! arithmetic. When a lookahead is below half an ulp of the clock,
-//! `lb + la` rounds back to `lb` and the horizons freeze; [`stalled`]
+//! and a lone shard's horizon is infinite. A shard may safely dispatch
+//! every event strictly below its horizon: any event that could still
+//! reach it fires no earlier than that. Because `la` is strictly
+//! positive, `s*` has a horizon strictly above `m`, so every round makes
+//! progress — in exact arithmetic. When `la` is below half an ulp of the
+//! clock, `m + la` rounds back to `m` and the horizons freeze; [`stalled`]
 //! detects that corner so the run can abort with a diagnostic instead
 //! of livelocking.
 //!
@@ -86,59 +82,25 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex, PoisonError};
 
 /// Computes the conservative horizon of every shard from the current
-/// lower-bound vector and the row-major `lookahead` matrix
-/// (`lookahead[r * n + s]` = minimum cross-shard latency from `r` to
-/// `s`, `INFINITY` when no edge exists). A shard with no incoming
-/// edges gets an infinite horizon.
-///
-/// The LBs are first relaxed to earliest-execution bounds through the
-/// lookahead graph (see the module docs): the shortest relaxing path
-/// has at most `n - 1` edges, so `n - 1` Bellman–Ford sweeps reach the
-/// fixpoint, and strictly positive lookaheads rule out the analogue of
-/// negative cycles.
-pub(crate) fn conservative_horizons(lbs: &[f64], lookahead: &[f64], out: &mut Vec<f64>) {
-    let n = lbs.len();
-    let edge = |r: usize, s: usize| lookahead.get(r * n + s).copied().unwrap_or(f64::INFINITY);
-    let mut exec: Vec<f64> = lbs.to_vec();
-    for _ in 1..n {
-        let mut changed = false;
-        for s in 0..n {
-            let mut recv = f64::INFINITY;
-            for r in 0..n {
-                if r == s {
-                    continue;
-                }
-                // `INFINITY + la` stays infinite, so unreachable peers
-                // and missing edges drop out of the min automatically.
-                let bound = exec.get(r).copied().unwrap_or(f64::INFINITY) + edge(r, s);
-                if bound < recv {
-                    recv = bound;
-                }
-            }
-            if let Some(slot) = exec.get_mut(s) {
-                if recv < *slot {
-                    *slot = recv;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
+/// lower-bound vector and the partition's lookahead `la`, in one pass
+/// (see the module docs for the closed form).
+pub(crate) fn conservative_horizons(lbs: &[f64], la: f64, out: &mut Vec<f64>) {
+    let (mut first, mut m, mut m2) = (0, f64::INFINITY, f64::INFINITY);
+    for (s, &lb) in lbs.iter().enumerate() {
+        if lb < m {
+            (first, m, m2) = (s, lb, m);
+        } else if lb < m2 {
+            m2 = lb;
         }
     }
     out.clear();
-    for s in 0..n {
-        let mut h = f64::INFINITY;
-        for (r, ex) in exec.iter().enumerate() {
-            if r == s {
-                continue;
-            }
-            let bound = *ex + edge(r, s);
-            if bound < h {
-                h = bound;
-            }
-        }
-        out.push(h);
+    out.resize(lbs.len(), m + la);
+    if let Some(h) = out.get_mut(first) {
+        *h = if lbs.len() > 1 {
+            m2.min(m + la) + la
+        } else {
+            f64::INFINITY
+        };
     }
 }
 
@@ -214,7 +176,7 @@ impl<T> SyncPlane<T> {
     /// `horizons`.
     pub(crate) fn verdict(
         &self,
-        lookahead: &[f64],
+        la: f64,
         run_horizon: f64,
         lbs: &mut Vec<f64>,
         horizons: &mut Vec<f64>,
@@ -231,7 +193,7 @@ impl<T> SyncPlane<T> {
         if quiescent(lbs, run_horizon) {
             return Verdict::Stop;
         }
-        conservative_horizons(lbs, lookahead, horizons);
+        conservative_horizons(lbs, la, horizons);
         if stalled(lbs, horizons, run_horizon) {
             return Verdict::Stalled(lbs.iter().copied().fold(f64::INFINITY, f64::min));
         }
@@ -275,43 +237,104 @@ impl<T> SyncPlane<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atlarge_check::check;
+    use rand::Rng;
+
+    /// The reference the closed form must match: `n - 1` Bellman–Ford
+    /// sweeps of `exec(s) = min(exec(s), exec(r) + la)` over every
+    /// other shard `r`, then `horizon(s) = min(exec(r) + la)`.
+    fn reference_horizons(lbs: &[f64], la: f64) -> Vec<f64> {
+        let n = lbs.len();
+        let mut exec: Vec<f64> = lbs.to_vec();
+        for _ in 1..n {
+            let mut changed = false;
+            for s in 0..n {
+                let mut recv = f64::INFINITY;
+                for (r, ex) in exec.iter().enumerate() {
+                    if r != s && *ex + la < recv {
+                        recv = *ex + la;
+                    }
+                }
+                if recv < exec[s] {
+                    exec[s] = recv;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        (0..n)
+            .map(|s| {
+                let mut h = f64::INFINITY;
+                for (r, ex) in exec.iter().enumerate() {
+                    if r != s && *ex + la < h {
+                        h = *ex + la;
+                    }
+                }
+                h
+            })
+            .collect()
+    }
+
+    fn horizons(lbs: &[f64], la: f64) -> Vec<f64> {
+        let mut out = Vec::new();
+        conservative_horizons(lbs, la, &mut out);
+        out
+    }
 
     #[test]
     fn horizons_follow_relaxed_exec_plus_lookahead() {
-        // Two shards, lookahead 1.0 both ways. Shard 1's earliest
-        // pending event is at 20, but it could receive shard 0's t=5
-        // event's consequence and relay at 5 + 1 + 1 = 7 — shard 0's
-        // horizon must be 7, not 21.
-        let la = vec![f64::INFINITY, 1.0, 1.0, f64::INFINITY];
-        let mut out = Vec::new();
-        conservative_horizons(&[5.0, 20.0], &la, &mut out);
-        assert_eq!(out, vec![7.0, 6.0]);
+        // Two shards, lookahead 1.0. Shard 1's earliest pending event
+        // is at 20, but it could receive shard 0's t=5 event's
+        // consequence and relay at 5 + 1 + 1 = 7 — shard 0's horizon
+        // must be 7, not 21.
+        assert_eq!(horizons(&[5.0, 20.0], 1.0), vec![7.0, 6.0]);
+        // Nothing can reach a lone shard.
+        assert_eq!(horizons(&[5.0], 1.0), vec![f64::INFINITY]);
     }
 
     #[test]
-    fn empty_relay_shards_do_not_unbound_downstream_horizons() {
-        // Chain 0 -> 1 -> 2 with unit lookahead; shard 1 is empty.
-        // Shard 2 must still be bounded by the two-hop path through 1:
-        // 0.0 + 1 + 1 = 2.0.
-        let inf = f64::INFINITY;
-        #[rustfmt::skip]
-        let la = vec![
-            inf, 1.0, inf,
-            inf, inf, 1.0,
-            inf, inf, inf,
+    fn closed_form_equals_the_relaxation_bit_for_bit() {
+        const LOOKAHEADS: [f64; 7] = [
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+            5e-324,
+            1e-9,
+            0.5,
+            1.0,
+            3.0,
         ];
-        let mut out = Vec::new();
-        conservative_horizons(&[0.0, inf, 100.0], &la, &mut out);
-        assert_eq!(out, vec![inf, 1.0, 2.0]);
-    }
-
-    #[test]
-    fn empty_peer_and_missing_edge_drop_out() {
-        // 0 -> 1 only; shard 0 has no incoming edge.
-        let la = vec![f64::INFINITY, 2.0, f64::INFINITY, f64::INFINITY];
-        let mut out = Vec::new();
-        conservative_horizons(&[3.0, f64::INFINITY], &la, &mut out);
-        assert_eq!(out, vec![f64::INFINITY, 5.0]);
+        const BASES: [f64; 5] = [0.0, 1.0, 1e9, 1e16, 1e300];
+        check("closed_form_horizons", 20_000, |rng| {
+            let la = if rng.gen_bool(0.2) {
+                rng.gen_range(1e-3..1e3)
+            } else {
+                LOOKAHEADS[rng.gen_range(0..LOOKAHEADS.len())]
+            };
+            let base = if rng.gen_bool(0.2) {
+                rng.gen_range(0.0..1e300)
+            } else {
+                BASES[rng.gen_range(0..BASES.len())]
+            };
+            let mut lbs: Vec<f64> = Vec::new();
+            for _ in 0..rng.gen_range(1..10) {
+                let lb = match rng.gen_range(0..5) {
+                    0 => f64::INFINITY,
+                    1 if !lbs.is_empty() => lbs[rng.gen_range(0..lbs.len())], // a tie
+                    1 | 2 => base,
+                    3 => base + f64::from(rng.gen_range(0u32..4)) * la.min(1.0),
+                    _ => base * (1.0 + rng.gen::<f64>()),
+                };
+                lbs.push(lb);
+            }
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(
+                bits(horizons(&lbs, la)),
+                bits(reference_horizons(&lbs, la)),
+                "lbs {lbs:?} at lookahead {la:e}"
+            );
+        });
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! twice therefore yields byte-identical text whether it was computed
 //! on one thread or sixteen.
 
-use crate::cancel::CancelToken;
-use crate::executor::run_indexed_cancellable;
+use crate::executor::run_indexed;
 use crate::grid::{CellSpec, FactorGrid};
 use crate::seed::derive_seed;
 use atlarge_stats::descriptive::Summary;
@@ -162,26 +161,6 @@ impl<F> Campaign<F> {
         C: Sync,
         O: Send,
     {
-        self.run_cancellable(configure, &CancelToken::new())
-            .expect("a fresh token is never cancelled")
-    }
-
-    /// [`Campaign::run`] with cooperative cancellation: workers poll
-    /// `cancel` between `(cell, replication)` jobs and stop at the next
-    /// boundary once it fires. Returns `None` when cancelled — never a
-    /// partial result, so a completed campaign remains byte-identical
-    /// to any other completion of the same declaration.
-    pub(crate) fn run_cancellable<C, O, G>(
-        self,
-        configure: G,
-        cancel: &CancelToken,
-    ) -> Option<CampaignResult<C, O>>
-    where
-        F: Fn(&C, u64) -> O + Sync,
-        G: Fn(&CellSpec) -> C,
-        C: Sync,
-        O: Send,
-    {
         // Wall time is report-only (excluded from result equality); it is
         // read through the telemetry boundary, never `Instant` directly.
         let started = Stopwatch::start();
@@ -192,10 +171,10 @@ impl<F> Campaign<F> {
         let jobs = cells.len() * reps;
 
         let run = &self.run;
-        let outcomes: Vec<O> = run_indexed_cancellable(jobs, threads, cancel, |j| {
+        let outcomes: Vec<O> = run_indexed(jobs, threads, |j| {
             let (cell, rep) = (j / reps, j % reps);
             run(&configs[cell], self.seed_of(cell, rep))
-        })?;
+        });
 
         let mut cell_results: Vec<CellResult<C, O>> = cells
             .into_iter()
@@ -213,7 +192,7 @@ impl<F> Campaign<F> {
                 outcome,
             });
         }
-        Some(CampaignResult {
+        CampaignResult {
             name: self.name,
             root_seed: self.root_seed,
             replications: reps,
@@ -221,7 +200,7 @@ impl<F> Campaign<F> {
             grid: self.grid,
             cells: cell_results,
             wall_ms: started.elapsed_ms(),
-        })
+        }
     }
 }
 
@@ -562,34 +541,5 @@ mod tests {
     #[should_panic(expected = "at least one replication")]
     fn zero_replications_panics() {
         let _ = Campaign::new("z", mixer).replications(0);
-    }
-
-    #[test]
-    fn cancelled_campaign_yields_nothing() {
-        let token = CancelToken::new();
-        token.cancel();
-        let r = Campaign::new("c", mixer)
-            .factor("x", ["a", "b"])
-            .replications(4)
-            .threads(1)
-            .run_cancellable(|c| c.index as u64, &token);
-        assert!(r.is_none());
-    }
-
-    #[test]
-    fn uncancelled_campaign_equals_plain_run() {
-        let configure = |c: &CellSpec| c.index as u64;
-        let build = || {
-            Campaign::new("c", mixer)
-                .factor("x", ["a", "b", "c"])
-                .replications(3)
-                .root_seed(7)
-                .threads(2)
-        };
-        let plain = build().run(configure);
-        let cancellable = build()
-            .run_cancellable(configure, &CancelToken::new())
-            .expect("token never fired");
-        assert_eq!(plain, cancellable);
     }
 }

@@ -1,13 +1,17 @@
-//! Cooperative cancellation for campaign execution.
+//! Cooperative cancellation for served cells.
 //!
-//! A long-running exploration service cannot afford to finish a
-//! campaign whose requester is gone: a [`CancelToken`] is a cheaply
-//! cloneable flag the executor and the replication loops poll between
-//! jobs, so an in-flight cell stops at the next job boundary instead of
-//! running to completion. Cancellation is *cooperative and
-//! deterministic-safe*: a run either completes (and is byte-identical
-//! to any other completion) or returns nothing — a cancelled run never
-//! yields partial results that could be mistaken for a full campaign.
+//! An exploration server cannot afford to finish a cell whose requester
+//! is gone: a [`CancelToken`] is a cheaply cloneable flag that
+//! [`run_replicated`](crate::registry::run_replicated) polls before each
+//! replication of a [`CellScenario::run_cell`](crate::CellScenario::run_cell),
+//! so a cell the server cancels (a `/trace` whose client hung up) stops
+//! at the next replication boundary instead of running to completion.
+//! Cancellation is *cooperative and deterministic-safe*: a cell either
+//! completes (and is byte-identical to any other completion) or returns
+//! an error — a cancelled cell never yields partial results that could
+//! be mistaken for a full answer. Campaigns
+//! ([`Campaign::run`](crate::Campaign::run)) are not cancellable: they
+//! always run every job.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

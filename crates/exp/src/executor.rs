@@ -10,7 +10,6 @@
 //! interleaving**, which is what lets the campaign engine guarantee
 //! byte-identical aggregation between serial and parallel runs.
 
-use crate::cancel::CancelToken;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs `jobs` invocations of `job` on up to `threads` workers and
@@ -18,32 +17,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// `threads <= 1` (or fewer than two jobs) short-circuits to a plain
 /// serial loop — the reference execution the parallel path must match.
-///
-/// Cancellation is cooperative: every worker checks
-/// `cancel` before claiming its next job, so cancellation takes effect
-/// at the next job boundary. Returns `None` if the token fired before
-/// every job completed — a cancelled execution yields *no* results,
-/// never partial ones, so callers cannot mistake an aborted campaign
-/// for a finished one.
-pub(crate) fn run_indexed_cancellable<T, F>(
-    jobs: usize,
-    threads: usize,
-    cancel: &CancelToken,
-    job: F,
-) -> Option<Vec<T>>
+pub(crate) fn run_indexed<T, F>(jobs: usize, threads: usize, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
     if threads <= 1 || jobs <= 1 {
-        let mut out = Vec::with_capacity(jobs);
-        for j in 0..jobs {
-            if cancel.is_cancelled() {
-                return None;
-            }
-            out.push(job(j));
-        }
-        return Some(out);
+        return (0..jobs).map(job).collect();
     }
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
@@ -52,7 +32,7 @@ where
             .map(|_| {
                 scope.spawn(|| {
                     let mut done: Vec<(usize, T)> = Vec::new();
-                    while !cancel.is_cancelled() {
+                    loop {
                         // Relaxed: the counter publishes no data, only
                         // indices; results come back through `join`.
                         let idx = next.fetch_add(1, Ordering::Relaxed);
@@ -74,27 +54,16 @@ where
         debug_assert!(slots[idx].is_none(), "job {idx} ran twice");
         slots[idx] = Some(value);
     }
-    if cancel.is_cancelled() && slots.iter().any(Option::is_none) {
-        return None;
-    }
-    Some(
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| s.unwrap_or_else(|| panic!("job {i} never ran")))
-            .collect(),
-    )
+    slots
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| s.unwrap_or_else(|| panic!("job {i} never ran")))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-
-    /// The executor under a fresh token, which never fires.
-    fn run<T: Send>(jobs: usize, threads: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
-        run_indexed_cancellable(jobs, threads, &CancelToken::new(), job)
-            .expect("a fresh token is never cancelled")
-    }
+    use super::run_indexed as run;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
@@ -126,40 +95,6 @@ mod tests {
     #[test]
     fn more_threads_than_jobs_is_fine() {
         assert_eq!(run(3, 64, |i| i), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn pre_cancelled_runs_yield_nothing() {
-        let token = CancelToken::new();
-        token.cancel();
-        assert_eq!(run_indexed_cancellable(100, 1, &token, |i| i), None);
-        assert_eq!(run_indexed_cancellable(100, 4, &token, |i| i), None);
-    }
-
-    #[test]
-    fn mid_run_cancellation_stops_at_a_job_boundary() {
-        let token = CancelToken::new();
-        let ran = AtomicUsize::new(0);
-        let t = token.clone();
-        let out = run_indexed_cancellable(1000, 1, &token, |i| {
-            ran.fetch_add(1, Ordering::Relaxed);
-            if i == 9 {
-                t.cancel();
-            }
-            i
-        });
-        assert_eq!(out, None);
-        assert_eq!(ran.load(Ordering::Relaxed), 10, "stops after job 9");
-    }
-
-    #[test]
-    fn uncancelled_token_matches_plain_run() {
-        let token = CancelToken::new();
-        let f = |i: usize| i * 3 + 1;
-        assert_eq!(
-            run_indexed_cancellable(57, 4, &token, f),
-            Some(run(57, 1, f))
-        );
     }
 
     #[test]

@@ -232,7 +232,7 @@ fn default_layers() -> Vec<LayerContract> {
             scope: vec![],
             exempt: vec!["crates/des".into(), "crates/lint".into()],
             forbid: vec!["atlarge_des::shard::sync".into(), "des::shard::sync".into()],
-            note: "conservative-sync machinery is a sealed kernel internal; domain code partitions through Partition / ShardedSimulation so the windowing protocol stays swappable".into(),
+            note: "conservative-sync machinery is a sealed kernel internal; domain code partitions through StaticPartition / ShardedSimulation so the windowing protocol stays swappable".into(),
         },
         LayerContract {
             name: "wall-clock-types".into(),
