@@ -239,14 +239,22 @@ mod tests {
     #[test]
     fn serve_cell_rejects_degenerate_clusters() {
         let tracer = atlarge_telemetry::NullTracer;
-        let raw = BTreeMap::from([
-            ("hosts".to_string(), "0".to_string()),
-            ("cores_per_host".to_string(), "16".to_string()),
-            ("jobs".to_string(), "10".to_string()),
-        ]);
-        let err = CapacityCell
-            .run_cell(&raw, 1, 1, &CancelToken::new(), &tracer)
-            .unwrap_err();
+        let refusal = |hosts: &str, cores_per_host: &str| {
+            let raw = BTreeMap::from([
+                ("hosts".to_string(), hosts.to_string()),
+                ("cores_per_host".to_string(), cores_per_host.to_string()),
+                ("jobs".to_string(), "10".to_string()),
+            ]);
+            CapacityCell
+                .run_cell(&raw, 1, 1, &CancelToken::new(), &tracer)
+                .unwrap_err()
+        };
+        let err = refusal("0", "16");
         assert!(err.contains("positive"), "{err}");
+        // 4 x 2^30 cores is one more than the cluster's u32 core count holds.
+        let err = refusal("4", "1073741824");
+        assert!(err.contains(&format!("exceed {}", u32::MAX)), "{err}");
+        let err = refusal("10001", "16");
+        assert!(err.contains("1..=10000"), "{err}");
     }
 }

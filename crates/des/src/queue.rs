@@ -115,7 +115,7 @@ impl<E, F: FutureEventList<E>> EventQueue<E, F> {
     }
 
     /// Time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<f64> {
+    pub(crate) fn peek_time(&self) -> Option<f64> {
         self.fel.peek_min().map(|e| e.time)
     }
 
@@ -138,11 +138,6 @@ impl<E, F: FutureEventList<E>> EventQueue<E, F> {
     /// `clear_does_not_reuse_ids`.
     pub fn clear(&mut self) {
         self.fel.clear();
-    }
-
-    /// Pre-reserves room for `additional` more pending events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.fel.reserve(additional);
     }
 }
 

@@ -218,7 +218,7 @@ fn default_layers() -> Vec<LayerContract> {
         LayerContract {
             name: "sealed-fel".into(),
             scope: vec![],
-            exempt: vec!["crates/des".into(), "crates/bench".into(), "crates/lint".into()],
+            exempt: vec!["crates/des".into(), "crates/lint".into()],
             forbid: vec![
                 "atlarge_des::fel".into(),
                 "atlarge_des::calendar".into(),
@@ -237,11 +237,7 @@ fn default_layers() -> Vec<LayerContract> {
         LayerContract {
             name: "wall-clock-types".into(),
             scope: vec![],
-            exempt: vec![
-                "crates/telemetry".into(),
-                "crates/bench".into(),
-                "crates/lint".into(),
-            ],
+            exempt: vec!["crates/telemetry".into(), "crates/lint".into()],
             forbid: vec![
                 "std::time::Instant".into(),
                 "std::time::SystemTime".into(),

@@ -46,7 +46,7 @@ pub fn catalogue() -> &'static [LintSpec] {
             rationale: "Instant::now / SystemTime::now make results depend on machine speed and load; a replay on different hardware diverges. Simulated time (Ctx::now) is the only clock the kernel trusts, and wall-clock measurement is quarantined behind atlarge_telemetry::wall.",
             default_include_tests: false,
             default_scope: &[],
-            default_exempt: &["crates/telemetry", "crates/bench", "crates/lint"],
+            default_exempt: &["crates/telemetry", "crates/lint"],
         },
         LintSpec {
             id: "entropy-rng",

@@ -37,7 +37,6 @@ const CAPSULE_READERS: &[&str] = &[
     "u64_field",
     "f64_field",
     "str_field",
-    "f64s_field",
     "f64_table_field",
     "named_f64s_field",
 ];

@@ -10,7 +10,7 @@ impl Evolvable for RoundTripPolicy {
         let mut c = Capsule::new(self.capsule_kind(), 1)
             .with_f64("window", self.window)
             .with_u64("ticks", self.ticks);
-        c.push("history", Value::F64s(self.history.clone()));
+        c.push("history", Value::F64Table(self.history.clone()));
         c
     }
 
@@ -18,7 +18,7 @@ impl Evolvable for RoundTripPolicy {
         capsule.expect_kind(self.capsule_kind())?;
         self.window = capsule.f64_field("window")?;
         self.ticks = capsule.u64_field("ticks")?;
-        self.history = capsule.f64s_field("history")?.to_vec();
+        self.history = capsule.f64_table_field("history")?.to_vec();
         Ok(())
     }
 }

@@ -67,7 +67,7 @@ use std::thread::JoinHandle;
 
 /// Server tuning knobs. The SLO objectives the pulse plane tracks burn
 /// against (p99 under 50 ms, 99.9% availability) and the result cache's
-/// eight shards are fixed.
+/// size (1024 bodies in eight shards) are fixed.
 pub struct ServeConfig {
     /// Listen address; port `0` binds an ephemeral port (tests).
     pub addr: String,
@@ -75,8 +75,6 @@ pub struct ServeConfig {
     pub threads: usize,
     /// Admitted queries waiting for a run slot before `503`.
     pub queue_capacity: usize,
-    /// Cached result bodies.
-    pub cache_capacity: usize,
 }
 
 impl Default for ServeConfig {
@@ -85,10 +83,12 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             threads: 0,
             queue_capacity: 128,
-            cache_capacity: 1024,
         }
     }
 }
+
+/// Cached result bodies.
+const CACHE_CAPACITY: usize = 1024;
 
 /// Result-cache shards: each is one lock, so eight keep concurrent
 /// clients from queueing on a single mutex.
@@ -130,7 +130,7 @@ impl Server {
         let shared = Arc::new(Shared {
             registry,
             gate: RunGate::new(threads, config.queue_capacity),
-            cache: ResultCache::new(config.cache_capacity, CACHE_SHARDS),
+            cache: ResultCache::new(CACHE_CAPACITY, CACHE_SHARDS),
             pulse,
             running: AtomicBool::new(true),
             connections: Mutex::new(0),

@@ -1,14 +1,17 @@
 //! Ablations for the design decisions DESIGN.md calls out: cold-start
 //! keep-alive, co-evolution stall limit, Area-of-Simulation battle
 //! composition, and the portfolio scheduler's active-set size and
-//! runtime-prediction error. `paper_tables` prints none of them; run
-//! with `cargo bench -p atlarge-bench --bench ablations`.
+//! runtime-prediction error. `paper_tables` prints none of them.
+//!
+//! ```sh
+//! cargo run --release --example ablations
+//! ```
 
-use atlarge_core::exploration::{ExplorationProcess, Explorer};
-use atlarge_core::space::RuggedSpace;
-use atlarge_mmog::rts::{load, Architecture, Scenario};
-use atlarge_scheduling::experiments::{active_set_ablation, prediction_sensitivity, Scale};
-use atlarge_serverless::platform::{run_platform, FaasConfig, FunctionSpec};
+use atlarge::core::exploration::{ExplorationProcess, Explorer};
+use atlarge::core::space::RuggedSpace;
+use atlarge::mmog::rts::{load, Architecture, Scenario};
+use atlarge::scheduling::experiments::{active_set_ablation, prediction_sensitivity, Scale};
+use atlarge::serverless::platform::{run_platform, FaasConfig, FunctionSpec};
 
 fn main() {
     println!("cold-start keep-alive ablation (keep-alive s -> cold %, p50 s, GB-s):");
